@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channel import Channel, as_channel, doeblin
-from .exceptions import ValidationError
+from .exceptions import ExpansionCapError, ValidationError
 
 COMPOSITE_STATE_CAP = 10**7
 EXACT_PERCOLATION_NODE_CAP = 25
@@ -195,7 +195,7 @@ def composite_channel(net: BayesNet, targets: Iterable[int], cap: int = COMPOSIT
     for u in relevant:
         states *= net.nodes[u].alphabet
         if states > cap:
-            raise ValidationError(f"composite channel needs more than {cap} joint states")
+            raise ExpansionCapError(f"composite channel needs more than {cap} joint states")
     v_sizes = [net.nodes[u].alphabet for u in V]
     n_cols = int(np.prod(v_sizes))
     out = np.zeros((k_src, n_cols))
@@ -308,6 +308,8 @@ def percolation(
         raise ValidationError('mode must be "exact" or "mc"')
     if samples is None or seed is None:
         raise ValidationError("Monte Carlo percolation needs samples and seed")
+    if samples <= 0:
+        raise ValidationError(f"Monte Carlo percolation needs a positive sample count, got {samples}")
     order = sorted(taus)
     survive_prob = np.array([1.0 - taus[u] for u in order])
     children = {u: [c for c in net.children(u) if c in taus] for u in [src, *order]}

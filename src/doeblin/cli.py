@@ -5,15 +5,12 @@ success, 1 on parse/validation errors (the message names the failing
 invariant), 2 on infeasible requests (no consensus, coupling condition
 violated).  Output is byte-identical for identical inputs and seeds; every
 float is printed with 17 significant digits so values round-trip exactly.
-The DOEBLIN_EXPANSION_CAP environment variable overrides the coupling
-expansion cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,8 +20,8 @@ from . import bayesnet as bn
 from . import coupling as cp
 from . import degroot as dg
 from . import lp
-from .channel import Channel, as_channel, doeblin, max2_doeblin, max_doeblin, report
-from .exceptions import InfeasibilityError, ValidationError
+from .channel import Channel, as_channel, doeblin, max_doeblin, report
+from .exceptions import ExpansionCapError, InfeasibilityError, ValidationError
 from .fusion import fuse_min
 
 
@@ -117,18 +114,6 @@ def load_pmfs(paths) -> list[list[float]]:
     return out
 
 
-def _expansion_cap(args) -> int:
-    if args.expansion_cap is not None:
-        return args.expansion_cap
-    env = os.environ.get("DOEBLIN_EXPANSION_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"DOEBLIN_EXPANSION_CAP must be an integer, got {env!r}")
-    return cp.DEFAULT_EXPANSION_CAP
-
-
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 # ---------------------------------------------------------------------------
@@ -144,7 +129,6 @@ def _cmd_coef(args) -> int:
 
 
 def _cmd_couple(args) -> int:
-    cap = _expansion_cap(args)
     if args.kind == "joint":
         try:
             obj = json.loads(_read(args.inputs[0]))
@@ -169,27 +153,22 @@ def _cmd_couple(args) -> int:
     if args.kind == "max":
         built = cp.maximal_coupling(pmfs)
         achieved = {"diagonal_mass": doeblin(as_channel(pmfs))}
-    elif args.kind == "min":
-        built = cp.minimal_coupling_max(pmfs)
-        achieved = {"union_mass": max_doeblin(as_channel(pmfs))}
-    elif args.kind == "min3":
-        if len(pmfs) != 3:
+    else:  # min or min3
+        if args.kind == "min3" and len(pmfs) != 3:
             raise ValidationError("--kind min3 needs exactly three PMFs")
-        built = cp.minimal_coupling_max_n3(*pmfs)
-        tmax = max_doeblin(as_channel(pmfs))
-        tmax2 = max2_doeblin(as_channel(pmfs))
-        achieved = {"union_mass": tmax + max(tmax2 - 1.0, 0.0)}
-    else:
-        raise ValidationError(f"unknown coupling kind {args.kind!r}")
-    include = args.expand and built.alphabet_size**built.arity <= cap
-    if args.expand and not include:
-        _note(f"expansion skipped: table would exceed the cap of {cap} entries")
+        built = cp.minimal_coupling_max(pmfs) if args.kind == "min" else cp.minimal_coupling_max_n3(*pmfs)
+        achieved = {"union_mass": cp.minimal_union_mass(pmfs)}
+    try:
+        coupling = built.to_dict(include_expanded=args.expand)
+    except ExpansionCapError:
+        _note(f"expansion skipped: table would exceed the cap of {cp.DEFAULT_EXPANSION_CAP} entries")
+        coupling = built.to_dict()
     out = {
         "kind": args.kind,
         "arity": built.arity,
         "alphabet": built.alphabet_size,
         "achieved": achieved,
-        "coupling": built.to_dict(include_expanded=include, cap=cap),
+        "coupling": coupling,
     }
     _emit(out)
     return 0
@@ -233,7 +212,7 @@ def _cmd_bayesnet(args) -> int:
         tau = doeblin(bn.composite_channel(net, targets))
         out["tau"] = tau
         out["gamma"] = 1.0 - tau
-    except ValidationError:
+    except ExpansionCapError:
         out["tau"] = None
         out["gamma"] = None
         _note("composite channel exceeds the enumeration cap; bounds only")
@@ -305,25 +284,12 @@ def _cmd_verify(args) -> int:
         sense = args.sense or "max"
         res = lp.coupling_diag_opt(pmfs, sense, exact=args.exact)
         closed = doeblin(ch) if sense == "max" else None
-    elif args.problem == "union":
+    else:  # union; argparse admits no other problem
         sense = args.sense or "min"
         res = lp.coupling_union_opt(pmfs, sense, exact=args.exact)
-        if sense != "min":
-            closed = None
-        else:
-            tmax2 = max2_doeblin(ch)
-            if tmax2 <= 1.0 + 1e-12:
-                closed = max_doeblin(ch)
-            elif ch.n == 3:
-                closed = max_doeblin(ch) + (tmax2 - 1.0)
-            else:
-                closed = None  # open beyond three marginals; the LP value is empirical
-                _note(
-                    "no closed form is known for this regime; "
-                    "the reported value is the LP optimum only"
-                )
-    else:
-        raise ValidationError(f"unknown problem {args.problem!r}")
+        closed = cp.minimal_union_mass(pmfs) if sense == "min" else None
+        if sense == "min" and closed is None:
+            _note("no closed form is known for this regime; the reported value is the LP optimum only")
     out = {
         "problem": args.problem,
         "sense": sense,
@@ -358,37 +324,36 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="doeblin", description=__doc__)
-    parser.add_argument("--expansion-cap", type=int, default=None, help="override the coupling expansion cap")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("coef", parser_class=_Parser, help="coefficient report for one channel")
+    p = sub.add_parser("coef", help="coefficient report for one channel")
     p.add_argument("channel")
     p.set_defaults(func=_cmd_coef)
 
-    p = sub.add_parser("couple", parser_class=_Parser, help="build an extremal coupling")
+    p = sub.add_parser("couple", help="build an extremal coupling")
     p.add_argument("--kind", required=True, choices=["max", "min", "min3", "joint"])
     p.add_argument("--expand", action="store_true", help="include the expanded table")
     p.add_argument("inputs", nargs="+")
     p.set_defaults(func=_cmd_couple)
 
-    p = sub.add_parser("degroot", parser_class=_Parser, help="DeGroot distances and Bayes risks")
+    p = sub.add_parser("degroot", help="DeGroot distances and Bayes risks")
     p.add_argument("--prior", required=True, help="inline JSON array")
     p.add_argument("--loss", choices=["id", "complement"], default=None)
     p.add_argument("channel")
     p.set_defaults(func=_cmd_degroot)
 
-    p = sub.add_parser("bayesnet", parser_class=_Parser, help="contraction bounds over a network")
+    p = sub.add_parser("bayesnet", help="contraction bounds over a network")
     p.add_argument("net")
     p.add_argument("--target", required=True, help="comma-separated node names")
     p.add_argument("--bound", choices=["recursion", "perc", "sfpaths", "all"], default="all")
     p.add_argument("--mc", nargs=2, type=int, metavar=("SAMPLES", "SEED"), default=None)
     p.set_defaults(func=_cmd_bayesnet)
 
-    p = sub.add_parser("fuse", parser_class=_Parser, help="min-rule fusion of PMFs")
+    p = sub.add_parser("fuse", help="min-rule fusion of PMFs")
     p.add_argument("pmfs", nargs="+")
     p.set_defaults(func=_cmd_fuse)
 
-    p = sub.add_parser("verify", parser_class=_Parser, help="LP-oracle check of an extremal value")
+    p = sub.add_parser("verify", help="LP-oracle check of an extremal value")
     p.add_argument("--problem", required=True, choices=["diag", "union", "estimator"])
     p.add_argument("--sense", choices=["min", "max"], default=None)
     p.add_argument("--witness", action="store_true")

@@ -21,22 +21,23 @@ Four constructions live here:
   both maximal at once.
 
 Couplings are stored structured-first: a weighted mixture of glue-pattern
-components, with sparse expansion performed lazily under a cap.  All the
-optimality identities are checkable on the structured form; expansion only
-matters for comparison against the LP oracle at desk scale.  Components with
-zero weight are dropped before their factors are normalized, so the 0/0
-corner cases are never evaluated.
+components, each a product of independent factors, from which every mass
+is read in closed form at any size.  The sparse joint table is expanded,
+under a cap, only for ``couple --expand`` export and as the test oracle.
+Components with zero weight are dropped before their factors are
+normalized, so the 0/0 corner cases are never evaluated.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .channel import Pmf, stack_pmfs
+from .channel import Pmf, max2_doeblin, max_doeblin, stack_pmfs
 from .exceptions import (
     AlphabetMismatchError,
     CouplingConditionError,
@@ -88,14 +89,6 @@ class Component:
     shared_factor: Pmf | None  # distribution of the glued block (None if no glue)
     free_factors: tuple[tuple[int, Pmf], ...]  # (coordinate, factor), sorted
 
-    def factor_for(self, coord: int) -> Pmf:
-        if coord in self.pattern.glued:
-            return self.shared_factor
-        for c, f in self.free_factors:
-            if c == coord:
-                return f
-        raise KeyError(coord)
-
 
 def _component(weight, glued, shared, free) -> Component:
     glued = tuple(sorted(glued))
@@ -118,15 +111,30 @@ class Coupling:
     def weight_sum(self) -> float:
         return float(sum(c.weight for c in self.components))
 
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Weights (K,), shared factors (K, m; zero without glue), the factor
+        on each coordinate (K, n, m) and the glue mask (K, n)."""
+        K, n, m = len(self.components), self.arity, self.alphabet_size
+        weights = np.array([c.weight for c in self.components])
+        shared = np.zeros((K, m))
+        factors = np.zeros((K, n, m))
+        glued = np.zeros((K, n), dtype=bool)
+        for k, comp in enumerate(self.components):
+            if comp.pattern.glued:
+                glued[k, list(comp.pattern.glued)] = True
+                shared[k] = factors[k, list(comp.pattern.glued)] = comp.shared_factor.probs
+            for c, f in comp.free_factors:
+                factors[k, c] = f.probs
+        return weights, shared, factors, glued
+
     def marginal(self, coord: int) -> np.ndarray:
-        """Coordinate marginal computed on the structured form."""
-        out = np.zeros(self.alphabet_size)
-        for comp in self.components:
-            out += comp.weight * comp.factor_for(coord).probs
-        return out
+        """Coordinate marginal: the weighted sum of that coordinate's factors."""
+        weights, _, factors, _ = self._stacked
+        return weights @ factors[:, coord]
 
     def expand(self, cap: int = DEFAULT_EXPANSION_CAP) -> dict:
-        """Materialize the sparse joint table (memoized)."""
+        """Materialize the sparse joint table (memoized), for export and tests."""
         if self.expanded is not None:
             return self.expanded
         if self.alphabet_size**self.arity > cap:
@@ -140,24 +148,74 @@ class Coupling:
         self.expanded = table
         return table
 
-    def diagonal_mass(self, cap: int = DEFAULT_EXPANSION_CAP) -> float:
-        table = self.expand(cap)
-        return sum(mass for key, mass in table.items() if len(set(key)) == 1)
+    def diagonal_mass(self) -> float:
+        """Probability that every coordinate takes the same symbol."""
+        return self.intersection_mass(range(self.arity))
 
-    def union_mass(self, cap: int = DEFAULT_EXPANSION_CAP) -> float:
-        """Summed over symbols y, the probability that some coordinate hits y."""
-        table = self.expand(cap)
-        return sum(mass * len(set(key)) for key, mass in table.items())
+    def union_mass(self) -> float:
+        """Summed over symbols y, the probability that some coordinate hits y.
+        A component misses y with probability (1 - s(y)) prod_i (1 - f_i(y))."""
+        weights, shared, factors, glued = self._stacked
+        miss = (1.0 - shared) * np.where(glued[:, :, None], 1.0, 1.0 - factors).prod(axis=1)
+        return float(weights @ (self.alphabet_size - miss.sum(axis=1)))
 
-    def intersection_mass(self, coords: Sequence[int], cap: int = DEFAULT_EXPANSION_CAP) -> float:
-        """Summed over y, the probability that all the given coordinates hit y."""
-        coords = tuple(coords)
-        table = self.expand(cap)
-        return sum(
-            mass for key, mass in table.items() if len({key[c] for c in coords}) == 1
-        )
+    def intersection_mass(self, coords: Sequence[int]) -> float:
+        """Summed over y, the probability that all the given coordinates hit y:
+        per component sum_y s(y) prod_{free i in coords} f_i(y), with s = 1
+        when no glued coordinate is among them."""
+        coords = list(coords)
+        weights, shared, factors, glued = self._stacked
+        in_glue = glued[:, coords]
+        prod = np.where(in_glue[:, :, None], 1.0, factors[:, coords]).prod(axis=1)
+        head = np.where(in_glue.any(axis=1)[:, None], shared, 1.0)
+        return float(weights @ (head * prod).sum(axis=1))
 
-    def to_dict(self, include_expanded: bool = False, cap: int = DEFAULT_EXPANSION_CAP) -> dict:
+    def intersection_masses(self) -> dict[tuple[int, ...], float]:
+        """:meth:`intersection_mass` of every subset of two or more coordinates,
+        built one coordinate at a time; row ``mask`` holds the subset of its bits."""
+        weights, shared, factors, glued = self._stacked
+        K, m = shared.shape
+        prod = np.empty((1 << self.arity, K, m))  # free factors' product over the subset
+        hit = np.zeros((1 << self.arity, K), dtype=bool)  # subset meets the glued block
+        prod[0] = 1.0
+        for i in range(self.arity):
+            half = 1 << i
+            free_i = np.where(glued[:, i, None], 1.0, factors[:, i])
+            np.multiply(prod[:half], free_i, out=prod[half : 2 * half])
+            hit[half : 2 * half] = hit[:half] | glued[:, i]
+        sums = np.where(hit, np.einsum("km,skm->sk", shared, prod), prod.sum(axis=2))
+        masses = sums @ weights
+        return {
+            coords: float(masses[sum(1 << i for i in coords)])
+            for size in range(2, self.arity + 1)
+            for coords in itertools.combinations(range(self.arity), size)
+        }
+
+    def orthogonal_components(self) -> bool:
+        """Whether no two components share a tuple of positive mass.
+
+        Components a and b share one iff every block of coordinates forced
+        equal has a symbol all factors of a and b on it allow.  The blocks
+        are the union of the two glued sets when they meet, each glued set
+        when they do not, and every coordinate free in both.
+        """
+        _, shared, factors, glued = self._stacked
+        allowed = (factors > 0.0).astype(float)
+        g = glued.astype(float)
+        # Symbols a's glued block allows; every symbol when a has no glue.
+        block = np.where(glued.any(axis=1)[:, None], shared > 0.0, True)
+        # covers[a, b, y]: b allows y on every glued coordinate of a.
+        covers = np.tensordot(g, 1.0 - allowed, axes=([1], [1])) == 0.0
+        own = block[:, None, :] & covers  # a's block, allowed by a and b
+        other = own.transpose(1, 0, 2)  # b's block, allowed by b and a
+        meet = (g @ g.T) > 0.0
+        glued_ok = np.where(meet, (own & other).any(axis=2), own.any(axis=2) & other.any(axis=2))
+        # A coordinate free in both needs one symbol both factors allow.
+        common = np.matmul(allowed.transpose(1, 0, 2), allowed.transpose(1, 2, 0))  # (n, K, K)
+        lone_fail = ((common == 0.0) & ~glued.T[:, :, None] & ~glued.T[:, None, :]).any(axis=0)
+        return not np.triu(glued_ok & ~lone_fail, 1).any()
+
+    def to_dict(self, include_expanded: bool = False) -> dict:
         comps = []
         for comp in self.components:
             comps.append(
@@ -170,7 +228,7 @@ class Coupling:
             )
         out = {"arity": self.arity, "alphabet": self.alphabet_size, "components": comps}
         if include_expanded:
-            table = self.expand(cap)
+            table = self.expand()
             out["expanded"] = [
                 {"tuple": list(key), "mass": mass} for key, mass in sorted(table.items())
             ]
@@ -347,6 +405,19 @@ def minimal_coupling_max_n3(p1, p2, p3) -> Coupling:
     return Coupling(arity=3, alphabet_size=m, components=tuple(components))
 
 
+def minimal_union_mass(pmfs: Sequence) -> float | None:
+    """Closed-form minimum of the summed union mass over all couplings:
+    ``tau_max`` when ``tau_max2 <= 1``, ``tau_max + (tau_max2 - 1)`` for three
+    marginals, otherwise ``None`` (no closed form is known)."""
+    ch = stack_pmfs(pmfs)
+    tmax, tmax2 = max_doeblin(ch), max2_doeblin(ch)
+    if tmax2 <= 1.0 + 1e-12:
+        return tmax
+    if ch.n == 3:
+        return tmax + (tmax2 - 1.0)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Simultaneously maximal coupling of bivariate distributions
 # ---------------------------------------------------------------------------
@@ -492,80 +563,43 @@ def simultaneous_joint_coupling(joints: Sequence) -> JointCoupling:
 class VerificationReport:
     """Residuals and structural checks for a coupling against its targets."""
 
-    expanded: bool
     weight_residual: float
     marginal_residuals: tuple[float, ...]
-    diagonal_mass: float | None
-    union_mass: float | None
-    intersection_masses: dict | None  # subset (tuple of coords) -> mass
-    orthogonal_components: bool | None
+    diagonal_mass: float
+    union_mass: float
+    intersection_masses: dict  # subset (tuple of coords) -> mass
+    orthogonal_components: bool
 
     @property
     def max_marginal_residual(self) -> float:
         return max(self.marginal_residuals)
 
     def to_dict(self) -> dict:
-        out = {
-            "expanded": self.expanded,
+        return {
             "weight_residual": self.weight_residual,
             "marginal_residuals": list(self.marginal_residuals),
             "diagonal_mass": self.diagonal_mass,
             "union_mass": self.union_mass,
             "orthogonal_components": self.orthogonal_components,
-        }
-        if self.intersection_masses is not None:
-            out["intersection_masses"] = {
+            "intersection_masses": {
                 ",".join(map(str, k)): v for k, v in sorted(self.intersection_masses.items())
-            }
-        return out
+            },
+        }
 
 
-def verify_coupling(coupling: Coupling, targets: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> VerificationReport:
+def verify_coupling(coupling: Coupling, targets: Sequence) -> VerificationReport:
     """Report marginal residuals, diagonal/union/intersection masses, and
-    component orthogonality.  Past the expansion cap only structured-form
-    identities are checked."""
+    component orthogonality, all read from the mixture without expansion."""
     mats = _gather(targets)
     n, m = mats.shape
     if n != coupling.arity or m != coupling.alphabet_size:
         raise AlphabetMismatchError("targets do not match the coupling's shape")
-    weight_residual = abs(coupling.weight_sum() - 1.0)
-    if coupling.alphabet_size**coupling.arity > cap:
-        residuals = tuple(
-            float(np.abs(coupling.marginal(i) - mats[i]).max()) for i in range(n)
-        )
-        return VerificationReport(
-            expanded=False,
-            weight_residual=weight_residual,
-            marginal_residuals=residuals,
-            diagonal_mass=None,
-            union_mass=None,
-            intersection_masses=None,
-            orthogonal_components=None,
-        )
-    table = coupling.expand(cap)
-    marg = np.zeros((n, m))
-    for key, mass in table.items():
-        for i, y in enumerate(key):
-            marg[i, y] += mass
-    residuals = tuple(float(np.abs(marg[i] - mats[i]).max()) for i in range(n))
-    intersections = {}
-    for size in range(2, n + 1):
-        for coords in itertools.combinations(range(n), size):
-            intersections[coords] = coupling.intersection_mass(coords, cap)
-    supports = []
-    orthogonal = True
-    for comp in coupling.components:
-        sup = {key for key, mass in _expand_component(comp, coupling.arity) if mass > 0.0}
-        for prev in supports:
-            if sup & prev:
-                orthogonal = False
-        supports.append(sup)
+    intersections = coupling.intersection_masses()
     return VerificationReport(
-        expanded=True,
-        weight_residual=weight_residual,
-        marginal_residuals=residuals,
-        diagonal_mass=coupling.diagonal_mass(cap),
-        union_mass=coupling.union_mass(cap),
+        weight_residual=abs(coupling.weight_sum() - 1.0),
+        marginal_residuals=tuple(float(np.abs(coupling.marginal(i) - mats[i]).max()) for i in range(n)),
+        diagonal_mass=intersections[tuple(range(n))],
+        union_mass=coupling.union_mass(),
         intersection_masses=intersections,
-        orthogonal_components=orthogonal,
+        orthogonal_components=coupling.orthogonal_components(),
     )

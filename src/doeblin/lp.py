@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import Channel, as_channel, max_trace, min_trace, stack_pmfs
+from .channel import Channel, as_channel, stack_pmfs
 from .exceptions import InfeasibilityError, ValidationError
 
 VARIABLE_CAP = 10**5
@@ -279,15 +279,21 @@ def coupling_union_opt(pmfs: Sequence, sense: str = "min", exact: bool = False) 
 def estimator_opt(channel, sense: str) -> tuple[float, Channel]:
     """Optimal guessing probability Tr(P W)/n under a uniform prior.
 
-    The program decomposes column-by-column, so it is solved exactly by
-    picking each column's extremal row; kept beside the LP machinery as the
-    oracle for the trace characterizations.
+    Solves the row-stochastic program with :func:`solve`: one variable
+    ``P[j, i] >= 0`` per output j and input i, one constraint
+    ``sum_i P[j, i] = 1`` per output, objective ``sum_{j,i} P[j, i] W[i, j]``.
+    It is kept apart from the column-wise closed forms
+    (:func:`~doeblin.channel.min_trace`, :func:`~doeblin.channel.max_trace`)
+    so that it can check them.  Returns the value and an optimal ``m x n``
+    kernel P.
     """
-    ch = as_channel(channel)
-    if sense == "min":
-        res = min_trace(ch)
-    elif sense == "max":
-        res = max_trace(ch)
-    else:
-        raise ValidationError('sense must be "min" or "max"')
-    return res.value / ch.n, res.kernel
+    W = as_channel(channel).matrix
+    n, m = W.shape
+    problem = LpProblem(
+        objective=W.T.reshape(-1),
+        eq_matrix=np.kron(np.eye(m), np.ones(n)),
+        eq_rhs=np.ones(m),
+        sense=sense,
+    )
+    sol = solve(problem)
+    return sol.value / n, Channel(sol.x.reshape(m, n))

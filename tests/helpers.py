@@ -225,3 +225,33 @@ def brute_force_percolation(net: BayesNet, targets, taus: dict) -> float:
         if hit:
             total += prob
     return total
+
+
+def table_orthogonal(blob: dict) -> bool:
+    """Whether no two components of ``Coupling.to_dict()`` share a tuple.
+
+    Each component's support is enumerated in full: the glued coordinates
+    take one symbol from the shared factor's support and every free
+    coordinate ranges over its own factor's support.
+    """
+    n = blob["arity"]
+    supports = []
+    for comp in blob["components"]:
+        glued = set(comp["glued"])
+        shared = [y for y, p in enumerate(comp["shared_factor"] or [1.0]) if p > 0.0]
+        ranges = []
+        for i in range(n):
+            if i in glued:
+                ranges.append(None)
+            else:
+                ranges.append([y for y, p in enumerate(comp["free_factors"][str(i)]) if p > 0.0])
+        support = set()
+        for y in shared:
+            cells = [[y] if r is None else r for r in ranges]
+            support.update(itertools.product(*cells))
+        supports.append(support)
+    return all(
+        not (supports[a] & supports[b])
+        for a in range(len(supports))
+        for b in range(a + 1, len(supports))
+    )

@@ -1,0 +1,165 @@
+"""CLI tests: golden stdout and exit codes for every subcommand.
+
+Each case runs ``cli.run(argv)`` in-process and compares stdout byte for byte
+with ``tests/golden/<case>.out``.  Exit codes: 0 on success, 1 on invalid
+input or an unknown command or flag, 2 on an infeasible request.  To record
+the golden files again after a deliberate output change, run
+``PYTHONPATH=src python tests/test_cli.py``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from doeblin import ValidationError, cli
+from doeblin import bayesnet as bn
+
+HERE = Path(__file__).resolve().parent
+FIX = HERE / "fixtures"
+GOLDEN = HERE / "golden"
+
+
+def _f(name: str) -> str:
+    return str(FIX / name)
+
+
+# case name -> (argv, expected exit code)
+CASES = {
+    "coef": (["coef", _f("channel.json")], 0),
+    "coef_csv_quad": (["coef", _f("quad.csv")], 0),
+    "couple_max": (["couple", "--kind", "max", _f("trio.json")], 0),
+    "couple_max_expand": (["couple", "--kind", "max", "--expand", _f("trio.json")], 0),
+    "couple_max_expand_past_cap": (["couple", "--kind", "max", "--expand", _f("wide.json")], 0),
+    "couple_min": (["couple", "--kind", "min", _f("trio.json")], 0),
+    "couple_min_expand": (["couple", "--kind", "min", "--expand", _f("trio.json")], 0),
+    "couple_min3_supercritical": (["couple", "--kind", "min3", _f("sym08.json")], 0),
+    "couple_joint": (["couple", "--kind", "joint", _f("joints.json")], 0),
+    "degroot": (["degroot", "--prior", "[0.5, 0.5]", _f("channel.json")], 0),
+    "degroot_id": (["degroot", "--prior", "[0.25, 0.75]", "--loss", "id", _f("channel.json")], 0),
+    "bayesnet_all": (["bayesnet", _f("net.json"), "--target", "T"], 0),
+    "bayesnet_two_targets": (["bayesnet", _f("net.json"), "--target", "A,B", "--bound", "sfpaths"], 0),
+    "bayesnet_mc": (["bayesnet", _f("net.json"), "--target", "T", "--bound", "perc", "--mc", "200", "7"], 0),
+    "bayesnet_past_cap": (["bayesnet", _f("chain25.json"), "--target", "N24", "--bound", "perc"], 0),
+    "fuse": (["fuse", _f("beliefs.json")], 0),
+    "verify_estimator": (["verify", "--problem", "estimator", _f("channel.json")], 0),
+    "verify_estimator_max_witness": (
+        ["verify", "--problem", "estimator", "--sense", "max", "--witness", _f("channel.json")],
+        0,
+    ),
+    "verify_diag": (["verify", "--problem", "diag", _f("trio.json")], 0),
+    "verify_diag_exact": (["verify", "--problem", "diag", "--exact", _f("trio.json")], 0),
+    "verify_union_witness": (["verify", "--problem", "union", "--witness", _f("sym08.json")], 0),
+    "verify_union_open": (["verify", "--problem", "union", _f("quad.csv")], 0),
+    "verify_union_max": (["verify", "--problem", "union", "--sense", "max", _f("trio.json")], 0),
+    # Invalid input, unknown commands and flags exit 1.
+    "coef_invalid": (["coef", _f("bad_channel.json")], 1),
+    "coef_missing_file": (["coef", _f("no_such_file.json")], 1),
+    "unknown_command": (["bogus"], 1),
+    "unknown_flag": (["coef", "--bogus", _f("channel.json")], 1),
+    "bayesnet_unknown_target": (["bayesnet", _f("net.json"), "--target", "Z"], 1),
+    "min3_wrong_arity": (["couple", "--kind", "min3", _f("trio.json"), _f("channel.json")], 1),
+    # Infeasible requests exit 2.
+    "couple_min_supercritical": (["couple", "--kind", "min", _f("sym08.json")], 2),
+    "fuse_no_consensus": (["fuse", _f("disjoint.json")], 2),
+}
+
+
+def _invoke(argv):
+    """Run the CLI in-process; argparse errors surface as SystemExit."""
+    try:
+        return cli.run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, capsys):
+    argv, code = CASES[name]
+    assert _invoke(argv) == code
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_expand_past_cap_notes_skip(capsys):
+    assert _invoke(CASES["couple_max_expand_past_cap"][0]) == 0
+    captured = capsys.readouterr()
+    assert '"expanded"' not in captured.out
+    assert "expansion skipped" in captured.err
+
+
+def test_expand_below_cap_has_table(capsys):
+    assert _invoke(CASES["couple_max_expand"][0]) == 0
+    assert '"expanded"' in capsys.readouterr().out
+
+
+def test_open_union_regime_notes(capsys):
+    assert _invoke(CASES["verify_union_open"][0]) == 0
+    assert "no closed form is known" in capsys.readouterr().err
+
+
+def test_bayesnet_past_cap_notes(capsys):
+    assert _invoke(CASES["bayesnet_past_cap"][0]) == 0
+    assert "exceeds the enumeration cap" in capsys.readouterr().err
+
+
+def test_bayesnet_other_errors_exit_1(monkeypatch, capsys):
+    # Only the state cap is reported as a note; any other invalid input fails.
+    def broken(net, targets):
+        raise ValidationError("broken table")
+
+    monkeypatch.setattr(bn, "composite_channel", broken)
+    assert _invoke(CASES["bayesnet_all"][0]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "broken table" in captured.err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_bayesnet_mc_nonpositive_samples_exit_1(samples, capsys):
+    argv = ["bayesnet", _f("net.json"), "--target", "T", "--bound", "perc", "--mc", samples, "7"]
+    assert _invoke(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive sample count" in captured.err
+
+
+def test_expansion_cap_flag_rejected(capsys):
+    assert _invoke(["--expansion-cap", "5", "coef", _f("channel.json")]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_subprocess_matches_golden():
+    env = dict(os.environ)
+    src = str(HERE.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    argv, code = CASES["coef"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "doeblin.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == (GOLDEN / "coef.out").read_text()
+
+
+def _record() -> None:
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (argv, code) in sorted(CASES.items()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            got = _invoke(argv)
+        if got != code:
+            raise SystemExit(f"{name}: exit {got}, expected {code}")
+        (GOLDEN / f"{name}.out").write_text(buf.getvalue())
+
+
+if __name__ == "__main__":
+    _record()

@@ -1,12 +1,16 @@
 """Coupling-engine tests: constructions, their optimality, and verification."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import doeblin as db
 from doeblin import CouplingConditionError, ExpansionCapError, lp
+from doeblin.coupling import Component, GluePattern, minimal_union_mass
 
 from helpers import (
     dobrushin_table,
@@ -17,6 +21,7 @@ from helpers import (
     table_diag_mass,
     table_intersection_mass,
     table_marginal,
+    table_orthogonal,
     table_union_mass,
 )
 
@@ -309,7 +314,6 @@ class TestVerifyCoupling:
         rng = np.random.default_rng(40)
         pmfs = [random_pmf(rng, 3) for _ in range(3)]
         rep = db.verify_coupling(db.maximal_coupling(pmfs), pmfs)
-        assert rep.expanded
         assert rep.max_marginal_residual < 1e-10
         assert rep.weight_residual < 1e-12
         assert rep.orthogonal_components
@@ -317,16 +321,17 @@ class TestVerifyCoupling:
     def test_corrupted_coupling_detected(self):
         pmfs = [np.array(p) for p in TRIO]
         c = db.maximal_coupling(pmfs)
-        table = dict(c.expand())
-        key = next(iter(table))
-        table[key] += 1e-3
+        head, *rest = c.components
+        # Move 3e-3 of the diagonal factor's mass from symbol 1 to symbol 0:
+        # the weights still sum to one, only the marginals are off.
+        shifted = db.Pmf(head.shared_factor.probs + np.array([3e-3, -3e-3, 0.0]))
         corrupted = db.Coupling(
             arity=c.arity,
             alphabet_size=c.alphabet_size,
-            components=c.components,
-            expanded=table,
+            components=(dataclasses.replace(head, shared_factor=shifted), *rest),
         )
         rep = db.verify_coupling(corrupted, pmfs)
+        assert rep.weight_residual < 1e-12
         assert rep.max_marginal_residual >= 5e-4
 
     def test_intersection_masses_reported(self):
@@ -335,16 +340,27 @@ class TestVerifyCoupling:
         assert rep.intersection_masses[(0, 1)] == pytest.approx(0.7, abs=1e-10)
         assert rep.intersection_masses[(0, 1, 2)] == pytest.approx(0.6, abs=1e-10)
 
-    def test_cap_falls_back_to_structured_checks(self):
-        p = [1.0 / 6] * 6
-        pmfs = [p] * 9  # 6^9 tuples, far past a tiny cap
-        c = db.maximal_coupling(pmfs)
-        rep = db.verify_coupling(c, pmfs, cap=1000)
-        assert not rep.expanded
-        assert rep.union_mass is None
-        assert rep.max_marginal_residual <= 1e-10
+    def test_past_cap_reads_every_mass(self):
+        # Nine marginals on six symbols: 6^9 tuples, past the expansion cap.
+        # Six sharp peaks plus three copies of q put tau_max2 exactly at one.
+        peaks = 0.94 * np.eye(6) + 0.01
+        q = np.array([0.3, 0.2, 0.2, 0.1, 0.1, 0.1])
+        mats = np.vstack([peaks, q, q, q])
+        assert max2_of(mats) == pytest.approx(1.0, abs=1e-12)
+        c = db.minimal_coupling_max(list(mats))
+        with pytest.raises(ExpansionCapError):
+            c.expand()
         with pytest.raises(ExpansionCapError):
             c.expand(cap=1000)
+        rep = db.verify_coupling(c, list(mats))
+        assert rep.max_marginal_residual <= 1e-12
+        assert rep.weight_residual <= 1e-12
+        assert rep.diagonal_mass == pytest.approx(mats.min(axis=0).sum(), abs=1e-12)
+        assert rep.union_mass == pytest.approx(mats.max(axis=0).sum(), abs=1e-12)
+        assert len(rep.intersection_masses) == 2**9 - 9 - 1
+        for coords, mass in rep.intersection_masses.items():
+            assert mass == pytest.approx(mats[list(coords)].min(axis=0).sum(), abs=1e-12)
+        assert rep.orthogonal_components == table_orthogonal(c.to_dict())
 
     def test_export_roundtrip_shape(self):
         c = db.minimal_coupling_max(TRIO)
@@ -353,3 +369,135 @@ class TestVerifyCoupling:
         assert {"weight", "glued", "shared_factor", "free_factors"} <= set(blob["components"][0])
         total = sum(entry["mass"] for entry in blob["expanded"])
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Structured masses against the expanded table
+# ---------------------------------------------------------------------------
+
+
+def _assert_masses_match_table(c: db.Coupling):
+    """Every mass read from the mixture equals its expanded-table oracle."""
+    table = c.expand()
+    n, m = c.arity, c.alphabet_size
+    for i in range(n):
+        assert np.abs(c.marginal(i) - table_marginal(table, i, m)).max() <= 1e-12
+    assert c.diagonal_mass() == pytest.approx(table_diag_mass(table), abs=1e-12)
+    assert c.union_mass() == pytest.approx(table_union_mass(table), abs=1e-12)
+    for size in range(1, n + 1):
+        for coords in itertools.combinations(range(n), size):
+            expected = table_intersection_mass(table, coords)
+            assert c.intersection_mass(coords) == pytest.approx(expected, abs=1e-12)
+    assert c.orthogonal_components() == table_orthogonal(c.to_dict())
+    # The report reads the same masses, with every subset batched at once.
+    rep = db.verify_coupling(c, [table_marginal(table, i, m) for i in range(n)])
+    assert rep.max_marginal_residual <= 1e-12
+    assert rep.diagonal_mass == pytest.approx(table_diag_mass(table), abs=1e-12)
+    assert rep.union_mass == pytest.approx(table_union_mass(table), abs=1e-12)
+    assert set(rep.intersection_masses) == {
+        coords for size in range(2, n + 1) for coords in itertools.combinations(range(n), size)
+    }
+    for coords, mass in rep.intersection_masses.items():
+        assert mass == pytest.approx(table_intersection_mass(table, coords), abs=1e-12)
+    assert rep.orthogonal_components == table_orthogonal(c.to_dict())
+
+
+def _random_factor(rng, m):
+    """A PMF on a random nonempty support, so supports can miss each other."""
+    support = rng.random(m) < 0.6
+    support[rng.integers(m)] = True
+    raw = np.where(support, rng.random(m) + 0.05, 0.0)
+    return db.Pmf(raw / raw.sum())
+
+
+def _hand_built(rng, n, m, glue_sets):
+    weights = rng.dirichlet(np.ones(len(glue_sets)))
+    comps = []
+    for w, glued in zip(weights, glue_sets):
+        free = tuple(i for i in range(n) if i not in glued)
+        comps.append(
+            Component(
+                weight=float(w),
+                pattern=GluePattern(glued=tuple(glued), free=free),
+                shared_factor=_random_factor(rng, m) if glued else None,
+                free_factors=tuple((i, _random_factor(rng, m)) for i in free),
+            )
+        )
+    return db.Coupling(arity=n, alphabet_size=m, components=tuple(comps))
+
+
+class TestStructuredMasses:
+    @settings(max_examples=40, deadline=None)
+    @given(pmf_families(max_n=5))
+    def test_maximal(self, fam):
+        _assert_masses_match_table(db.maximal_coupling(fam))
+
+    @settings(max_examples=40, deadline=None)
+    @given(pmf_families(max_n=5))
+    def test_minimal(self, fam):
+        assume(max2_of(np.array(fam)) <= 1.0)
+        _assert_masses_match_table(db.minimal_coupling_max(fam))
+
+    @settings(max_examples=40, deadline=None)
+    @given(pmf_families(min_n=3, max_n=3, min_m=3, max_m=5))
+    def test_minimal_n3(self, fam):
+        _assert_masses_match_table(db.minimal_coupling_max_n3(*fam))
+
+    def test_minimal_n3_supercritical(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            c = db.minimal_coupling_max_n3(*supercritical_trio(rng, int(rng.integers(3, 6))))
+            _assert_masses_match_table(c)
+
+    @pytest.mark.parametrize(
+        "glue_sets",
+        [
+            [(0, 1), (1, 2, 3)],  # glued blocks overlap
+            [(0, 1), (2, 3)],  # disjoint blocks
+            [(), ()],  # no glue at all
+            [(0, 1, 2, 3), (), (0, 2)],  # full block, none, and a sub-block
+            [(1,), (0, 1), (3,)],  # single-coordinate glue
+        ],
+    )
+    def test_hand_built(self, glue_sets):
+        rng = np.random.default_rng(42)
+        flags = set()
+        for _ in range(60):
+            c = _hand_built(rng, 4, int(rng.integers(2, 4)), glue_sets)
+            _assert_masses_match_table(c)
+            flags.add(c.orthogonal_components())
+        assert flags == {True, False}
+
+    def test_orthogonality_of_constructions(self):
+        assert db.maximal_coupling(TRIO).orthogonal_components()
+        assert db.minimal_coupling_max(TRIO).orthogonal_components()
+        assert db.minimal_coupling_max_n3(*SYM08).orthogonal_components()
+
+
+# ---------------------------------------------------------------------------
+# Closed-form union minimum against the LP
+# ---------------------------------------------------------------------------
+
+
+class TestMinimalUnionMass:
+    def test_subcritical_matches_lp(self):
+        rng = np.random.default_rng(43)
+        for n, m in [(2, 3), (3, 3), (3, 4), (4, 3), (4, 4)]:
+            mats = feasible_minimal_instance(rng, n, m)
+            closed = minimal_union_mass(list(mats))
+            assert closed == pytest.approx(db.max_doeblin(mats), abs=1e-12)
+            assert closed == pytest.approx(lp.coupling_union_opt(list(mats)).value, abs=1e-9)
+
+    def test_supercritical_trio_matches_lp(self):
+        rng = np.random.default_rng(44)
+        for m in (3, 4):
+            mats = supercritical_trio(rng, m)
+            closed = minimal_union_mass(list(mats))
+            assert closed == pytest.approx(db.max_doeblin(mats) + max2_of(mats) - 1.0, abs=1e-12)
+            assert closed == pytest.approx(lp.coupling_union_opt(list(mats)).value, abs=1e-9)
+
+    def test_open_regime_is_none(self):
+        rng = np.random.default_rng(45)
+        quad = np.vstack([supercritical_trio(rng, 3), random_pmf(rng, 3)])
+        assert max2_of(quad) > 1
+        assert minimal_union_mass(list(quad)) is None

@@ -140,8 +140,16 @@ class TestEstimatorOracle:
     def test_matches_trace_over_random(self):
         rng = np.random.default_rng(24)
         for _ in range(20):
-            W = np.stack([random_pmf(rng, 3) for _ in range(3)])
-            lo, _ = lp.estimator_opt(W, "min")
-            hi, _ = lp.estimator_opt(W, "max")
-            assert lo == pytest.approx(db.doeblin(W) / 3, abs=1e-12)
-            assert hi == pytest.approx(db.max_doeblin(W) / 3, abs=1e-12)
+            n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            W = np.stack([random_pmf(rng, m) for _ in range(n)])
+            lo, lo_kernel = lp.estimator_opt(W, "min")
+            hi, hi_kernel = lp.estimator_opt(W, "max")
+            assert lo == pytest.approx(db.doeblin(W) / n, abs=1e-12)
+            assert hi == pytest.approx(db.max_doeblin(W) / n, abs=1e-12)
+            # The LP's kernels attain the values they come with.
+            assert np.trace(lo_kernel.matrix @ W) / n == pytest.approx(lo, abs=1e-12)
+            assert np.trace(hi_kernel.matrix @ W) / n == pytest.approx(hi, abs=1e-12)
+
+    def test_rejects_unknown_sense(self):
+        with pytest.raises(db.ValidationError):
+            lp.estimator_opt([[0.5, 0.5], [0.25, 0.75]], "mid")
