@@ -2,8 +2,8 @@
 
 A network is a DAG of finite-alphabet nodes, each non-source node carrying a
 conditional probability table over its parents; exactly one source node X
-has no table.  Exact small-scale inference realizes the composite channel
-from X to any node subset V.  Four bounds relate the composite channel's
+has no table.  Variable elimination realizes the composite channel from X
+to any node subset V.  Four bounds relate the composite channel's
 Doeblin coefficient to the per-node coefficients:
 
 * the one-step recursion lower bound over V union {u};
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -28,9 +30,10 @@ import numpy as np
 from .channel import Channel, as_channel, doeblin
 from .exceptions import ExpansionCapError, ValidationError
 
-COMPOSITE_STATE_CAP = 10**7
+COMPOSITE_STATE_CAP = 10**7  # entries of the largest factor variable elimination creates
 EXACT_PERCOLATION_NODE_CAP = 25
 PATH_CAP = 10**6
+MC_BLOCK_SIZE = 4096  # Monte Carlo trials per RNG stream
 
 
 @dataclass(frozen=True)
@@ -162,11 +165,17 @@ class BayesNet:
         return {"nodes": out_nodes, "source": self.nodes[self.source].name}
 
 
-def _parent_row(net: BayesNet, node: Node, assignment: dict[int, int]) -> int:
-    idx = 0
-    for p in node.parents:
-        idx = idx * net.nodes[p].alphabet + assignment[p]
-    return idx
+def _targets(net: BayesNet, targets: Iterable[int]) -> tuple[int, ...]:
+    """The target set as sorted node indices; an index that names no node
+    of the network is invalid input."""
+    try:
+        V = tuple(sorted({operator.index(v) for v in targets}))
+    except TypeError as exc:
+        raise ValidationError(f"node indices must be integers: {exc}") from exc
+    for v in V:
+        if not 0 <= v < net.size:
+            raise ValidationError(f"node index {v} is outside the network's {net.size} nodes")
+    return V
 
 
 def node_tau(net: BayesNet, u: int) -> float:
@@ -177,46 +186,76 @@ def node_tau(net: BayesNet, u: int) -> float:
     return doeblin(Channel(net.nodes[u].cpt))
 
 
+def _elimination_plan(scopes, sizes: dict, keep: tuple, cap: int) -> list[tuple[int, tuple]]:
+    """Greedy order for summing out every label not in ``keep``: each step
+    removes the label whose merged factor (the union of the scopes holding
+    it, minus the label) has the fewest entries.  Returns (label, merged
+    scope) per step.  Raises ExpansionCapError when a merged factor or the
+    final factor over ``keep`` has more than ``cap`` entries."""
+
+    def volume(scope) -> int:
+        return math.prod(sizes[lab] for lab in scope)
+
+    scopes = [frozenset(s) for s in scopes]
+    hidden = set().union(*scopes) - set(keep)
+    plan = []
+    while hidden:
+        merged = {v: frozenset().union(*(s for s in scopes if v in s)) - {v} for v in hidden}
+        v = min(hidden, key=lambda lab: (volume(merged[lab]), lab))
+        scopes = [s for s in scopes if v not in s] + [merged[v]]
+        hidden.remove(v)
+        plan.append((v, tuple(sorted(merged[v]))))
+    if max(volume(scope) for scope in [keep, *(scope for _, scope in plan)]) > cap:
+        raise ExpansionCapError(f"composite channel needs a factor of more than {cap} entries")
+    return plan
+
+
+def _contract(factors, out_labels) -> np.ndarray:
+    """Sum over every label not in ``out_labels`` of the product of the
+    (array, labels) factors: one einsum, labels renumbered from zero."""
+    letter: dict = {}
+    args: list = []
+    for array, labels in factors:
+        args += [array, [letter.setdefault(lab, len(letter)) for lab in labels]]
+    args.append([letter[lab] for lab in out_labels])
+    return np.einsum(*args)
+
+
 def composite_channel(net: BayesNet, targets: Iterable[int], cap: int = COMPOSITE_STATE_CAP) -> Channel:
     """The channel from the source alphabet to the joint alphabet of the
-    target set, by exact enumeration over the targets' ancestors.
+    target set, by variable elimination over the targets' ancestors.
+
+    Each ancestor's table is a factor over its parents and itself, and a
+    vector of ones over the source gives every source letter its row.  The
+    non-target ancestors are summed out one at a time, each by one einsum
+    over the factors that hold it, in the greedy order of smallest merged
+    factor.  The whole order is planned first, and ``cap`` bounds every
+    factor it creates, the output included, so a request past the cap
+    raises ExpansionCapError before anything is allocated.
 
     Columns are joint target states in row-major order over the targets
     sorted by node index (last target fastest).  An empty target set gives
     the trivial one-output channel.
     """
-    V = tuple(sorted(set(targets)))
+    V = _targets(net, targets)
     src = net.source
     k_src = net.nodes[src].alphabet
-    if not V:
-        return Channel(np.ones((k_src, 1)))
-    relevant = tuple(sorted(u for u in net.ancestors(V) if u != src))
-    states = k_src
-    for u in relevant:
-        states *= net.nodes[u].alphabet
-        if states > cap:
-            raise ExpansionCapError(f"composite channel needs more than {cap} joint states")
-    v_sizes = [net.nodes[u].alphabet for u in V]
-    n_cols = int(np.prod(v_sizes))
-    out = np.zeros((k_src, n_cols))
-    alphabets = [range(net.nodes[u].alphabet) for u in relevant]
-    for x in range(k_src):
-        for combo in itertools.product(*alphabets):
-            assignment = {src: x}
-            assignment.update(zip(relevant, combo))
-            prob = 1.0
-            for u in relevant:
-                node = net.nodes[u]
-                prob *= node.cpt[_parent_row(net, node, assignment), assignment[u]]
-                if prob == 0.0:
-                    break
-            if prob == 0.0:
-                continue
-            col = 0
-            for u, size in zip(V, v_sizes):
-                col = col * size + assignment[u]
-            out[x, col] += prob
-    return Channel(out)
+    # Labels are node indices.  The source as a target needs a label of its
+    # own, net.size, tied to the row label by an identity factor.
+    sizes = {u: net.nodes[u].alphabet for u in net.ancestors(V) | {src}}
+    factors = [(np.ones(k_src), (src,))]
+    for u in sorted(sizes.keys() - {src}):
+        labels = (*net.nodes[u].parents, u)
+        factors.append((net.nodes[u].cpt.reshape([sizes[lab] for lab in labels]), labels))
+    if src in V:
+        sizes[net.size] = k_src
+        factors.append((np.eye(k_src), (src, net.size)))
+    out_labels = (src, *(net.size if v == src else v for v in V))
+    for v, scope in _elimination_plan([labels for _, labels in factors], sizes, out_labels, cap):
+        inside = [f for f in factors if v in f[1]]
+        factors = [f for f in factors if v not in f[1]]
+        factors.append((_contract(inside, scope), scope))
+    return Channel(_contract(factors, out_labels).reshape(k_src, -1))
 
 
 def recursion_bound(net: BayesNet, targets: Iterable[int], u: int, cap: int = COMPOSITE_STATE_CAP) -> float:
@@ -225,7 +264,8 @@ def recursion_bound(net: BayesNet, targets: Iterable[int], u: int, cap: int = CO
 
     Requires that u has no directed path into V.
     """
-    V = tuple(sorted(set(targets)))
+    V = _targets(net, targets)
+    (u,) = _targets(net, [u])
     if u == net.source:
         raise ValidationError("u must not be the source")
     if u in V or net.descendants(u) & set(V):
@@ -271,19 +311,22 @@ def percolation(
 
     Exact mode evaluates the survival process by conditioning on the
     topologically last target, node by node, with memoization; this equals
-    enumerating all survival configurations of the relevant nodes.  Monte
-    Carlo mode averages the path-existence indicator over per-trial RNG
-    streams keyed by (seed, trial), so results do not depend on how trials
-    are scheduled.
+    enumerating all survival configurations of the relevant nodes, and more
+    than EXACT_PERCOLATION_NODE_CAP of them raise ExpansionCapError.  Monte
+    Carlo mode splits the trials into blocks of MC_BLOCK_SIZE.  Block b draws
+    a (trials x relevant nodes) survival matrix from the stream keyed by
+    (seed, b), and reachability is propagated through it one node column at
+    a time in topological order.  Results do not depend on how blocks are
+    scheduled.
     """
-    V = frozenset(targets)
+    V = frozenset(_targets(net, targets))
     src = net.source
     taus = {u: node_tau(net, u) for u in _relevant_nodes(net, V)}
     reach_src = net.descendants(src) | {src}
 
     if mode == "exact":
         if len(taus) > EXACT_PERCOLATION_NODE_CAP:
-            raise ValidationError(
+            raise ExpansionCapError(
                 f"exact percolation supports at most {EXACT_PERCOLATION_NODE_CAP} relevant nodes"
             )
 
@@ -311,30 +354,28 @@ def percolation(
     if samples <= 0:
         raise ValidationError(f"Monte Carlo percolation needs a positive sample count, got {samples}")
     order = sorted(taus)
+    col = {u: j for j, u in enumerate(order)}
     survive_prob = np.array([1.0 - taus[u] for u in order])
-    children = {u: [c for c in net.children(u) if c in taus] for u in [src, *order]}
+    # Per node: whether the source feeds it, and the columns of the relevant
+    # parents that do.  Every relevant node has at least one of the two.
+    feeds = [
+        (src in net.nodes[u].parents, [col[p] for p in net.nodes[u].parents if p in col])
+        for u in order
+    ]
+    hit_cols = [col[v] for v in V if v in col]
     hits = 0
-    for trial in range(samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-        alive = rng.random(len(order)) < survive_prob
-        alive_set = {u for u, a in zip(order, alive) if a}
-        if src in V:
-            hits += 1
+    for block, start in enumerate(range(0, samples, MC_BLOCK_SIZE)):
+        trials = min(MC_BLOCK_SIZE, samples - start)
+        if src in V:  # the source always survives
+            hits += trials
             continue
-        stack = [src]
-        seen = {src}
-        found = False
-        while stack:
-            cur = stack.pop()
-            for c in children[cur]:
-                if c in alive_set and c not in seen:
-                    if c in V:
-                        found = True
-                        stack.clear()
-                        break
-                    seen.add(c)
-                    stack.append(c)
-        hits += found
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        # Column j turns from "survives" into "survives and is reached".
+        reached = rng.random((trials, len(order))) < survive_prob
+        for j, (from_src, parent_cols) in enumerate(feeds):
+            if not from_src:
+                reached[:, j] &= reached[:, parent_cols].any(axis=1)
+        hits += int(reached[:, hit_cols].any(axis=1).sum())
     p_hat = hits / samples
     std_error = float(np.sqrt(p_hat * (1.0 - p_hat) / samples))
     return PercolationResult(
@@ -347,42 +388,43 @@ def shortcut_free_bound(
 ) -> tuple[float, list[tuple[int, ...]]]:
     """Path-sum upper bound on 1 - tau of the composite channel.
 
-    Enumerates every directed path from the source to the target set, keeps
-    the shortcut-free ones (no other such path's node set is a strict
-    subset), and sums the products of (1 - tau_u) over each kept path's
-    non-source nodes.  Inclusion is judged on node sets; in a DAG distinct
-    paths always have distinct node sets.
+    Sums the products of (1 - tau_u) over the non-source nodes of every
+    shortcut-free source-to-target path: one such that no other
+    source-to-target path's node set is a strict subset of its own.  A path
+    is shortcut-free iff no interior node is a target and no node has a
+    parent on the path other than its predecessor (a chord, which a shorter
+    path could skip along).  Both properties pass to every extension, so the
+    depth-first search never extends a path across a chord or past a
+    target, and visits only the paths it keeps, in order of node index at
+    each branch.  More than ``path_cap`` such paths raise ValidationError.
     """
-    V = frozenset(targets)
+    V = frozenset(_targets(net, targets))
     src = net.source
     if src in V:
         return 1.0, [(src,)]
     towards_v = net.ancestors(V)  # nodes with a directed route into the targets
-    paths: list[tuple[int, ...]] = []
-
-    def extend(path: tuple[int, ...]) -> None:
-        for c in net.children(path[-1]):
-            if c not in towards_v:
-                continue
-            new = path + (c,)
-            if c in V:
-                paths.append(new)
-                if len(paths) > path_cap:
-                    raise ValidationError(f"more than {path_cap} source-to-target paths")
-            extend(new)
-
-    extend((src,))
-    sets = [frozenset(p) for p in paths]
+    children = {u: [c for c in net.children(u) if c in towards_v] for u in towards_v | {src}}
+    gain: dict[int, float] = {}  # 1 - tau_u, once per node
     kept: list[tuple[int, ...]] = []
     total = 0.0
-    for i, path in enumerate(paths):
-        if any(j != i and sets[j] < sets[i] for j in range(len(paths))):
-            continue
-        kept.append(path)
-        weight = 1.0
-        for u in path[1:]:
-            weight *= 1.0 - node_tau(net, u)
-        total += weight
+
+    def extend(path: tuple[int, ...], before: frozenset, weight: float) -> None:
+        nonlocal total
+        for c in children[path[-1]]:
+            if before.intersection(net.nodes[c].parents):
+                continue
+            if c not in gain:
+                gain[c] = 1.0 - node_tau(net, c)
+            new, new_weight = path + (c,), weight * gain[c]
+            if c in V:
+                kept.append(new)
+                total += new_weight
+                if len(kept) > path_cap:
+                    raise ValidationError(f"more than {path_cap} shortcut-free source-to-target paths")
+            else:
+                extend(new, before | {path[-1]}, new_weight)
+
+    extend((src,), frozenset(), 1.0)
     return total, kept
 
 

@@ -224,9 +224,12 @@ def _cmd_bayesnet(args) -> int:
         if args.mc is not None:
             samples, seed = args.mc
             res = bn.percolation(net, targets, mode="mc", samples=samples, seed=seed)
+            bounds["percolation"] = res.to_dict()
         else:
-            res = bn.percolation(net, targets, mode="exact")
-        bounds["percolation"] = res.to_dict()
+            try:
+                bounds["percolation"] = bn.percolation(net, targets, mode="exact").to_dict()
+            except ExpansionCapError as exc:
+                bounds["percolation"] = {"note": str(exc)}
     if which in ("sfpaths", "all"):
         value, paths = bn.shortcut_free_bound(net, targets)
         bounds["shortcut_free"] = {
@@ -245,7 +248,10 @@ def _recursion_report(net, targets) -> dict:
         return {"note": "no non-source target to recurse on"}
     u = max(candidates)
     rest = [v for v in targets if v != u]
-    value = bn.recursion_bound(net, rest, u)
+    try:
+        value = bn.recursion_bound(net, rest, u)
+    except ExpansionCapError as exc:
+        return {"note": str(exc)}
     return {
         "u": net.nodes[u].name,
         "tau_u": bn.node_tau(net, u),

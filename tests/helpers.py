@@ -227,6 +227,39 @@ def brute_force_percolation(net: BayesNet, targets, taus: dict) -> float:
     return total
 
 
+def table_tau(W: np.ndarray) -> float:
+    """Doeblin coefficient as the sum of column minima of a row-stochastic table."""
+    return float(np.asarray(W).min(axis=0).sum())
+
+
+def subset_filter_paths(net: BayesNet, targets) -> list[tuple[int, ...]]:
+    """Shortcut-free source-to-target paths by the definition: enumerate
+    every directed path from the source to a target, in depth-first order
+    over children by node index, then keep those whose node set has no
+    other such path's node set as a strict subset (O(P^2))."""
+    V = set(targets)
+    src = net.source
+    if src in V:
+        return [(src,)]
+    children = {u: [c for c in range(net.size) if u in net.nodes[c].parents] for u in range(net.size)}
+    paths: list[tuple[int, ...]] = []
+
+    def extend(path):
+        for c in children[path[-1]]:
+            new = path + (c,)
+            if c in V:
+                paths.append(new)
+            extend(new)
+
+    extend((src,))
+    sets = [frozenset(p) for p in paths]
+    return [
+        path
+        for i, path in enumerate(paths)
+        if not any(j != i and sets[j] < sets[i] for j in range(len(paths)))
+    ]
+
+
 def table_orthogonal(blob: dict) -> bool:
     """Whether no two components of ``Coupling.to_dict()`` share a tuple.
 

@@ -1,4 +1,12 @@
-"""Bayesian-network input checks: Monte Carlo sample counts and the state cap."""
+"""Bayesian-network bounds against independent oracles, plus input checks.
+
+The oracles in ``tests/helpers.py`` sum the full factored joint over every
+node, sum over every survival configuration, and filter every
+source-to-target path by strict node-set inclusion; per-node coefficients
+are column-minimum sums of the tables.
+"""
+
+from functools import cache, reduce
 
 import numpy as np
 import pytest
@@ -6,12 +14,238 @@ import pytest
 import doeblin as db
 from doeblin import ExpansionCapError, bayesnet as bn
 
+from helpers import (
+    brute_force_composite,
+    brute_force_percolation,
+    random_net,
+    subset_filter_paths,
+    table_tau,
+)
 
-def _chain(length: int) -> db.BayesNet:
-    nodes = [db.Node("N0", 2, (), None)]
-    for i in range(1, length):
-        nodes.append(db.Node(f"N{i}", 2, (i - 1,), np.array([[0.9, 0.1], [0.2, 0.8]])))
+N_NETS = 300
+TOL = 1e-12
+
+
+def _chain(length: int, tables=None) -> db.BayesNet:
+    """N0 -> N1 -> ... with the given tables, by default one binary table."""
+    if tables is None:
+        tables = [np.array([[0.9, 0.1], [0.2, 0.8]])] * (length - 1)
+    nodes = [db.Node("N0", tables[0].shape[0], (), None)]
+    nodes += [db.Node(f"N{i}", t.shape[1], (i - 1,), t) for i, t in enumerate(tables, start=1)]
     return db.BayesNet(nodes=tuple(nodes), source=0)
+
+
+@cache
+def _cases():
+    """Seeded random nets (2-8 nodes, alphabets 2-3, 1-3 parents), each with
+    one to three non-source targets and its oracle values."""
+    rng = np.random.default_rng(20231)
+    cases = []
+    for _ in range(N_NETS):
+        net = random_net(rng, max_nodes=8, max_alphabet=3, max_parents=3)
+        k = int(rng.integers(1, min(3, net.size - 1) + 1))
+        V = sorted(int(v) for v in rng.choice(np.arange(1, net.size), size=k, replace=False))
+        taus = {u: table_tau(net.nodes[u].cpt) for u in range(1, net.size)}
+        composite = brute_force_composite(net, V)
+        cases.append(
+            {
+                "net": net,
+                "V": V,
+                "composite": composite,
+                "tau": table_tau(composite),
+                "percolation": brute_force_percolation(net, V, taus),
+            }
+        )
+    return cases
+
+
+def _with_orphan(net: db.BayesNet, rng) -> db.BayesNet:
+    """The net plus a parentless non-source node W and a child C of W and of
+    the net's last node; W is unreachable from the source."""
+    last = net.nodes[-1]
+    w = db.Node("W", 2, (), rng.dirichlet(np.ones(2), size=1))
+    c = db.Node("C", 3, (net.size - 1, net.size), rng.dirichlet(np.ones(3), size=2 * last.alphabet))
+    return db.BayesNet(nodes=(*net.nodes, w, c), source=net.source)
+
+
+# -- oracles ------------------------------------------------------------------
+
+
+def test_composite_matches_full_joint():
+    for case in _cases():
+        got = bn.composite_channel(case["net"], case["V"]).matrix
+        assert got.shape == case["composite"].shape
+        assert np.abs(got - case["composite"]).max() <= TOL
+
+
+def test_composite_with_source_in_targets():
+    for case in _cases()[::3]:
+        net = case["net"]
+        V = [net.source, *case["V"]]
+        got = bn.composite_channel(net, V).matrix
+        assert np.abs(got - brute_force_composite(net, V)).max() <= TOL
+        # The source alone is the identity channel.
+        k = net.nodes[net.source].alphabet
+        assert np.array_equal(bn.composite_channel(net, [net.source]).matrix, np.eye(k))
+
+
+def test_composite_to_unreachable_targets():
+    rng = np.random.default_rng(7)
+    small = [case for case in _cases() if case["net"].size <= 5]
+    for case in small[:40]:
+        net = _with_orphan(case["net"], rng)
+        w, c = net.size - 2, net.size - 1
+        for V in ([w], [w, c], [net.source, w], [net.source, *case["V"], w, c]):
+            got = bn.composite_channel(net, V).matrix
+            assert np.abs(got - brute_force_composite(net, V)).max() <= TOL
+        rows = bn.composite_channel(net, [w]).matrix
+        assert np.abs(rows - rows[0]).max() == 0.0  # no source information reaches W
+        assert bn.percolation(net, [w]).probability == 0.0
+        assert bn.shortcut_free_bound(net, [w]) == (0.0, [])
+
+
+def test_exact_percolation_matches_survival_sum():
+    for case in _cases():
+        got = bn.percolation(case["net"], case["V"]).probability
+        assert abs(got - case["percolation"]) <= TOL
+
+
+def test_percolation_sandwich():
+    for case in _cases():
+        net, V = case["net"], case["V"]
+        perc = bn.percolation(net, V).probability
+        bound, _ = bn.shortcut_free_bound(net, V)
+        assert 1.0 - case["tau"] <= perc + TOL
+        assert perc <= bound + TOL
+
+
+def test_recursion_bound_below_tau():
+    checked = 0
+    for case in _cases():
+        net, V = case["net"], case["V"]
+        u = max(V)  # topologically last target: no directed path into the rest
+        rest = [v for v in V if v != u]
+        assert bn.recursion_bound(net, rest, u) <= case["tau"] + TOL
+        checked += 1
+    assert checked == N_NETS
+
+
+def test_kept_paths_match_subset_filter():
+    for case in _cases():
+        net, V = case["net"], case["V"]
+        bound, kept = bn.shortcut_free_bound(net, V)
+        assert kept == subset_filter_paths(net, V)
+        weights = [np.prod([1.0 - table_tau(net.nodes[u].cpt) for u in p[1:]]) for p in kept]
+        assert abs(bound - sum(weights)) <= TOL
+    net = _cases()[0]["net"]
+    assert bn.shortcut_free_bound(net, [net.source]) == (1.0, [(net.source,)])
+
+
+def test_mc_z_scores_against_exact():
+    samples = 2000
+    zs = []
+    for seed, case in enumerate(_cases()):
+        p = case["percolation"]
+        if not 0.01 < p < 0.99:
+            continue
+        res = bn.percolation(case["net"], case["V"], mode="mc", samples=samples, seed=seed)
+        assert res.samples == samples and res.seed == seed
+        zs.append((res.probability - p) / np.sqrt(p * (1.0 - p) / samples))
+    zs = np.abs(zs)
+    assert len(zs) >= 100
+    # |z| of a standard normal has mean sqrt(2/pi) ~ 0.80.
+    assert 0.65 <= zs.mean() <= 0.95
+    assert zs.max() < 4.5
+
+
+def test_mc_blocks_extend_as_prefixes():
+    # Later blocks never change earlier ones: one more trial past a block
+    # adds at most one hit to the first block's count.
+    case = next(c for c in _cases() if 0.2 < c["percolation"] < 0.8)
+    B = bn.MC_BLOCK_SIZE
+    first = bn.percolation(case["net"], case["V"], mode="mc", samples=B, seed=3).probability * B
+    more = bn.percolation(case["net"], case["V"], mode="mc", samples=B + 1, seed=3).probability * (B + 1)
+    assert round(more) - round(first) in (0, 1)
+
+
+def test_mc_source_in_targets_always_hits():
+    net = _chain(3)
+    res = bn.percolation(net, [0, 2], mode="mc", samples=bn.MC_BLOCK_SIZE + 5, seed=1)
+    assert res.probability == 1.0 and res.std_error == 0.0
+
+
+def test_sixty_node_chain_exceeds_einsum_labels():
+    rng = np.random.default_rng(60)
+    sizes = [int(k) for k in rng.integers(2, 4, size=60)]
+    tables = [rng.dirichlet(np.ones(b), size=a) for a, b in zip(sizes, sizes[1:])]
+    net = _chain(60, tables)
+    product = reduce(np.matmul, tables)
+    assert np.abs(bn.composite_channel(net, [59]).matrix - product).max() <= TOL
+    # Source among the targets: row x holds x's row of the product at x.
+    k0, k59 = sizes[0], sizes[59]
+    got = bn.composite_channel(net, [0, 59]).matrix.reshape(k0, k0, k59)
+    assert np.abs(got - np.eye(k0)[:, :, None] * product[:, None, :]).max() <= TOL
+    # Two targets: the joint factorizes along the chain.
+    head, tail = reduce(np.matmul, tables[:30]), reduce(np.matmul, tables[30:])
+    got = bn.composite_channel(net, [30, 59]).matrix.reshape(k0, sizes[30], k59)
+    assert np.abs(got - head[:, :, None] * tail[None, :, :]).max() <= TOL
+
+
+# -- caps and input checks ----------------------------------------------------
+
+
+def test_composite_cap_raises_typed_error():
+    # The cap bounds the largest factor, the output included: a joint target
+    # alphabet past it raises, a long chain to one target does not.
+    net = _chain(5)
+    with pytest.raises(ExpansionCapError):
+        bn.composite_channel(net, [1, 2, 3, 4], cap=16)  # output 2 x 2^4
+    assert bn.composite_channel(net, [1, 2, 3, 4], cap=32).matrix.shape == (2, 16)
+    assert bn.composite_channel(_chain(40), [39], cap=4).matrix.shape == (2, 2)
+    # Five binary parents of one binary target: summing out any parent first
+    # merges a factor over the source, the other four parents and the target.
+    rng = np.random.default_rng(5)
+    nodes = [db.Node("X", 2, (), None)]
+    nodes += [db.Node(f"A{i}", 2, (0,), rng.dirichlet(np.ones(2), size=2)) for i in range(1, 6)]
+    nodes.append(db.Node("T", 2, (1, 2, 3, 4, 5), rng.dirichlet(np.ones(2), size=32)))
+    star = db.BayesNet(nodes=tuple(nodes), source=0)
+    with pytest.raises(ExpansionCapError):
+        bn.composite_channel(star, [6], cap=63)
+    assert bn.composite_channel(star, [6], cap=64).matrix.shape == (2, 2)
+
+
+def test_composite_cap_raises_before_any_contraction(monkeypatch):
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("einsum called past the cap")
+
+    monkeypatch.setattr(bn.np, "einsum", no_einsum)
+    with pytest.raises(ExpansionCapError):
+        bn.composite_channel(_chain(25), list(range(1, 25)))
+
+
+def test_exact_percolation_cap_raises_typed_error():
+    net = _chain(bn.EXACT_PERCOLATION_NODE_CAP + 2)
+    with pytest.raises(ExpansionCapError, match="exact percolation"):
+        bn.percolation(net, [net.size - 1])
+    assert bn.percolation(net, [net.size - 1], mode="mc", samples=10, seed=0).samples == 10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net: bn.composite_channel(net, [5]),
+        lambda net: bn.composite_channel(net, [-1]),
+        lambda net: bn.percolation(net, [-1]),
+        lambda net: bn.percolation(net, [2], mode="mc", samples=10, seed=0),
+        lambda net: bn.shortcut_free_bound(net, [2]),
+        lambda net: bn.recursion_bound(net, [2], 1),
+        lambda net: bn.recursion_bound(net, [], 7),
+        lambda net: bn.composite_channel(net, [1.0]),
+    ],
+)
+def test_bad_target_indices_rejected(call):
+    with pytest.raises(db.ValidationError, match="node ind"):
+        call(_chain(2))
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -24,11 +258,3 @@ def test_mc_rejects_nonpositive_samples(samples):
 def test_mc_accepts_one_sample():
     res = bn.percolation(_chain(2), [1], mode="mc", samples=1, seed=0)
     assert res.probability in (0.0, 1.0)
-
-
-def test_composite_cap_raises_typed_error():
-    net = _chain(5)  # 2^5 joint states over the source and the four ancestors
-    with pytest.raises(ExpansionCapError):
-        bn.composite_channel(net, [4], cap=16)
-    assert bn.composite_channel(net, [4], cap=32).matrix.shape == (2, 2)
-

@@ -7,6 +7,7 @@ the golden files again after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_cli.py``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +27,9 @@ def _f(name: str) -> str:
     return str(FIX / name)
 
 
+# Every non-source node of chain25.json: an output factor of 2 x 2^24 entries.
+CHAIN25_ALL = ",".join(f"N{i}" for i in range(1, 25))
+
 # case name -> (argv, expected exit code)
 CASES = {
     "coef": (["coef", _f("channel.json")], 0),
@@ -43,6 +47,8 @@ CASES = {
     "bayesnet_two_targets": (["bayesnet", _f("net.json"), "--target", "A,B", "--bound", "sfpaths"], 0),
     "bayesnet_mc": (["bayesnet", _f("net.json"), "--target", "T", "--bound", "perc", "--mc", "200", "7"], 0),
     "bayesnet_past_cap": (["bayesnet", _f("chain25.json"), "--target", "N24", "--bound", "perc"], 0),
+    "bayesnet_composite_past_cap": (["bayesnet", _f("chain25.json"), "--target", CHAIN25_ALL], 0),
+    "bayesnet_perc_past_cap": (["bayesnet", _f("chain30.json"), "--target", "N29"], 0),
     "fuse": (["fuse", _f("beliefs.json")], 0),
     "verify_estimator": (["verify", "--problem", "estimator", _f("channel.json")], 0),
     "verify_estimator_max_witness": (
@@ -101,8 +107,24 @@ def test_open_union_regime_notes(capsys):
 
 
 def test_bayesnet_past_cap_notes(capsys):
-    assert _invoke(CASES["bayesnet_past_cap"][0]) == 0
-    assert "exceeds the enumeration cap" in capsys.readouterr().err
+    # The composite channel and the recursion bound pass the factor cap;
+    # the other bounds are still reported.
+    assert _invoke(CASES["bayesnet_composite_past_cap"][0]) == 0
+    captured = capsys.readouterr()
+    assert "exceeds the enumeration cap" in captured.err
+    out = json.loads(captured.out)
+    assert out["tau"] is None
+    assert "factor of more than" in out["bounds"]["recursion"]["note"]
+    assert out["bounds"]["percolation"]["method"] == "exact"
+    assert out["bounds"]["shortcut_free"]["paths"] == [["N0", "N1"]]
+
+
+def test_bayesnet_exact_percolation_past_cap_notes(capsys):
+    assert _invoke(CASES["bayesnet_perc_past_cap"][0]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["tau"] is not None
+    assert "exact percolation supports at most" in out["bounds"]["percolation"]["note"]
+    assert set(out["bounds"]) == {"recursion", "percolation", "shortcut_free"}
 
 
 def test_bayesnet_other_errors_exit_1(monkeypatch, capsys):
