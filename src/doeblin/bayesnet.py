@@ -13,6 +13,9 @@ Doeblin coefficient to the per-node coefficients:
   percolation;
 * the memoryless-stage bound that averages marginal coefficients over
   random coordinate subsets drawn from the per-letter erasure rates.
+
+Each table is validated once, when the network is built (in code or from
+JSON); the network keeps it normalized, with its Doeblin coefficient.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -46,8 +49,9 @@ class Node:
 
 @dataclass(frozen=True, eq=False)
 class BayesNet:
-    nodes: tuple[Node, ...]
+    nodes: tuple[Node, ...]  # after construction, each table is normalized
     source: int
+    taus: tuple[float | None, ...] = field(init=False, repr=False)  # None for the source
 
     def __post_init__(self):
         names = [n.name for n in self.nodes]
@@ -55,6 +59,7 @@ class BayesNet:
             raise ValidationError("node names must be unique")
         if not 0 <= self.source < len(self.nodes):
             raise ValidationError("source index out of range")
+        nodes, taus = list(self.nodes), [None] * len(self.nodes)
         for idx, node in enumerate(self.nodes):
             if node.alphabet < 1:
                 raise ValidationError(f"node {node.name}: alphabet must be positive")
@@ -71,12 +76,17 @@ class BayesNet:
                     f"node {node.name} lacks a cpt but is not the source "
                     "(networks have exactly one source)"
                 )
-            expected_rows = int(np.prod([self.nodes[p].alphabet for p in node.parents]))
-            if node.cpt.shape != (expected_rows, node.alphabet):
-                raise ValidationError(
-                    f"node {node.name}: cpt shape {node.cpt.shape} != "
-                    f"({expected_rows}, {node.alphabet})"
-                )
+            try:
+                table = Channel(node.cpt)
+            except ValidationError as exc:
+                raise ValidationError(f"node {node.name}: {exc}") from exc
+            shape = (int(np.prod([self.nodes[p].alphabet for p in node.parents])), node.alphabet)
+            if table.matrix.shape != shape:
+                raise ValidationError(f"node {node.name}: cpt shape {table.matrix.shape} != {shape}")
+            nodes[idx] = replace(node, cpt=table.matrix)
+            taus[idx] = doeblin(table)
+        object.__setattr__(self, "nodes", tuple(nodes))
+        object.__setattr__(self, "taus", tuple(taus))
 
     @property
     def size(self) -> int:
@@ -121,31 +131,24 @@ class BayesNet:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid network JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "nodes" not in obj or "source" not in obj:
-            raise ValidationError('network JSON needs "nodes" and "source"')
+        if not isinstance(obj, dict) or not isinstance(obj.get("nodes"), list) or "source" not in obj:
+            raise ValidationError('network JSON needs a "nodes" list and a "source"')
         name_to_idx: dict[str, int] = {}
         nodes: list[Node] = []
-        for spec in obj["nodes"]:
+        for k, spec in enumerate(obj["nodes"]):
+            if not (isinstance(spec, dict) and "name" in spec and type(spec.get("alphabet")) is int):
+                raise ValidationError(f"node spec {k} must be an object with a name and an integer alphabet")
             name = str(spec["name"])
-            if name in name_to_idx:
-                raise ValidationError(f"duplicate node name {name!r}")
             parent_idx = []
             for pname in spec.get("parents", []):
-                if pname not in name_to_idx:
+                if not isinstance(pname, str) or pname not in name_to_idx:
                     raise ValidationError(
                         f"node {name!r}: parent {pname!r} not declared earlier "
                         "(nodes must be listed in topological order; cycles are invalid)"
                     )
                 parent_idx.append(name_to_idx[pname])
-            cpt = spec.get("cpt")
-            if cpt is not None:
-                cpt = np.array(
-                    [Channel([row]).matrix[0] for row in cpt], dtype=np.float64
-                )
             name_to_idx[name] = len(nodes)
-            nodes.append(
-                Node(name=name, alphabet=int(spec["alphabet"]), parents=tuple(parent_idx), cpt=cpt)
-            )
+            nodes.append(Node(name, spec["alphabet"], tuple(parent_idx), spec.get("cpt")))
         source_name = str(obj["source"])
         if source_name not in name_to_idx:
             raise ValidationError(f"source {source_name!r} is not a declared node")
@@ -180,10 +183,10 @@ def _targets(net: BayesNet, targets: Iterable[int]) -> tuple[int, ...]:
 
 def node_tau(net: BayesNet, u: int) -> float:
     """Doeblin coefficient of u's table, viewed as a channel from joint
-    parent assignments to u's alphabet."""
+    parent assignments to u's alphabet (computed when the network was built)."""
     if u == net.source:
         raise ValidationError("the source node has no conditional table")
-    return doeblin(Channel(net.nodes[u].cpt))
+    return net.taus[u]
 
 
 def _elimination_plan(scopes, sizes: dict, keep: tuple, cap: int) -> list[tuple[int, tuple]]:
@@ -270,7 +273,7 @@ def recursion_bound(net: BayesNet, targets: Iterable[int], u: int, cap: int = CO
         raise ValidationError("u must not be the source")
     if u in V or net.descendants(u) & set(V):
         raise ValidationError("u must have no directed path into the target set")
-    tau_u = node_tau(net, u)
+    tau_u = net.taus[u]
     tau_v = doeblin(composite_channel(net, V, cap))
     tau_vpa = doeblin(composite_channel(net, set(V) | set(net.nodes[u].parents), cap))
     return tau_u * tau_v + (1.0 - tau_u) * tau_vpa
@@ -321,11 +324,11 @@ def percolation(
     """
     V = frozenset(_targets(net, targets))
     src = net.source
-    taus = {u: node_tau(net, u) for u in _relevant_nodes(net, V)}
+    relevant = _relevant_nodes(net, V)
     reach_src = net.descendants(src) | {src}
 
     if mode == "exact":
-        if len(taus) > EXACT_PERCOLATION_NODE_CAP:
+        if len(relevant) > EXACT_PERCOLATION_NODE_CAP:
             raise ExpansionCapError(
                 f"exact percolation supports at most {EXACT_PERCOLATION_NODE_CAP} relevant nodes"
             )
@@ -339,9 +342,7 @@ def percolation(
                 return 0.0
             u = max(S)  # topologically last: no path from u to the rest
             rest = S - {u}
-            tau_u = taus.get(u)
-            if tau_u is None:
-                tau_u = node_tau(net, u)
+            tau_u = net.taus[u]
             up = frozenset(rest | set(net.nodes[u].parents))
             return tau_u * perc_set(frozenset(rest)) + (1.0 - tau_u) * perc_set(up)
 
@@ -353,9 +354,9 @@ def percolation(
         raise ValidationError("Monte Carlo percolation needs samples and seed")
     if samples <= 0:
         raise ValidationError(f"Monte Carlo percolation needs a positive sample count, got {samples}")
-    order = sorted(taus)
+    order = sorted(relevant)
     col = {u: j for j, u in enumerate(order)}
-    survive_prob = np.array([1.0 - taus[u] for u in order])
+    survive_prob = np.array([1.0 - net.taus[u] for u in order])
     # Per node: whether the source feeds it, and the columns of the relevant
     # parents that do.  Every relevant node has at least one of the two.
     feeds = [
@@ -404,7 +405,6 @@ def shortcut_free_bound(
         return 1.0, [(src,)]
     towards_v = net.ancestors(V)  # nodes with a directed route into the targets
     children = {u: [c for c in net.children(u) if c in towards_v] for u in towards_v | {src}}
-    gain: dict[int, float] = {}  # 1 - tau_u, once per node
     kept: list[tuple[int, ...]] = []
     total = 0.0
 
@@ -413,9 +413,7 @@ def shortcut_free_bound(
         for c in children[path[-1]]:
             if before.intersection(net.nodes[c].parents):
                 continue
-            if c not in gain:
-                gain[c] = 1.0 - node_tau(net, c)
-            new, new_weight = path + (c,), weight * gain[c]
+            new, new_weight = path + (c,), weight * (1.0 - net.taus[c])
             if c in V:
                 kept.append(new)
                 total += new_weight

@@ -31,22 +31,44 @@ VALIDATION_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-12
 
 
+def _as_float_array(values, what: str) -> np.ndarray:
+    """Coerce to a float array; ragged, missing or non-numeric entries are invalid."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind in "US":
+            raise TypeError(f"non-numeric entries of type {arr.dtype}")
+        return arr.astype(np.float64, order="C", copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not a numeric table: {exc}") from exc
+
+
 def _as_prob_vector(values, *, what: str = "pmf") -> np.ndarray:
-    """Coerce to a 1-D probability vector, normalized exactly."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValidationError(f"{what} must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} contains non-finite entries")
-    if arr.min() < -RECONSTRUCTION_TOL:
-        raise ValidationError(f"{what} has a negative entry: {arr.min()!r}")
-    arr = np.maximum(arr, 0.0)
-    total = float(arr.sum())
-    if abs(total - 1.0) > VALIDATION_TOL:
-        raise ValidationError(f"{what} entries sum to {total!r}, not 1 within {VALIDATION_TOL}")
-    arr = arr / total
-    arr.setflags(write=False)
-    return arr
+    """Coerce to probability vectors along the last axis, normalized exactly.
+
+    Every row along the last axis (the input itself, if 1-D) is checked and
+    normalized in one pass: finite, no entry below ``-RECONSTRUCTION_TOL``
+    (smaller negatives clamp to zero), sum within ``VALIDATION_TOL`` of one.
+    The first failing row is named ``what``, or ``f"{what} row {i}"`` in a table.
+    """
+    arr = _as_float_array(values, what)
+    if arr.ndim < 1 or arr.size < 1:
+        raise ValidationError(f"{what} must be a nonempty sequence")
+    clamped = np.maximum(arr, 0.0)
+    totals = clamped.sum(axis=-1, keepdims=True)
+    valid = arr.min() >= -RECONSTRUCTION_TOL and totals.min() >= 1.0 - VALIDATION_TOL
+    if not (valid and totals.max() <= 1.0 + VALIDATION_TOL):  # false on any non-finite entry
+        for i, (row, total) in enumerate(zip(arr.reshape(-1, arr.shape[-1]), totals.flat)):
+            name = what if arr.ndim == 1 else f"{what} row {i}"
+            if not np.all(np.isfinite(row)):
+                raise ValidationError(f"{name} contains non-finite entries")
+            if row.min() < -RECONSTRUCTION_TOL:
+                raise ValidationError(f"{name} has a negative entry: {row.min()!r}")
+            if abs(total - 1.0) > VALIDATION_TOL:
+                total = float(total)
+                raise ValidationError(f"{name} entries sum to {total!r}, not 1 within {VALIDATION_TOL}")
+    out = clamped / totals
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +84,8 @@ class Pmf:
 
     def __init__(self, probs, labels: Sequence[str] | None = None):
         arr = _as_prob_vector(probs)
+        if arr.ndim != 1:
+            raise ValidationError("pmf must be a nonempty 1-D sequence")
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != arr.size:
@@ -90,18 +114,12 @@ class Channel:
 
     def __init__(self, rows, input_labels=None, output_labels=None):
         if isinstance(rows, Channel):
-            mat = rows.matrix
-        elif len(rows) and isinstance(rows[0], Pmf):
-            sizes = {r.size for r in rows}
-            if len(sizes) != 1:
-                raise ValidationError("channel rows must share one output alphabet")
-            mat = np.stack([r.probs for r in rows])
-        else:
-            mat = np.asarray(rows, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
+            rows = rows.matrix
+        elif isinstance(rows, (list, tuple)) and rows and isinstance(rows[0], Pmf):
+            rows = [r.probs for r in rows]
+        mat = _as_prob_vector(rows, what="channel")
+        if mat.ndim != 2:
             raise ValidationError("channel must be a nonempty 2-D matrix")
-        mat = np.stack([_as_prob_vector(row, what=f"channel row {i}") for i, row in enumerate(mat)])
-        mat.setflags(write=False)
         if input_labels is not None:
             input_labels = tuple(str(s) for s in input_labels)
             if len(input_labels) != mat.shape[0]:
@@ -139,16 +157,12 @@ class Channel:
             raise ValidationError(f"invalid channel JSON: {exc}") from exc
         if not isinstance(obj, dict) or "rows" not in obj:
             raise ValidationError('channel JSON must be an object with a "rows" key')
-        rows = obj["rows"]
-        _reject_negative_text_entries(rows)
-        return cls(rows, obj.get("input_labels"), obj.get("output_labels"))
+        return cls(_parsed_table(obj["rows"]), obj.get("input_labels"), obj.get("output_labels"))
 
     @classmethod
     def from_csv(cls, text: str) -> "Channel":
         """Parse one comma-separated row per line; an optional header is discarded."""
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValidationError("empty channel CSV")
         rows = []
         for idx, line in enumerate(lines):
             fields = [f.strip() for f in line.split(",")]
@@ -159,12 +173,7 @@ class Channel:
                     continue  # header line
                 raise ValidationError(f"non-numeric CSV entry on line {idx + 1}")
             rows.append(row)
-        if not rows:
-            raise ValidationError("channel CSV contains no numeric rows")
-        if len({len(r) for r in rows}) != 1:
-            raise ValidationError("channel CSV rows have inconsistent lengths")
-        _reject_negative_text_entries(rows)
-        return cls(rows)
+        return cls(_parsed_table(rows))
 
     def to_dict(self) -> dict:
         out: dict = {"rows": [[float(v) for v in row] for row in self.matrix]}
@@ -175,12 +184,12 @@ class Channel:
         return out
 
 
-def _reject_negative_text_entries(rows) -> None:
+def _parsed_table(rows) -> np.ndarray:
     # Parsers are strict: any negative entry is rejected outright.
-    for row in rows:
-        for v in row:
-            if float(v) < 0:
-                raise ValidationError(f"negative entry {v!r} in parsed channel")
+    arr = _as_float_array(rows, "channel")
+    if (arr < 0).any():
+        raise ValidationError(f"negative entry {float(arr[arr < 0][0])!r} in parsed channel")
+    return arr
 
 
 def as_channel(obj) -> Channel:
@@ -190,7 +199,7 @@ def as_channel(obj) -> Channel:
 
 def stack_pmfs(pmfs: Iterable) -> Channel:
     """Stack PMFs (or raw vectors) as the rows of a channel."""
-    rows = [p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=np.float64) for p in pmfs]
+    rows = [p.probs if isinstance(p, Pmf) else _as_float_array(p, "pmf") for p in pmfs]
     if not rows:
         raise ValidationError("no PMFs given")
     if any(r.shape != rows[0].shape or r.ndim != 1 for r in rows):
@@ -426,10 +435,7 @@ def compose(first, second) -> Channel:
         raise ValidationError(
             f"inner dimensions disagree: {V.shape[1]} outputs vs {W.shape[0]} inputs"
         )
-    prod = V @ W
-    # Rows already sum to one up to rounding; renormalize to absorb it.
-    prod = prod / prod.sum(axis=1, keepdims=True)
-    return Channel(prod)
+    return Channel(V @ W)  # renormalizes the rounding in the row sums
 
 
 def tensor(first, second) -> Channel:

@@ -134,7 +134,7 @@ def _cmd_couple(args) -> int:
             obj = json.loads(_read(args.inputs[0]))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid joint JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "joints" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("joints"), list):
             raise ValidationError('joint coupling input must be {"joints": [...]}')
         jc = cp.simultaneous_joint_coupling(obj["joints"])
         out = {

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Pmf, max2_doeblin, max_doeblin, stack_pmfs
+from .channel import Pmf, _as_float_array, _as_prob_vector, max2_doeblin, max_doeblin, stack_pmfs
 from .exceptions import (
     AlphabetMismatchError,
     CouplingConditionError,
@@ -465,23 +465,17 @@ class JointCoupling:
         }
 
 
-def _as_joint(dist, idx: int) -> np.ndarray:
-    arr = np.asarray(dist, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"joint distribution {idx} must be a 2-D table")
-    if arr.min() < 0:
-        raise ValidationError(f"joint distribution {idx} has a negative entry")
-    total = float(arr.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"joint distribution {idx} sums to {total!r}, not 1")
-    return arr / total
-
-
 def simultaneous_joint_coupling(joints: Sequence) -> JointCoupling:
     """Couple bivariate targets so that both the all-pairs-equal probability
     and the X-coordinates-equal probability are simultaneously maximal
     (each equal to the corresponding column-minimum mass)."""
-    mats = [_as_joint(j, i) for i, j in enumerate(joints)]
+    tables = [_as_float_array(j, f"joint distribution {i}") for i, j in enumerate(joints)]
+    if any(t.ndim != 2 for t in tables):
+        raise ValidationError("joint distributions must be 2-D tables")
+    mats = [
+        _as_prob_vector(t.ravel(), what=f"joint distribution {i}").reshape(t.shape)
+        for i, t in enumerate(tables)
+    ]
     if len(mats) < 2:
         raise ValidationError("need at least two joint distributions")
     shape = mats[0].shape

@@ -32,6 +32,15 @@ def random_positive_channel(rng, n, m):
     return W / W.sum(axis=1, keepdims=True)
 
 
+def rowwise_normalized(W) -> np.ndarray:
+    """Each row clamped at zero and divided by its own sum, one row at a time."""
+    rows = []
+    for row in np.asarray(W, dtype=np.float64):
+        clamped = np.maximum(row, 0.0)
+        rows.append(clamped / clamped.sum())
+    return np.array(rows)
+
+
 def max2_of(mats: np.ndarray) -> float:
     return float(np.sort(mats, axis=0)[-2, :].sum())
 

@@ -6,7 +6,9 @@ source-to-target path by strict node-set inclusion; per-node coefficients
 are column-minimum sums of the tables.
 """
 
+import json
 from functools import cache, reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from doeblin import ExpansionCapError, bayesnet as bn
 from helpers import (
     brute_force_composite,
     brute_force_percolation,
+    random_channel,
     random_net,
     subset_filter_paths,
     table_tau,
@@ -24,6 +27,7 @@ from helpers import (
 
 N_NETS = 300
 TOL = 1e-12
+NET_JSON = Path(__file__).resolve().parent / "fixtures" / "net.json"
 
 
 def _chain(length: int, tables=None) -> db.BayesNet:
@@ -258,3 +262,98 @@ def test_mc_rejects_nonpositive_samples(samples):
 def test_mc_accepts_one_sample():
     res = bn.percolation(_chain(2), [1], mode="mc", samples=1, seed=0)
     assert res.probability in (0.0, 1.0)
+
+
+# -- tables enter once --------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad_row", [[1.5, 0.5], [np.nan, 1.0]])
+def test_tables_validated_at_construction(bad_row):
+    table = np.array([[0.9, 0.1], bad_row])
+    with pytest.raises(db.ValidationError, match="node N1: channel row 1"):
+        _chain(2, [table])
+
+
+def test_construction_keeps_normalized_tables_and_taus():
+    raw = np.array([[0.9, 0.1 + 4e-10], [0.2, 0.8]])
+    net = _chain(3, [raw, raw])
+    for u in (1, 2):
+        cpt = net.nodes[u].cpt
+        assert np.array_equal(cpt, raw / raw.sum(axis=1, keepdims=True))
+        assert bn.node_tau(net, u) == table_tau(cpt)
+    assert net.taus[net.source] is None
+    with pytest.raises(db.ValidationError, match="source"):
+        bn.node_tau(net, net.source)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda nodes: nodes.__setitem__(1, ["A"]),
+        lambda nodes: nodes[1].pop("name"),
+        lambda nodes: nodes[1].pop("alphabet"),
+        lambda nodes: nodes[1].__setitem__("alphabet", 2.5),
+        lambda nodes: nodes[1].__setitem__("alphabet", "2"),
+        lambda nodes: nodes[1].__setitem__("alphabet", True),
+        lambda nodes: nodes[1]["cpt"].__setitem__(1, [1.0]),
+        lambda nodes: nodes[1]["cpt"].__setitem__(1, [0.5, None]),
+    ],
+)
+def test_from_json_rejects_malformed_node_specs(mutate):
+    obj = json.loads(NET_JSON.read_text())
+    mutate(obj["nodes"])
+    with pytest.raises(db.ValidationError):
+        db.BayesNet.from_json(json.dumps(obj))
+
+
+# -- memoryless-stage bound ---------------------------------------------------
+
+
+def _stage_instance(rng):
+    """A prior channel P into k letters and one channel per letter."""
+    sizes = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(1, 4)))]
+    P = random_channel(rng, int(rng.integers(2, 5)), int(np.prod(sizes)), alpha=0.5)
+    letters = [
+        random_channel(rng, s, int(rng.integers(2, 4)), alpha=float(rng.choice([0.5, 3.0])))
+        for s in sizes
+    ]
+    return P, sizes, letters
+
+
+def test_samorodnitsky_below_tau_of_stage():
+    # tau of P followed by the product of the letter channels is at least
+    # the bound built from the letter coefficients alone.
+    rng = np.random.default_rng(4242)
+    for _ in range(300):
+        P, sizes, letters = _stage_instance(rng)
+        stage = reduce(db.tensor, letters)
+        bound = bn.samorodnitsky_bound(P, sizes, [db.doeblin(W) for W in letters])
+        assert db.doeblin(db.compose(P, stage)) >= bound - 1e-12
+        assert db.doeblin(P) - 1e-12 <= bound <= 1.0 + 1e-12
+
+
+def test_samorodnitsky_extremes():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        P, sizes, _ = _stage_instance(rng)
+        k = len(sizes)
+        assert bn.samorodnitsky_bound(P, sizes, [0.0] * k) == pytest.approx(db.doeblin(P), abs=1e-15)
+        assert bn.samorodnitsky_bound(P, sizes, [1.0] * k) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sizes, taus",
+    [
+        ([4], [0.5]),  # one letter of 4 symbols; the channel has 6 outputs
+        ([2, 2], [0.5, 0.5]),
+        ([2, 3], [0.5]),
+        ([2, 3], [0.5, 0.5, 0.5]),
+        ([2, 3], [0.5, 1.5]),
+        ([2, 3], [-0.1, 0.5]),
+        ([2, 3], [np.nan, 0.5]),
+    ],
+)
+def test_samorodnitsky_rejects_bad_letters(sizes, taus):
+    P = random_channel(np.random.default_rng(3), 3, 6)
+    with pytest.raises(db.ValidationError):
+        bn.samorodnitsky_bound(P, sizes, taus)

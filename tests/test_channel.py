@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 import doeblin as db
 from doeblin import ValidationError
 
-from helpers import mutual_information_nats, random_channel, random_positive_channel
+from helpers import (
+    mutual_information_nats,
+    random_channel,
+    random_positive_channel,
+    rowwise_normalized,
+)
 
 W1 = [[0.5, 0.5], [0.25, 0.75]]
 TRIO = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
@@ -80,6 +85,38 @@ class TestValidation:
     def test_csv_rejects_ragged(self):
         with pytest.raises(ValidationError):
             db.Channel.from_csv("0.5,0.5\n1.0")
+
+    @pytest.mark.parametrize(
+        "bad_row, words",
+        [
+            ([0.5, 0.6], "entries sum to 1.1"),
+            ([1.5, -0.5], "has a negative entry"),
+            ([np.nan, 1.0], "contains non-finite entries"),
+            ([np.inf, 0.0], "contains non-finite entries"),
+            ([-np.inf, 1.0], "contains non-finite entries"),
+        ],
+    )
+    def test_channel_names_first_bad_row(self, bad_row, words):
+        # Row 3 fails as well; the first failing row is the one named.
+        with pytest.raises(ValidationError, match=f"^channel row 2 {words}"):
+            db.Channel([[0.5, 0.5], [0.25, 0.75], bad_row, [0.5, 0.6]])
+
+    def test_normalization_matches_rowwise_reference(self):
+        # Rows off by up to 1e-11 and entries a little below zero are
+        # clamped and renormalized exactly as one row at a time, whatever
+        # the memory order of the input.
+        rng = np.random.default_rng(2024)
+        for trial in range(300):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 200))
+            W = random_channel(rng, n, m) * (1.0 + rng.choice([-1e-11, 0.0, 1e-11], size=(n, 1)))
+            for i in range(n):
+                if m > 1 and rng.random() < 0.3:  # move one entry's mass, leaving -1e-13
+                    j = int(rng.integers(m))
+                    W[i, (j + 1) % m] += W[i, j] + 1e-13
+                    W[i, j] = -1e-13
+            if trial % 2:
+                W = np.asfortranarray(W)
+            assert np.array_equal(db.Channel(W).matrix, rowwise_normalized(W))
 
 
 # ---------------------------------------------------------------------------

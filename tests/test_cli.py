@@ -73,6 +73,36 @@ CASES = {
 }
 
 
+def _net_without_alphabet() -> str:
+    net = json.loads((FIX / "net.json").read_text())
+    del net["nodes"][1]["alphabet"]
+    return json.dumps(net)
+
+
+JOINT = "[[0.25, 0.25], [0.25, 0.25]]"
+
+# Malformed input text: case name -> (argv with INPUT for the file, file text).
+# Every case exits 1 with nothing on stdout.
+MALFORMED = {
+    "coef_ragged_rows": (["coef", "INPUT"], '{"rows": [[0.5, 0.5], [1.0]]}'),
+    "coef_null_entry": (["coef", "INPUT"], '{"rows": [[0.5, null], [0.5, 0.5]]}'),
+    "coef_string_entry": (["coef", "INPUT"], '{"rows": [[0.5, "a"], [0.5, 0.5]]}'),
+    "coef_numeric_string_entry": (["coef", "INPUT"], '{"rows": [[0.5, "0.5"], [0.5, 0.5]]}'),
+    "coef_flat_rows": (["coef", "INPUT"], '{"rows": [0.5, 0.5]}'),
+    "coef_scalar_rows": (["coef", "INPUT"], '{"rows": 5}'),
+    "coef_nan_entry": (["coef", "INPUT"], '{"rows": [[0.5, NaN], [0.5, 0.5]]}'),
+    "coef_tiny_negative": (["coef", "INPUT"], '{"rows": [[1.0, -1e-13], [0.5, 0.5]]}'),
+    "coef_csv_ragged": (["coef", "INPUT"], "0.5,0.5\n1.0\n"),
+    "fuse_string_entry": (["fuse", "INPUT"], '[[0.5, 0.5], [0.5, "a"]]'),
+    "couple_string_entry": (["couple", "--kind", "max", "INPUT"], '[[0.5, 0.5], ["a", 0.5]]'),
+    "verify_string_entry": (["verify", "--problem", "diag", "INPUT"], '[[0.5, 0.5], [0.5, "a"]]'),
+    "joint_ragged": (["couple", "--kind", "joint", "INPUT"], '{"joints": [[[0.5, 0.5], [0.0]], %s]}' % JOINT),
+    "joint_nan": (["couple", "--kind", "joint", "INPUT"], '{"joints": [[[0.5, NaN], [0.25, 0.25]], %s]}' % JOINT),
+    "joint_not_a_list": (["couple", "--kind", "joint", "INPUT"], '{"joints": 3}'),
+    "bayesnet_no_alphabet": (["bayesnet", "INPUT", "--target", "T"], _net_without_alphabet()),
+}
+
+
 def _invoke(argv):
     """Run the CLI in-process; argparse errors surface as SystemExit."""
     try:
@@ -87,6 +117,17 @@ def test_golden(name, capsys):
     assert _invoke(argv) == code
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_1(name, tmp_path, capsys):
+    argv, text = MALFORMED[name]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert _invoke([str(path) if a == "INPUT" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input:" in captured.err
 
 
 def test_expand_past_cap_notes_skip(capsys):

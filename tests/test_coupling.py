@@ -303,6 +303,16 @@ class TestSimultaneousJointCoupling:
         with pytest.raises(db.AlphabetMismatchError):
             db.simultaneous_joint_coupling([np.full((2, 2), 0.25), np.full((1, 4), 0.25)])
 
+    def test_nan_entry_rejected(self):
+        bad = np.full((2, 2), 0.25)
+        bad[0, 1] = np.nan
+        with pytest.raises(db.ValidationError, match="joint distribution 1 contains non-finite"):
+            db.simultaneous_joint_coupling([np.full((2, 2), 0.25), bad])
+
+    def test_ragged_table_rejected(self):
+        with pytest.raises(db.ValidationError, match="joint distribution 0"):
+            db.simultaneous_joint_coupling([[[0.5, 0.5], [0.0]], np.full((2, 2), 0.25)])
+
 
 # ---------------------------------------------------------------------------
 # Verification report
