@@ -139,8 +139,11 @@ class BayesNet:
             if not (isinstance(spec, dict) and "name" in spec and type(spec.get("alphabet")) is int):
                 raise ValidationError(f"node spec {k} must be an object with a name and an integer alphabet")
             name = str(spec["name"])
+            parents = spec.get("parents", [])
+            if not isinstance(parents, list):
+                raise ValidationError(f"node {name!r}: parents must be a list of node names")
             parent_idx = []
-            for pname in spec.get("parents", []):
+            for pname in parents:
                 if not isinstance(pname, str) or pname not in name_to_idx:
                     raise ValidationError(
                         f"node {name!r}: parent {pname!r} not declared earlier "

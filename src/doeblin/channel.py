@@ -142,10 +142,6 @@ class Channel:
         """Output alphabet size (columns)."""
         return int(self.matrix.shape[1])
 
-    @property
-    def rows(self) -> tuple[Pmf, ...]:
-        return tuple(Pmf(row, self.output_labels) for row in self.matrix)
-
     # -- serialization ----------------------------------------------------
 
     @classmethod

@@ -20,7 +20,7 @@ from . import bayesnet as bn
 from . import coupling as cp
 from . import degroot as dg
 from . import lp
-from .channel import Channel, as_channel, doeblin, max_doeblin, report
+from .channel import Channel, _parsed_table, as_channel, doeblin, max_doeblin, report
 from .exceptions import ExpansionCapError, InfeasibilityError, ValidationError
 from .fusion import fuse_min
 
@@ -105,10 +105,8 @@ def load_pmfs(paths) -> list[list[float]]:
                 obj = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"invalid PMF JSON in {path}: {exc}") from exc
-            if obj and isinstance(obj[0], list):
-                out.extend(obj)
-            else:
-                out.append(obj)
+            table = _parsed_table(obj)
+            out.extend(table.tolist() if table.ndim > 1 else [table.tolist()])
         else:
             out.extend([list(row) for row in Channel.from_csv(text).matrix])
     return out
@@ -144,7 +142,7 @@ def _cmd_couple(args) -> int:
                 "pair_diagonal_mass": jc.prob_all_equal(),
                 "x_diagonal_mass": jc.prob_x_equal(),
             },
-            "coupling": jc.to_dict(),
+            "coupling": _expanded_if_under_cap(jc.to_dict, True),
         }
         _emit(out)
         return 0
@@ -158,20 +156,25 @@ def _cmd_couple(args) -> int:
             raise ValidationError("--kind min3 needs exactly three PMFs")
         built = cp.minimal_coupling_max(pmfs) if args.kind == "min" else cp.minimal_coupling_max_n3(*pmfs)
         achieved = {"union_mass": cp.minimal_union_mass(pmfs)}
-    try:
-        coupling = built.to_dict(include_expanded=args.expand)
-    except ExpansionCapError:
-        _note(f"expansion skipped: table would exceed the cap of {cp.DEFAULT_EXPANSION_CAP} entries")
-        coupling = built.to_dict()
     out = {
         "kind": args.kind,
         "arity": built.arity,
         "alphabet": built.alphabet_size,
         "achieved": achieved,
-        "coupling": coupling,
+        "coupling": _expanded_if_under_cap(built.to_dict, args.expand),
     }
     _emit(out)
     return 0
+
+
+def _expanded_if_under_cap(to_dict, expand: bool) -> dict:
+    """``to_dict(expand)``; past the expansion cap, a note and the mixture's
+    components alone."""
+    try:
+        return to_dict(expand)
+    except ExpansionCapError:
+        _note(f"expansion skipped: table would exceed the cap of {cp.DEFAULT_EXPANSION_CAP} entries")
+        return to_dict(False)
 
 
 def _cmd_degroot(args) -> int:

@@ -18,14 +18,15 @@ Four constructions live here:
   ``tau_max + (tau_max2 - 1)_+``.
 * :func:`simultaneous_joint_coupling` couples bivariate distributions so the
   all-pairs-equal probability and the first-coordinate-equal probability are
-  both maximal at once.
+  both maximal at once; it is a coupling over the product alphabet.
 
-Couplings are stored structured-first: a weighted mixture of glue-pattern
-components, each a product of independent factors, from which every mass
-is read in closed form at any size.  The sparse joint table is expanded,
-under a cap, only for ``couple --expand`` export and as the test oracle.
-Components with zero weight are dropped before their factors are
-normalized, so the 0/0 corner cases are never evaluated.
+Every coupling has one form: a weighted mixture of components, each gluing
+a block of coordinates on one shared factor and drawing every other
+coordinate from its own factor, stored as four arrays (:class:`Coupling`).
+Every mass is read from those arrays in closed form at any size.  The
+sparse joint table is expanded, under a cap, only for export and as the
+test oracle.  Components with zero weight are dropped before their factors
+are normalized, so the 0/0 corner cases are never evaluated.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Pmf, _as_float_array, _as_prob_vector, max2_doeblin, max_doeblin, stack_pmfs
+from .channel import _as_float_array, _as_prob_vector, max2_doeblin, max_doeblin, stack_pmfs
 from .exceptions import (
     AlphabetMismatchError,
     CouplingConditionError,
@@ -60,93 +61,90 @@ def _gather(pmfs: Sequence) -> np.ndarray:
 
 
 def _normalized(raw: np.ndarray) -> np.ndarray:
-    total = float(raw.sum())
-    if total <= 0.0:
+    """Each row along the last axis divided by its sum."""
+    totals = raw.sum(axis=-1, keepdims=True)
+    if not (totals > 0.0).all():
         raise ValidationError("cannot normalize an all-zero factor")
-    return raw / total
-
-
-@dataclass(frozen=True)
-class GluePattern:
-    """Coordinates forced equal (sharing one factor) vs. free coordinates."""
-
-    glued: tuple[int, ...]
-    free: tuple[int, ...]
-
-    def __post_init__(self):
-        if set(self.glued) | set(self.free) != set(range(len(self.glued) + len(self.free))):
-            raise ValidationError("glued and free must partition the coordinates")
-        if set(self.glued) & set(self.free):
-            raise ValidationError("glued and free overlap")
-
-
-@dataclass(frozen=True, eq=False)
-class Component:
-    """One mixture component: weight, glue pattern, and its factors."""
-
-    weight: float
-    pattern: GluePattern
-    shared_factor: Pmf | None  # distribution of the glued block (None if no glue)
-    free_factors: tuple[tuple[int, Pmf], ...]  # (coordinate, factor), sorted
-
-
-def _component(weight, glued, shared, free) -> Component:
-    glued = tuple(sorted(glued))
-    free_coords = tuple(sorted(free))
-    pattern = GluePattern(glued=glued, free=free_coords)
-    factors = tuple((c, Pmf(_normalized(free[c]))) for c in free_coords)
-    shared_pmf = Pmf(_normalized(shared)) if glued else None
-    return Component(weight=float(weight), pattern=pattern, shared_factor=shared_pmf, free_factors=factors)
+    return raw / totals
 
 
 @dataclass(eq=False)
 class Coupling:
-    """A joint distribution over n-tuples stored as a mixture of components."""
+    """A joint distribution over n-tuples on m symbols, stored as a mixture of
+    K components.  Component k draws its glued coordinates as one symbol from
+    ``shared[k]`` and every other coordinate i independently from
+    ``factors[k, i]``.
 
-    arity: int
-    alphabet_size: int
-    components: tuple[Component, ...]
+    Arrays: ``weights`` (K,), ``shared`` (K, m; zero without glue),
+    ``factors`` (K, n, m; a glued coordinate holds the shared factor) and the
+    glue mask ``glued`` (K, n).  ``expanded`` stays ``None`` until
+    :meth:`expand` fills it.
+    """
+
+    weights: np.ndarray
+    shared: np.ndarray
+    factors: np.ndarray
+    glued: np.ndarray
     expanded: dict | None = field(default=None, repr=False)
 
-    def weight_sum(self) -> float:
-        return float(sum(c.weight for c in self.components))
+    @property
+    def arity(self) -> int:
+        return self.glued.shape[1]
 
-    @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Weights (K,), shared factors (K, m; zero without glue), the factor
-        on each coordinate (K, n, m) and the glue mask (K, n)."""
-        K, n, m = len(self.components), self.arity, self.alphabet_size
-        weights = np.array([c.weight for c in self.components])
-        shared = np.zeros((K, m))
-        factors = np.zeros((K, n, m))
-        glued = np.zeros((K, n), dtype=bool)
-        for k, comp in enumerate(self.components):
-            if comp.pattern.glued:
-                glued[k, list(comp.pattern.glued)] = True
-                shared[k] = factors[k, list(comp.pattern.glued)] = comp.shared_factor.probs
-            for c, f in comp.free_factors:
-                factors[k, c] = f.probs
-        return weights, shared, factors, glued
+    @property
+    def alphabet_size(self) -> int:
+        return self.factors.shape[2]
+
+    @property
+    def components(self) -> list[dict]:
+        """One record per component, as :meth:`to_dict` emits it."""
+        arrays = (self.weights, self.shared, self.factors, self.glued)
+        return [
+            {
+                "weight": w,
+                "glued": [i for i, gi in enumerate(g) if gi],
+                "shared_factor": s if any(g) else None,
+                "free_factors": {str(i): fi for i, (fi, gi) in enumerate(zip(f, g)) if not gi},
+            }
+            for w, s, f, g in zip(*(a.tolist() for a in arrays))
+        ]
+
+    def weight_sum(self) -> float:
+        return float(self.weights.sum())
 
     def marginal(self, coord: int) -> np.ndarray:
         """Coordinate marginal: the weighted sum of that coordinate's factors."""
-        weights, _, factors, _ = self._stacked
-        return weights @ factors[:, coord]
+        return self.weights @ self.factors[:, coord]
 
     def expand(self, cap: int = DEFAULT_EXPANSION_CAP) -> dict:
-        """Materialize the sparse joint table (memoized), for export and tests."""
+        """Materialize the sparse joint table (memoized), for export and tests.
+
+        Each component visits only its support: the glued block's symbols,
+        then each free coordinate's in order, in row-major positions of a
+        dense table of m**n cells."""
         if self.expanded is not None:
             return self.expanded
-        if self.alphabet_size**self.arity > cap:
-            raise ExpansionCapError(
-                f"expansion needs {self.alphabet_size ** self.arity} entries (cap {cap})"
-            )
-        table: dict[tuple[int, ...], float] = {}
-        for comp in self.components:
-            for key, mass in _expand_component(comp, self.arity):
-                table[key] = table.get(key, 0.0) + comp.weight * mass
-        self.expanded = table
-        return table
+        n, m = self.arity, self.alphabet_size
+        if m**n > cap:
+            raise ExpansionCapError(f"expansion needs {m ** n} entries (cap {cap})")
+        place = m ** np.arange(n - 1, -1, -1)
+        dense = np.zeros(m**n)
+        hit = np.zeros(m**n, dtype=bool)
+        for w, s, f, g in zip(self.weights, self.shared, self.factors, self.glued):
+            cells, mass = np.zeros(1, dtype=np.int64), np.ones(1)
+            if g.any():
+                ys = np.flatnonzero(s > 0.0)
+                cells, mass = ys * place[g].sum(), s[ys]
+            for i in np.flatnonzero(~g):
+                ys = np.flatnonzero(f[i] > 0.0)
+                cells = (cells[:, None] + ys * place[i]).ravel()
+                mass = (mass[:, None] * f[i, ys]).ravel()
+            dense[cells] += w * mass
+            hit[cells] = True
+        cells = np.flatnonzero(hit)
+        keys = np.stack(np.unravel_index(cells, (m,) * n), axis=1).tolist()
+        self.expanded = {tuple(key): float(v) for key, v in zip(keys, dense[cells])}
+        return self.expanded
 
     def diagonal_mass(self) -> float:
         """Probability that every coordinate takes the same symbol."""
@@ -155,25 +153,23 @@ class Coupling:
     def union_mass(self) -> float:
         """Summed over symbols y, the probability that some coordinate hits y.
         A component misses y with probability (1 - s(y)) prod_i (1 - f_i(y))."""
-        weights, shared, factors, glued = self._stacked
-        miss = (1.0 - shared) * np.where(glued[:, :, None], 1.0, 1.0 - factors).prod(axis=1)
-        return float(weights @ (self.alphabet_size - miss.sum(axis=1)))
+        miss = (1.0 - self.shared) * np.where(self.glued[:, :, None], 1.0, 1.0 - self.factors).prod(axis=1)
+        return float(self.weights @ (self.alphabet_size - miss.sum(axis=1)))
 
     def intersection_mass(self, coords: Sequence[int]) -> float:
         """Summed over y, the probability that all the given coordinates hit y:
         per component sum_y s(y) prod_{free i in coords} f_i(y), with s = 1
         when no glued coordinate is among them."""
         coords = list(coords)
-        weights, shared, factors, glued = self._stacked
-        in_glue = glued[:, coords]
-        prod = np.where(in_glue[:, :, None], 1.0, factors[:, coords]).prod(axis=1)
-        head = np.where(in_glue.any(axis=1)[:, None], shared, 1.0)
-        return float(weights @ (head * prod).sum(axis=1))
+        in_glue = self.glued[:, coords]
+        prod = np.where(in_glue[:, :, None], 1.0, self.factors[:, coords]).prod(axis=1)
+        head = np.where(in_glue.any(axis=1)[:, None], self.shared, 1.0)
+        return float(self.weights @ (head * prod).sum(axis=1))
 
     def intersection_masses(self) -> dict[tuple[int, ...], float]:
         """:meth:`intersection_mass` of every subset of two or more coordinates,
         built one coordinate at a time; row ``mask`` holds the subset of its bits."""
-        weights, shared, factors, glued = self._stacked
+        shared, factors, glued = self.shared, self.factors, self.glued
         K, m = shared.shape
         prod = np.empty((1 << self.arity, K, m))  # free factors' product over the subset
         hit = np.zeros((1 << self.arity, K), dtype=bool)  # subset meets the glued block
@@ -184,7 +180,7 @@ class Coupling:
             np.multiply(prod[:half], free_i, out=prod[half : 2 * half])
             hit[half : 2 * half] = hit[:half] | glued[:, i]
         sums = np.where(hit, np.einsum("km,skm->sk", shared, prod), prod.sum(axis=2))
-        masses = sums @ weights
+        masses = sums @ self.weights
         return {
             coords: float(masses[sum(1 << i for i in coords)])
             for size in range(2, self.arity + 1)
@@ -199,8 +195,8 @@ class Coupling:
         are the union of the two glued sets when they meet, each glued set
         when they do not, and every coordinate free in both.
         """
-        _, shared, factors, glued = self._stacked
-        allowed = (factors > 0.0).astype(float)
+        shared, glued = self.shared, self.glued
+        allowed = (self.factors > 0.0).astype(float)
         g = glued.astype(float)
         # Symbols a's glued block allows; every symbol when a has no glue.
         block = np.where(glued.any(axis=1)[:, None], shared > 0.0, True)
@@ -216,17 +212,7 @@ class Coupling:
         return not np.triu(glued_ok & ~lone_fail, 1).any()
 
     def to_dict(self, include_expanded: bool = False) -> dict:
-        comps = []
-        for comp in self.components:
-            comps.append(
-                {
-                    "weight": comp.weight,
-                    "glued": list(comp.pattern.glued),
-                    "shared_factor": comp.shared_factor.to_list() if comp.shared_factor else None,
-                    "free_factors": {str(c): f.to_list() for c, f in comp.free_factors},
-                }
-            )
-        out = {"arity": self.arity, "alphabet": self.alphabet_size, "components": comps}
+        out = {"arity": self.arity, "alphabet": self.alphabet_size, "components": self.components}
         if include_expanded:
             table = self.expand()
             out["expanded"] = [
@@ -235,28 +221,18 @@ class Coupling:
         return out
 
 
-def _expand_component(comp: Component, arity: int):
-    """Yield (tuple, mass) pairs for one component, masses summing to one."""
-    glued = comp.pattern.glued
-    free = comp.free_factors
-    free_supports = [
-        [(y, float(p)) for y, p in enumerate(f.probs) if p > 0.0] for _, f in free
-    ]
-    if glued:
-        shared = [(y, float(p)) for y, p in enumerate(comp.shared_factor.probs) if p > 0.0]
-    else:
-        shared = [(None, 1.0)]
-    for y, py in shared:
-        for picks in itertools.product(*free_supports):
-            key = [0] * arity
-            for g in glued:
-                key[g] = y
-            for (c, _), (val, _) in zip(free, picks):
-                key[c] = val
-            mass = py
-            for _, pv in picks:
-                mass *= pv
-            yield tuple(key), mass
+def _mixture(weights, shared, factors, glued) -> Coupling:
+    """A :class:`Coupling` from raw component arrays.  Components of weight at
+    most ``_ZERO_WEIGHT`` are dropped first; each glued coordinate takes the
+    unnormalized shared factor; then every factor is normalized and validated
+    in one pass."""
+    keep = weights > _ZERO_WEIGHT
+    glued = glued[keep]
+    raw = np.where(glued[:, :, None], shared[keep][:, None, :], factors[keep])
+    factors = _as_prob_vector(_normalized(raw), what="coupling factor")
+    first_glued = factors[np.arange(len(glued)), glued.argmax(axis=1)]
+    shared = np.where(glued.any(axis=1)[:, None], first_glued, 0.0)
+    return Coupling(weights[keep], shared, factors, glued)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +250,13 @@ def maximal_coupling(pmfs: Sequence) -> Coupling:
     n, m = mats.shape
     colmin = mats.min(axis=0)
     c = float(colmin.sum())
-    components = []
-    if c > _ZERO_WEIGHT:
-        components.append(_component(c, glued=range(n), shared=colmin, free={}))
-    if 1.0 - c > _ZERO_WEIGHT:
-        leftovers = {i: np.maximum(mats[i] - colmin, 0.0) for i in range(n)}
-        components.append(_component(1.0 - c, glued=(), shared=None, free=leftovers))
-    return Coupling(arity=n, alphabet_size=m, components=tuple(components))
+    leftovers = np.maximum(mats - colmin, 0.0)
+    return _mixture(
+        weights=np.array([c, 1.0 - c]),
+        shared=np.stack([colmin, np.zeros(m)]),
+        factors=np.stack([leftovers, leftovers]),
+        glued=np.repeat([[True], [False]], n, axis=1),
+    )
 
 
 def minimal_coupling_max(pmfs: Sequence) -> Coupling:
@@ -308,39 +284,25 @@ def minimal_coupling_max(pmfs: Sequence) -> Coupling:
             "mixture is only valid up to 1. For n = 3 use minimal_coupling_max_n3; "
             "otherwise the LP oracle still yields an empirical minimum."
         )
-    colmax = mats.max(axis=0)
+    colmax = ordered[-1]
     # Strict-maximum excess of each marginal over the others' pointwise max.
-    excess = {}
-    for a in range(n):
-        others = np.max(np.delete(mats, a, axis=0), axis=0)
-        excess[a] = np.maximum(colmax - others, 0.0)
-
-    components = []
-    assigned = 0.0
-    for k in range(0, n - 1):
-        for free_set in itertools.combinations(range(n), k):
-            comp_rows = [i for i in range(n) if i not in free_set]
-            pmin_comp = mats[comp_rows].min(axis=0)
-            pmax_free = mats[list(free_set)].max(axis=0) if free_set else np.zeros(m)
-            shared_raw = np.maximum(pmin_comp, pmax_free) - pmax_free
-            weight = float(shared_raw.sum())
-            if weight <= _ZERO_WEIGHT:
-                continue
-            components.append(
-                _component(
-                    weight,
-                    glued=comp_rows,
-                    shared=shared_raw,
-                    free={a: excess[a] for a in free_set},
-                )
-            )
-            assigned += weight
-    residual = 1.0 - assigned
-    if residual > _ZERO_WEIGHT:
-        components.append(
-            _component(residual, glued=(), shared=None, free={a: excess[a] for a in range(n)})
-        )
-    return Coupling(arity=n, alphabet_size=m, components=tuple(components))
+    excess = np.where(mats == colmax, colmax - ordered[-2], 0.0)
+    free_sets = [a for k in range(n - 1) for a in itertools.combinations(range(n), k)]
+    glued = np.ones((len(free_sets) + 1, n), dtype=bool)
+    for row, free_set in zip(glued, free_sets):
+        row[list(free_set)] = False
+    glued[-1] = False  # the full product of the excess factors
+    pmin_glued = np.where(glued[:-1, :, None], mats, np.inf).min(axis=1)
+    pmax_free = np.where(glued[:-1, :, None], 0.0, mats).max(axis=1)
+    shared = np.maximum(pmin_glued, pmax_free) - pmax_free
+    weights = shared.sum(axis=1)
+    residual = 1.0 - weights[weights > _ZERO_WEIGHT].sum()
+    return _mixture(
+        weights=np.append(weights, residual),
+        shared=np.vstack([shared, np.zeros(m)]),
+        factors=np.broadcast_to(excess, (len(glued), n, m)),
+        glued=glued,
+    )
 
 
 def minimal_coupling_max_n3(p1, p2, p3) -> Coupling:
@@ -360,9 +322,8 @@ def minimal_coupling_max_n3(p1, p2, p3) -> Coupling:
     if tau_max2 <= 1.0 + 1e-12:
         return minimal_coupling_max([mats[0], mats[1], mats[2]])
 
-    n, m = mats.shape
+    m = mats.shape[1]
     pmin = mats.min(axis=0)
-    tau = float(pmin.sum())
     pair_min = {}
     pair_glue = {}
     for i, j in itertools.combinations(range(3), 2):
@@ -372,16 +333,13 @@ def minimal_coupling_max_n3(p1, p2, p3) -> Coupling:
         # overlap forces the second-largest mass down to 1 or below.
         pair_glue[(i, j)] = _normalized(np.maximum(pm - pmin, 0.0))
 
-    def pairs_with(i):
-        return [tuple(sorted((i, j))) for j in range(3) if j != i]
-
     bump = (tau_max2 - 1.0) / 3.0
-    components = []
-    if tau > _ZERO_WEIGHT:
-        components.append(_component(tau, glued=(0, 1, 2), shared=pmin, free={}))
+    # Component 0 glues all three on the triple overlap; component i + 1
+    # glues the other two on their pair overlap and leaves i free.
+    weights, shared, factors = [float(pmin.sum())], [pmin], [mats]
     for i in range(3):
-        pa, pb = pairs_with(i)
-        others = [j for j in range(3) if j != i]
+        pair = tuple(j for j in range(3) if j != i)
+        pa, pb = (tuple(sorted((i, j))) for j in pair)
         raw = (
             mats[i]
             + pmin
@@ -390,19 +348,15 @@ def minimal_coupling_max_n3(p1, p2, p3) -> Coupling:
             + bump * (pair_glue[pa] + pair_glue[pb])
         )
         raw = np.maximum(raw, 0.0)
-        weight = float(raw.sum())
-        if weight <= _ZERO_WEIGHT:
-            continue
-        glue_pair = tuple(sorted(others))
-        components.append(
-            _component(
-                weight,
-                glued=others,
-                shared=np.maximum(pair_min[glue_pair] - pmin, 0.0),
-                free={i: raw},
-            )
-        )
-    return Coupling(arity=3, alphabet_size=m, components=tuple(components))
+        weights.append(float(raw.sum()))
+        shared.append(np.maximum(pair_min[pair] - pmin, 0.0))
+        factors.append(np.broadcast_to(raw, (3, m)))
+    return _mixture(
+        weights=np.array(weights),
+        shared=np.array(shared),
+        factors=np.array(factors),
+        glued=~np.eye(4, 3, k=-1, dtype=bool),
+    )
 
 
 def minimal_union_mass(pmfs: Sequence) -> float | None:
@@ -425,50 +379,76 @@ def minimal_union_mass(pmfs: Sequence) -> float | None:
 
 @dataclass(eq=False)
 class JointCoupling:
-    """Coupling of n bivariate (X, Y) distributions, stored expanded.
+    """Coupling of n bivariate (X, Y) distributions: a :class:`Coupling` over
+    the product alphabet, in which the pair (x, y) is the symbol
+    ``x * y_size + y``.
 
-    Keys of ``table`` are n-tuples of (x, y) index pairs.
+    Every mass and marginal is read from that mixture.  ``table`` is its
+    expansion under the cap, keyed by n-tuples of (x, y) index pairs.
     """
 
-    arity: int
     x_size: int
     y_size: int
-    table: dict
+    coupling: Coupling
     targets: tuple[np.ndarray, ...]
 
+    @property
+    def arity(self) -> int:
+        return self.coupling.arity
+
+    @cached_property
+    def table(self) -> dict:
+        return {
+            tuple(divmod(s, self.y_size) for s in key): mass
+            for key, mass in self.coupling.expand().items()
+        }
+
     def bivariate_marginal(self, i: int) -> np.ndarray:
-        out = np.zeros((self.x_size, self.y_size))
-        for key, mass in self.table.items():
-            x, y = key[i]
-            out[x, y] += mass
-        return out
+        return self.coupling.marginal(i).reshape(self.x_size, self.y_size)
 
     def prob_all_equal(self) -> float:
         """Probability that the X block and the Y block each coincide."""
-        return sum(mass for key, mass in self.table.items() if len(set(key)) == 1)
+        return self.coupling.diagonal_mass()
 
     def prob_x_equal(self) -> float:
-        return sum(
-            mass for key, mass in self.table.items() if len({xy[0] for xy in key}) == 1
-        )
+        """Probability that the X block coincides: the diagonal mass of the
+        mixture pushed forward to X, which keeps the glue and sums each
+        factor over y."""
+        c = self.coupling
 
-    def to_dict(self) -> dict:
-        entries = [
-            {"tuple": [list(xy) for xy in key], "mass": mass}
-            for key, mass in sorted(self.table.items())
-        ]
-        return {
-            "arity": self.arity,
-            "x_alphabet": self.x_size,
-            "y_alphabet": self.y_size,
-            "table": entries,
-        }
+        def over_y(a):
+            return a.reshape(*a.shape[:-1], self.x_size, self.y_size).sum(axis=-1)
+
+        return Coupling(c.weights, over_y(c.shared), over_y(c.factors), c.glued).diagonal_mass()
+
+    def to_dict(self, include_table: bool = True) -> dict:
+        """The expanded table, or with ``include_table=False`` the mixture's
+        components over the product alphabet."""
+        out = {"arity": self.arity, "x_alphabet": self.x_size, "y_alphabet": self.y_size}
+        if include_table:
+            out["table"] = [
+                {"tuple": [list(xy) for xy in key], "mass": mass}
+                for key, mass in sorted(self.table.items())
+            ]
+        else:
+            out["components"] = self.coupling.components
+        return out
 
 
 def simultaneous_joint_coupling(joints: Sequence) -> JointCoupling:
     """Couple bivariate targets so that both the all-pairs-equal probability
     and the X-coordinates-equal probability are simultaneously maximal
-    (each equal to the corresponding column-minimum mass)."""
+    (each equal to the corresponding column-minimum mass).
+
+    Three kinds of component, over the product alphabet:
+
+    * all glued on the pointwise minimum of the tables;
+    * for each x, weight ``x_min(x) - s(x)`` (the X-overlap left at x once
+      the diagonal mass ``s(x)`` is used), every X_i = x and each Y_i drawn
+      from its leftover conditional at x;
+    * weight ``1 - c_x``, each (X_i, Y_i) drawn from its own leftover X
+      mass times that leftover conditional.
+    """
     tables = [_as_float_array(j, f"joint distribution {i}") for i, j in enumerate(joints)]
     if any(t.ndim != 2 for t in tables):
         raise ValidationError("joint distributions must be 2-D tables")
@@ -483,69 +463,32 @@ def simultaneous_joint_coupling(joints: Sequence) -> JointCoupling:
         raise AlphabetMismatchError("joint distributions must share X and Y alphabets")
     n = len(mats)
     xs, ys = shape
-    stackd = np.stack(mats)
+    stackd = np.stack(mats)  # (n, xs, ys)
     pmin = stackd.min(axis=0)  # pointwise over (x, y)
-    c_xy = float(pmin.sum())
-    x_marg = stackd.sum(axis=2)  # n x xs
+    x_marg = stackd.sum(axis=2)  # (n, xs)
     x_min = x_marg.min(axis=0)
-    c_x = float(x_min.sum())
     s = pmin.sum(axis=1)  # per x, the mass already used on the full diagonal
+    # Leftover conditional of Y_i at x once the diagonal mass is removed.
+    left = np.maximum(stackd - pmin, 0.0)
+    denom = (x_marg - s)[:, :, None]
+    cond = np.divide(left, denom, out=np.zeros_like(left), where=denom > 0.0)
 
-    table: dict = {}
-
-    def add(key, mass):
-        if mass > 0.0:
-            table[key] = table.get(key, 0.0) + mass
-
-    # Fully diagonal block: everything equal, mass = pointwise minimum.
-    for x in range(xs):
-        for y in range(ys):
-            add(((x, y),) * n, pmin[x, y])
-
-    def cond_y(i, x):
-        """Leftover conditional of Y_i at x once the diagonal mass is removed."""
-        denom = x_marg[i, x] - s[x]
-        raw = np.maximum(mats[i][x] - pmin[x], 0.0)
-        return raw / denom
-
-    # X glued, Y free: weight density (x_min - s)(x), Y_i independent leftovers.
-    for x in range(xs):
-        head = x_min[x] - s[x]
-        if head <= 0.0:
-            continue
-        conds = [cond_y(i, x) for i in range(n)]
-        for ytuple in itertools.product(range(ys), repeat=n):
-            mass = head
-            for i, y in enumerate(ytuple):
-                mass *= conds[i][y]
-            add(tuple((x, y) for y in ytuple), mass)
-
-    # Everything free: per-coordinate leftover of X, then leftover Y given X.
-    # Weight guards keep the zero-weight blocks (equal totals, equal
-    # X-marginals) out entirely, so no 0/0 factor is ever formed.
-    if 1.0 - c_x > 0.0:
-        leftover_x = x_marg - x_min[None, :]  # n x xs
-        supports = []
-        for i in range(n):
-            support_i = []
-            for x in range(xs):
-                fx = leftover_x[i, x]
-                if fx <= 0.0:
-                    continue
-                conds = cond_y(i, x)
-                for y in range(ys):
-                    if conds[y] > 0.0:
-                        support_i.append(((x, y), fx * conds[y]))
-            supports.append(support_i)
-        for picks in itertools.product(*supports):
-            mass = 1.0 / (1.0 - c_x) ** (n - 1)
-            key = []
-            for xy, w in picks:
-                key.append(xy)
-                mass *= w
-            add(tuple(key), mass)
-
-    return JointCoupling(n, xs, ys, table, tuple(mats))
+    # Component x puts every X_i on x; the all-free one weighs each
+    # conditional by the leftover X mass.
+    per_x = np.zeros((xs, n, xs, ys))
+    per_x[np.arange(xs), :, np.arange(xs)] = cond.transpose(1, 0, 2)
+    free = (x_marg - x_min)[:, :, None] * cond
+    shared = np.zeros((xs + 2, xs * ys))
+    shared[0] = pmin.ravel()
+    glued = np.zeros((xs + 2, n), dtype=bool)
+    glued[0] = True
+    coupling = _mixture(
+        weights=np.concatenate([[pmin.sum()], x_min - s, [1.0 - x_min.sum()]]),
+        shared=shared,
+        factors=np.concatenate([np.zeros((1, n, xs * ys)), per_x.reshape(xs, n, -1), free.reshape(1, n, -1)]),
+        glued=glued,
+    )
+    return JointCoupling(xs, ys, coupling, tuple(mats))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channel, Pmf, as_channel
+from .channel import Channel, Pmf, _as_float_array, as_channel
 from .exceptions import ValidationError
 
 
@@ -37,7 +37,7 @@ def risk(prior, channel, loss, estimator) -> float:
     ch = as_channel(channel)
     est = as_channel(estimator)
     lam = _as_prior(prior, ch.n)
-    L = np.asarray(loss, dtype=np.float64)
+    L = _as_float_array(loss, "loss matrix")
     if L.shape != (ch.n, ch.n):
         raise ValidationError(f"loss matrix must be {ch.n} x {ch.n}")
     if not np.all(np.isfinite(L)):

@@ -140,6 +140,69 @@ def dobrushin_table(p: np.ndarray, q: np.ndarray) -> dict:
     return table
 
 
+def joint_coupling_table(joints) -> dict:
+    """The simultaneously maximal coupling of bivariate tables, expanded by
+    plain loops: keys are n-tuples of (x, y) pairs.
+
+    Three blocks: every pair equal on the pointwise minimum; every X equal
+    to x with weight ``x_min(x) - s(x)`` and each Y_i drawn from its leftover
+    conditional at x; and everything free, each (X_i, Y_i) drawn from its
+    leftover X mass times that conditional, with weight ``1 - c_x``.
+    """
+    mats = [np.asarray(j, dtype=np.float64) for j in joints]
+    n = len(mats)
+    xs, ys = mats[0].shape
+    stackd = np.stack(mats)
+    pmin = stackd.min(axis=0)
+    x_marg = stackd.sum(axis=2)
+    x_min = x_marg.min(axis=0)
+    c_x = float(x_min.sum())
+    s = pmin.sum(axis=1)
+    table: dict = {}
+
+    def add(key, mass):
+        if mass > 0.0:
+            table[key] = table.get(key, 0.0) + mass
+
+    for x in range(xs):
+        for y in range(ys):
+            add(((x, y),) * n, pmin[x, y])
+
+    def cond_y(i, x):
+        return np.maximum(mats[i][x] - pmin[x], 0.0) / (x_marg[i, x] - s[x])
+
+    for x in range(xs):
+        head = x_min[x] - s[x]
+        if head <= 0.0:
+            continue
+        conds = [cond_y(i, x) for i in range(n)]
+        for ytuple in itertools.product(range(ys), repeat=n):
+            mass = head
+            for i, y in enumerate(ytuple):
+                mass *= conds[i][y]
+            add(tuple((x, y) for y in ytuple), mass)
+
+    if 1.0 - c_x > 0.0:
+        leftover_x = x_marg - x_min[None, :]
+        supports = []
+        for i in range(n):
+            support_i = []
+            for x in range(xs):
+                if leftover_x[i, x] <= 0.0:
+                    continue
+                conds = cond_y(i, x)
+                for y in range(ys):
+                    if conds[y] > 0.0:
+                        support_i.append(((x, y), leftover_x[i, x] * conds[y]))
+            supports.append(support_i)
+        for picks in itertools.product(*supports):
+            mass = 1.0 / (1.0 - c_x) ** (n - 1)
+            for _, w in picks:
+                mass *= w
+            add(tuple(xy for xy, _ in picks), mass)
+    return table
+
+
 def mutual_information_nats(joint: np.ndarray) -> float:
     """I(X; Y) by direct summation, natural log."""
     px = joint.sum(axis=1)
@@ -269,29 +332,42 @@ def subset_filter_paths(net: BayesNet, targets) -> list[tuple[int, ...]]:
     ]
 
 
-def table_orthogonal(blob: dict) -> bool:
-    """Whether no two components of ``Coupling.to_dict()`` share a tuple.
+def component_cells(comp: dict, n: int):
+    """Yield (tuple, mass) over the support of one ``Coupling.to_dict()``
+    component: the glued coordinates take one symbol from the shared
+    factor's support, every free coordinate ranges over its own factor's
+    support, and the mass is the shared probability times the free ones in
+    coordinate order."""
+    glued = set(comp["glued"])
+    shared = [(y, p) for y, p in enumerate(comp["shared_factor"] or [1.0]) if p > 0.0]
+    free = [
+        (i, [(y, p) for y, p in enumerate(comp["free_factors"][str(i)]) if p > 0.0])
+        for i in range(n)
+        if i not in glued
+    ]
+    for y, py in shared:
+        for picks in itertools.product(*(support for _, support in free)):
+            key = [y] * n
+            mass = py
+            for (i, _), (v, pv) in zip(free, picks):
+                key[i] = v
+                mass *= pv
+            yield tuple(key), mass
 
-    Each component's support is enumerated in full: the glued coordinates
-    take one symbol from the shared factor's support and every free
-    coordinate ranges over its own factor's support.
-    """
-    n = blob["arity"]
-    supports = []
+
+def table_from_components(blob: dict) -> dict:
+    """The joint table of ``Coupling.to_dict()``, expanded by plain loops."""
+    table: dict = {}
     for comp in blob["components"]:
-        glued = set(comp["glued"])
-        shared = [y for y, p in enumerate(comp["shared_factor"] or [1.0]) if p > 0.0]
-        ranges = []
-        for i in range(n):
-            if i in glued:
-                ranges.append(None)
-            else:
-                ranges.append([y for y, p in enumerate(comp["free_factors"][str(i)]) if p > 0.0])
-        support = set()
-        for y in shared:
-            cells = [[y] if r is None else r for r in ranges]
-            support.update(itertools.product(*cells))
-        supports.append(support)
+        for key, mass in component_cells(comp, blob["arity"]):
+            table[key] = table.get(key, 0.0) + comp["weight"] * mass
+    return table
+
+
+def table_orthogonal(blob: dict) -> bool:
+    """Whether no two components of ``Coupling.to_dict()`` share a tuple,
+    with each component's support enumerated in full."""
+    supports = [{key for key, _ in component_cells(comp, blob["arity"])} for comp in blob["components"]]
     return all(
         not (supports[a] & supports[b])
         for a in range(len(supports))

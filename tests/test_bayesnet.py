@@ -306,6 +306,14 @@ def test_from_json_rejects_malformed_node_specs(mutate):
         db.BayesNet.from_json(json.dumps(obj))
 
 
+def test_from_json_rejects_string_parents():
+    # A string is not read one character at a time as a list of names.
+    obj = json.loads(NET_JSON.read_text())
+    obj["nodes"][1]["parents"] = "X"
+    with pytest.raises(db.ValidationError, match="parents must be a list"):
+        db.BayesNet.from_json(json.dumps(obj))
+
+
 # -- memoryless-stage bound ---------------------------------------------------
 
 

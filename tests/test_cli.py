@@ -41,6 +41,7 @@ CASES = {
     "couple_min_expand": (["couple", "--kind", "min", "--expand", _f("trio.json")], 0),
     "couple_min3_supercritical": (["couple", "--kind", "min3", _f("sym08.json")], 0),
     "couple_joint": (["couple", "--kind", "joint", _f("joints.json")], 0),
+    "couple_joint_past_cap": (["couple", "--kind", "joint", _f("joints_past_cap.json")], 0),
     "degroot": (["degroot", "--prior", "[0.5, 0.5]", _f("channel.json")], 0),
     "degroot_id": (["degroot", "--prior", "[0.25, 0.75]", "--loss", "id", _f("channel.json")], 0),
     "bayesnet_all": (["bayesnet", _f("net.json"), "--target", "T"], 0),
@@ -94,6 +95,7 @@ MALFORMED = {
     "coef_tiny_negative": (["coef", "INPUT"], '{"rows": [[1.0, -1e-13], [0.5, 0.5]]}'),
     "coef_csv_ragged": (["coef", "INPUT"], "0.5,0.5\n1.0\n"),
     "fuse_string_entry": (["fuse", "INPUT"], '[[0.5, 0.5], [0.5, "a"]]'),
+    "fuse_tiny_negative": (["fuse", "INPUT"], '[[1.0, -1e-13], [0.5, 0.5]]'),
     "couple_string_entry": (["couple", "--kind", "max", "INPUT"], '[[0.5, 0.5], ["a", 0.5]]'),
     "verify_string_entry": (["verify", "--problem", "diag", "INPUT"], '[[0.5, 0.5], [0.5, "a"]]'),
     "joint_ragged": (["couple", "--kind", "joint", "INPUT"], '{"joints": [[[0.5, 0.5], [0.0]], %s]}' % JOINT),
@@ -135,6 +137,16 @@ def test_expand_past_cap_notes_skip(capsys):
     captured = capsys.readouterr()
     assert '"expanded"' not in captured.out
     assert "expansion skipped" in captured.err
+
+
+def test_joint_past_cap_notes_skip(capsys):
+    # Six tables on 3 x 4: 12^6 product tuples, past the cap.
+    assert _invoke(CASES["couple_joint_past_cap"][0]) == 0
+    captured = capsys.readouterr()
+    assert "expansion skipped" in captured.err
+    coupling = json.loads(captured.out)["coupling"]
+    assert "table" not in coupling
+    assert [c["glued"] for c in coupling["components"]][0] == list(range(6))
 
 
 def test_expand_below_cap_has_table(capsys):

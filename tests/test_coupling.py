@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 
 import doeblin as db
 from doeblin import CouplingConditionError, ExpansionCapError, lp
-from doeblin.coupling import Component, GluePattern, minimal_union_mass
+from doeblin.coupling import DEFAULT_EXPANSION_CAP, minimal_union_mass
 
 from helpers import (
     dobrushin_table,
     feasible_minimal_instance,
+    joint_coupling_table,
     max2_of,
     random_pmf,
     supercritical_trio,
     table_diag_mass,
+    table_from_components,
     table_intersection_mass,
     table_marginal,
     table_orthogonal,
@@ -53,7 +55,7 @@ class TestMaximalCoupling:
         p = [0.2, 0.3, 0.5]
         c = db.maximal_coupling([p, p, p])
         assert len(c.components) == 1
-        assert c.components[0].pattern.glued == (0, 1, 2)
+        assert c.components[0]["glued"] == [0, 1, 2]
         assert c.diagonal_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_two_rows_worked(self):
@@ -111,7 +113,7 @@ class TestMinimalCoupling:
 
     def test_trio_worked_weights(self):
         c = db.minimal_coupling_max(TRIO)
-        by_pattern = {comp.pattern.glued: comp.weight for comp in c.components}
+        by_pattern = {tuple(comp["glued"]): comp["weight"] for comp in c.components}
         assert by_pattern[(0, 1, 2)] == pytest.approx(0.6, abs=1e-12)
         for pair in [(1, 2), (0, 2), (0, 1)]:
             assert by_pattern[pair] == pytest.approx(0.1, abs=1e-12)
@@ -162,9 +164,7 @@ class TestMinimalCoupling:
         for _ in range(20):
             mats = feasible_minimal_instance(rng, 3, 4)
             c = db.minimal_coupling_max(list(mats))
-            product_weight = sum(
-                comp.weight for comp in c.components if not comp.pattern.glued
-            )
+            product_weight = c.weights[~c.glued.any(axis=1)].sum()
             assert product_weight == pytest.approx(
                 max(0.0, 1.0 - max2_of(mats)), abs=1e-10
             )
@@ -314,6 +314,62 @@ class TestSimultaneousJointCoupling:
             db.simultaneous_joint_coupling([[[0.5, 0.5], [0.0]], np.full((2, 2), 0.25)])
 
 
+@st.composite
+def joint_families(draw, min_n=2, max_n=5, max_xs=3, max_ys=4):
+    """n bivariate tables on one xs x ys alphabet, from integer weights so
+    that zero cells and exact ties (equal X-marginals, equal totals) occur."""
+    n = draw(st.integers(min_n, max_n))
+    xs, ys = draw(st.integers(1, max_xs)), draw(st.integers(1, max_ys))
+    tables = []
+    for _ in range(n):
+        w = draw(
+            st.lists(st.integers(0, 6), min_size=xs * ys, max_size=xs * ys).filter(lambda v: sum(v) > 0)
+        )
+        tables.append(np.array(w, dtype=float).reshape(xs, ys) / sum(w))
+    return tables
+
+
+def _table_x_equal(table: dict) -> float:
+    return sum(mass for key, mass in table.items() if len({xy[0] for xy in key}) == 1)
+
+
+class TestJointAgainstExpandedReference:
+    """Masses and marginals read from the product-alphabet mixture against
+    the coupling expanded by plain loops in ``helpers.joint_coupling_table``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(joint_families())
+    def test_masses_and_marginals(self, joints):
+        jc = db.simultaneous_joint_coupling(joints)
+        ref = joint_coupling_table(joints)
+        xs, ys = joints[0].shape
+        assert jc.prob_all_equal() == pytest.approx(table_diag_mass(ref), abs=1e-12)
+        assert jc.prob_x_equal() == pytest.approx(_table_x_equal(ref), abs=1e-12)
+        flat = {tuple(x * ys + y for x, y in key): mass for key, mass in ref.items()}
+        for i in range(len(joints)):
+            expected = table_marginal(flat, i, xs * ys).reshape(xs, ys)
+            assert np.abs(jc.bivariate_marginal(i) - expected).max() <= 1e-12
+        for key in set(ref) | set(jc.table):
+            assert jc.table.get(key, 0.0) == pytest.approx(ref.get(key, 0.0), abs=1e-12)
+
+    def test_eight_tables_past_the_cap(self):
+        # 12^8 product tuples: far past the cap, read from the mixture alone.
+        rng = np.random.default_rng(46)
+        joints = rng.dirichlet(np.ones(12), size=8).reshape(8, 3, 4)
+        jc = db.simultaneous_joint_coupling(list(joints))
+        assert 12**8 > DEFAULT_EXPANSION_CAP
+        with pytest.raises(ExpansionCapError):
+            jc.to_dict()
+        assert jc.prob_all_equal() == pytest.approx(joints.min(axis=0).sum(), abs=1e-12)
+        assert jc.prob_x_equal() == pytest.approx(joints.sum(axis=2).min(axis=0).sum(), abs=1e-12)
+        for i, j in enumerate(joints):
+            assert np.abs(jc.bivariate_marginal(i) - j).max() <= 1e-12
+        assert jc.coupling.weight_sum() == pytest.approx(1.0, abs=1e-12)
+        records = jc.to_dict(include_table=False)["components"]
+        assert records[0]["glued"] == list(range(8))
+        assert all(r["glued"] == [] for r in records[1:])
+
+
 # ---------------------------------------------------------------------------
 # Verification report
 # ---------------------------------------------------------------------------
@@ -331,15 +387,15 @@ class TestVerifyCoupling:
     def test_corrupted_coupling_detected(self):
         pmfs = [np.array(p) for p in TRIO]
         c = db.maximal_coupling(pmfs)
-        head, *rest = c.components
-        # Move 3e-3 of the diagonal factor's mass from symbol 1 to symbol 0:
-        # the weights still sum to one, only the marginals are off.
-        shifted = db.Pmf(head.shared_factor.probs + np.array([3e-3, -3e-3, 0.0]))
-        corrupted = db.Coupling(
-            arity=c.arity,
-            alphabet_size=c.alphabet_size,
-            components=(dataclasses.replace(head, shared_factor=shifted), *rest),
-        )
+        assert c.glued[0].all()
+        # Move 3e-3 of the diagonal factor's mass from symbol 1 to symbol 0,
+        # in the shared factor and on every glued coordinate: the weights
+        # still sum to one, only the marginals are off.
+        shift = np.array([3e-3, -3e-3, 0.0])
+        shared, factors = c.shared.copy(), c.factors.copy()
+        shared[0] = db.Pmf(shared[0] + shift).probs
+        factors[0] = shared[0]
+        corrupted = dataclasses.replace(c, shared=shared, factors=factors)
         rep = db.verify_coupling(corrupted, pmfs)
         assert rep.weight_residual < 1e-12
         assert rep.max_marginal_residual >= 5e-4
@@ -389,6 +445,8 @@ class TestVerifyCoupling:
 def _assert_masses_match_table(c: db.Coupling):
     """Every mass read from the mixture equals its expanded-table oracle."""
     table = c.expand()
+    # Same products, summed in the same order, as the loop expansion.
+    assert table == table_from_components(c.to_dict())
     n, m = c.arity, c.alphabet_size
     for i in range(n):
         assert np.abs(c.marginal(i) - table_marginal(table, i, m)).max() <= 1e-12
@@ -417,23 +475,22 @@ def _random_factor(rng, m):
     support = rng.random(m) < 0.6
     support[rng.integers(m)] = True
     raw = np.where(support, rng.random(m) + 0.05, 0.0)
-    return db.Pmf(raw / raw.sum())
+    return db.Pmf(raw / raw.sum()).probs
 
 
 def _hand_built(rng, n, m, glue_sets):
-    weights = rng.dirichlet(np.ones(len(glue_sets)))
-    comps = []
-    for w, glued in zip(weights, glue_sets):
-        free = tuple(i for i in range(n) if i not in glued)
-        comps.append(
-            Component(
-                weight=float(w),
-                pattern=GluePattern(glued=tuple(glued), free=free),
-                shared_factor=_random_factor(rng, m) if glued else None,
-                free_factors=tuple((i, _random_factor(rng, m)) for i in free),
-            )
-        )
-    return db.Coupling(arity=n, alphabet_size=m, components=tuple(comps))
+    """The four arrays written directly: every coordinate gets its own factor,
+    then the glued ones are overwritten with the component's shared factor."""
+    K = len(glue_sets)
+    weights = rng.dirichlet(np.ones(K))
+    shared = np.zeros((K, m))
+    factors = np.array([[_random_factor(rng, m) for _ in range(n)] for _ in range(K)])
+    glued = np.zeros((K, n), dtype=bool)
+    for k, block in enumerate(glue_sets):
+        if block:
+            glued[k, list(block)] = True
+            shared[k] = factors[k, list(block)] = _random_factor(rng, m)
+    return db.Coupling(weights, shared, factors, glued)
 
 
 class TestStructuredMasses:

@@ -33,6 +33,11 @@ class TestRisk:
         with pytest.raises(ValidationError):
             db.risk([0.5, 0.5], W1, np.zeros((3, 3)), est)
 
+    def test_ragged_loss_rejected(self):
+        est = db.min_trace(W1).kernel
+        with pytest.raises(ValidationError, match="loss matrix is not a numeric table"):
+            db.risk([0.5, 0.5], W1, [[1.0, 0.0], [0.0]], est)
+
     def test_arbitrary_loss_matches_direct_sum(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
