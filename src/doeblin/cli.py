@@ -274,7 +274,7 @@ def _cmd_verify(args) -> int:
     ch = as_channel(pmfs)
     if args.problem == "estimator":
         sense = args.sense or "min"
-        value, witness = lp.estimator_opt(ch, sense)
+        value, witness = lp.estimator_opt(ch, sense, exact=args.exact)
         closed = doeblin(ch) / ch.n if sense == "min" else max_doeblin(ch) / ch.n
         out = {
             "problem": "estimator",

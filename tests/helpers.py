@@ -1,18 +1,21 @@
 """Shared generators and independent oracles for the test suite.
 
 Everything here recomputes quantities from first principles (plain sums over
-expanded tables, full-joint enumeration, survival-configuration sweeps) so
-that library code is never checked against itself.
+expanded tables, full-joint enumeration, survival-configuration sweeps, a
+row-by-row simplex tableau) so that library code is never checked against
+itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from doeblin import BayesNet, Node
+from doeblin import BayesNet, InfeasibilityError, Node
+from doeblin.lp import LpSolution
 
 # ---------------------------------------------------------------------------
 # Random instances
@@ -372,4 +375,117 @@ def table_orthogonal(blob: dict) -> bool:
         not (supports[a] & supports[b])
         for a in range(len(supports))
         for b in range(a + 1, len(supports))
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference simplex (row loops, recomputed reduced costs)
+# ---------------------------------------------------------------------------
+
+
+def reference_simplex(problem, exact: bool = False):
+    """Two-phase Bland-rule tableau simplex, one row and one column at a time.
+
+    The pivot rule is the one ``lp.solve`` documents: the smallest-index
+    column with a negative reduced cost enters, the minimum-ratio row leaves
+    with ties to the smallest basic index, and each reduced-cost row is
+    recomputed from the basis at every iteration.  Returns an
+    ``lp.LpSolution`` with the same fields and conversions, so a faster
+    ``lp.solve`` can be held to it bit for bit.
+    """
+    sign = 1.0 if problem.sense == "min" else -1.0
+    if exact:
+        conv = np.vectorize(lambda v: Fraction(float(v)), otypes=[object])
+        c = conv(problem.objective) * Fraction(int(sign))
+        A = conv(problem.eq_matrix)
+        b = conv(problem.eq_rhs)
+        zero, one = Fraction(0), Fraction(1)
+        piv_tol = feas_tol = zero
+    else:
+        c = sign * problem.objective.astype(np.float64)
+        A = problem.eq_matrix.astype(np.float64)
+        b = problem.eq_rhs.astype(np.float64)
+        zero, one = 0.0, 1.0
+        piv_tol, feas_tol = 1e-10, 1e-8
+
+    k, nv = A.shape
+    row_signs = np.where(b < zero, -one, one)
+    A = A * row_signs[:, None]
+    b = b * row_signs
+    T = np.concatenate([A, np.eye(k, dtype=A.dtype) * one], axis=1)
+    rhs = b.copy()
+    basis = list(range(nv, nv + k))
+    iterations = 0
+
+    def pivot(r, j):
+        nonlocal iterations
+        piv = T[r, j]
+        T[r, :] = T[r, :] / piv
+        rhs[r] = rhs[r] / piv
+        for i in range(k):
+            if i != r and T[i, j] != zero:
+                f = T[i, j]
+                T[i, :] = T[i, :] - f * T[r, :]
+                rhs[i] = rhs[i] - f * rhs[r]
+        basis[r] = j
+        iterations += 1
+
+    def run_phase(cost, allow):
+        while True:
+            if iterations > 200_000:
+                raise InfeasibilityError("simplex iteration cap exceeded")
+            red = cost[:allow] - cost[basis] @ T[:, :allow]
+            entering = -1
+            for j in range(allow):
+                if red[j] < -piv_tol and basis.count(j) == 0:
+                    entering = j
+                    break
+            if entering < 0:
+                return
+            leaving, best_ratio, best_var = -1, None, None
+            for r in range(k):
+                t = T[r, entering]
+                if t > piv_tol:
+                    ratio = rhs[r] / t
+                    if best_ratio is None or ratio < best_ratio or (ratio == best_ratio and basis[r] < best_var):
+                        leaving, best_ratio, best_var = r, ratio, basis[r]
+            if leaving < 0:
+                raise InfeasibilityError("LP is unbounded")
+            pivot(leaving, entering)
+
+    phase1_cost = np.concatenate([np.full(nv, zero, dtype=T.dtype), np.full(k, one, dtype=T.dtype)])
+    run_phase(phase1_cost, nv + k)
+    infeas = phase1_cost[basis] @ rhs
+    if infeas > feas_tol:
+        raise InfeasibilityError(f"LP infeasible (phase-1 objective {float(infeas)!r})")
+    for r in range(k):
+        if basis[r] >= nv:
+            for j in range(nv):
+                if abs(T[r, j]) > piv_tol and basis.count(j) == 0:
+                    pivot(r, j)
+                    break
+    cost = np.concatenate([c, np.full(k, zero, dtype=T.dtype)])
+    run_phase(cost, nv)
+
+    x = np.full(nv, zero, dtype=T.dtype)
+    for r in range(k):
+        if basis[r] < nv:
+            x[basis[r]] = rhs[r]
+    duals = cost[basis] @ T[:, nv:]
+    value_min = cost[:nv] @ x
+    margin = min(cost[:nv] - duals @ A) if nv else zero
+    gap = abs(value_min - duals @ b)
+    residual = max(abs(A @ x - b)) if k else zero
+    duals_out = duals * row_signs * sign
+    if exact:
+        x = np.array([float(v) for v in x])
+        duals_out = np.array([float(v) for v in duals_out])
+    return LpSolution(
+        value=float(sign * value_min),
+        x=x,
+        duals=duals_out,
+        max_residual=float(residual),
+        duality_gap=float(gap),
+        dual_feasibility_margin=float(margin),
+        iterations=iterations,
     )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from doeblin import ValidationError, cli
+from doeblin import ValidationError, cli, lp
 from doeblin import bayesnet as bn
 
 HERE = Path(__file__).resolve().parent
@@ -152,6 +152,23 @@ def test_joint_past_cap_notes_skip(capsys):
 def test_expand_below_cap_has_table(capsys):
     assert _invoke(CASES["couple_max_expand"][0]) == 0
     assert '"expanded"' in capsys.readouterr().out
+
+
+def test_verify_estimator_exact_has_no_gap(monkeypatch, capsys):
+    # --exact pivots in rational arithmetic for the estimator problem too.
+    modes = []
+    solve = lp.solve
+
+    def recording_solve(problem, exact=False):
+        modes.append(exact)
+        return solve(problem, exact=exact)
+
+    monkeypatch.setattr(lp, "solve", recording_solve)
+    assert _invoke(["verify", "--problem", "estimator", "--exact", _f("channel.json")]) == 0
+    assert modes == [True]
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"] == out["closed_form"] == 0.375
+    assert out["gap"] == 0
 
 
 def test_open_union_regime_notes(capsys):

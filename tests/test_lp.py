@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import doeblin as db
 from doeblin import InfeasibilityError, ValidationError, lp
 
-from helpers import random_pmf, table_diag_mass, table_union_mass
+from helpers import random_pmf, reference_simplex, table_diag_mass, table_union_mass
 
 TRIO = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
 SYM08 = [[0.2, 0.4, 0.4], [0.4, 0.2, 0.4], [0.4, 0.4, 0.2]]
@@ -59,6 +61,107 @@ class TestSimplex:
         res_x = lp.coupling_union_opt(SYM08, "min", exact=True)
         assert res_x.value == pytest.approx(res_f.value, abs=1e-12)
         assert res_x.duality_gap == 0.0
+
+
+class TestProblemInput:
+    def test_plain_lists_accepted(self):
+        prob = lp.LpProblem([1, 1], [[1, 2]], [4], "min")
+        assert prob.eq_matrix.dtype == np.float64
+        assert lp.solve(prob).value == pytest.approx(2.0, abs=1e-12)
+
+    def test_nan_objective_rejected(self):
+        with pytest.raises(ValidationError, match="objective contains non-finite"):
+            lp.LpProblem(np.array([np.nan, 1.0]), np.array([[1.0, 2.0]]), np.array([4.0]), "min")
+
+    def test_nan_rhs_rejected(self):
+        with pytest.raises(ValidationError, match="eq_rhs contains non-finite"):
+            lp.LpProblem(np.array([1.0, 1.0]), np.array([[1.0, 2.0]]), np.array([np.nan]), "min")
+
+    def test_infinite_matrix_rejected(self):
+        # Exact mode used to fail inside Fraction with a bare OverflowError.
+        with pytest.raises(ValidationError, match="eq_matrix contains non-finite"):
+            lp.LpProblem(np.array([1.0, 1.0]), np.array([[np.inf, 2.0]]), np.array([4.0]), "min")
+
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="not a numeric table"):
+            lp.LpProblem([1.0, 1.0], [[1.0, 2.0], [1.0]], [4.0, 4.0], "min")
+
+    def test_one_dimensional_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="two-dimensional"):
+            lp.LpProblem([1.0, 1.0], [1.0, 2.0], [4.0], "min")
+
+
+def _assert_same_solution(got, want):
+    """Bit-for-bit equality of two LpSolutions."""
+    assert got.iterations == want.iterations
+    for field in ("value", "max_residual", "duality_gap", "dual_feasibility_margin"):
+        assert getattr(got, field).hex() == getattr(want, field).hex(), field
+    assert got.x.dtype == want.x.dtype and got.x.tobytes() == want.x.tobytes()
+    assert got.duals.dtype == want.duals.dtype and got.duals.tobytes() == want.duals.tobytes()
+
+
+def _assert_matches_reference(prob, exact):
+    try:
+        want = reference_simplex(prob, exact=exact)
+    except InfeasibilityError as exc:
+        with pytest.raises(type(exc)):
+            lp.solve(prob, exact=exact)
+        return
+    _assert_same_solution(lp.solve(prob, exact=exact), want)
+
+
+@st.composite
+def integer_weight_rows(draw, min_n=2, max_n=4, min_m=2, max_m=4):
+    """Rows from small integer weights, so that ties and zero cells occur."""
+    n = draw(st.integers(min_n, max_n))
+    m = draw(st.integers(min_m, max_m))
+    rows = [
+        draw(st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(lambda w: sum(w) > 0))
+        for _ in range(n)
+    ]
+    return np.array([[w / sum(row) for w in row] for row in rows])
+
+
+class TestPivotsMatchReference:
+    """``lp.solve`` takes the same pivots as the row-loop tableau in
+    ``helpers.reference_simplex`` and returns the same bits."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(integer_weight_rows(), st.sampled_from(["diag", "union"]), st.sampled_from(["min", "max"]))
+    def test_coupling_programs(self, mats, kind, sense):
+        n, m = mats.shape
+        tuples = lp.coupling_tuples(n, m)
+        if kind == "diag":
+            objective = np.array([1.0 if len(set(t)) == 1 else 0.0 for t in tuples])
+        else:
+            objective = np.array([float(len(set(t))) for t in tuples])
+        prob = lp._coupling_program(mats, np.array(tuples), objective, sense)
+        _assert_matches_reference(prob, exact=False)
+        if m**n <= 81:
+            _assert_matches_reference(prob, exact=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(integer_weight_rows(max_n=5, max_m=5), st.sampled_from(["min", "max"]), st.booleans())
+    def test_estimator_programs(self, W, sense, exact):
+        n, m = W.shape
+        prob = lp.LpProblem(W.T.reshape(-1), np.kron(np.eye(m), np.ones(n)), np.ones(m), sense)
+        _assert_matches_reference(prob, exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize(
+        "objective, matrix, rhs, sense",
+        [
+            ([1.0, 1.0], [[-1.0, -2.0]], [-4.0], "min"),  # negative right-hand side
+            ([1.0, 1.0], [[1.0, 2.0], [2.0, 4.0]], [4.0, 8.0], "min"),  # redundant row
+            # degenerate: a zero right-hand side gives a zero-ratio pivot
+            ([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [2.0, 0.0, 1.0]], [2.0, 0.0, 2.0], "max"),
+            ([1.0], [[-1.0]], [1.0], "min"),  # infeasible
+            ([1.0, 1.0], [[1.0, -1.0]], [0.0], "max"),  # unbounded
+        ],
+    )
+    def test_edge_cases(self, objective, matrix, rhs, sense, exact):
+        prob = lp.LpProblem(np.array(objective), np.array(matrix), np.array(rhs), sense)
+        _assert_matches_reference(prob, exact)
 
 
 class TestCouplingOracle:
@@ -149,6 +252,12 @@ class TestEstimatorOracle:
             # The LP's kernels attain the values they come with.
             assert np.trace(lo_kernel.matrix @ W) / n == pytest.approx(lo, abs=1e-12)
             assert np.trace(hi_kernel.matrix @ W) / n == pytest.approx(hi, abs=1e-12)
+
+    def test_exact_mode_attains_closed_form(self):
+        W1 = [[0.5, 0.5], [0.25, 0.75]]
+        value, kernel = lp.estimator_opt(W1, "min", exact=True)
+        assert value == db.doeblin(W1) / 2
+        assert np.trace(kernel.matrix @ np.array(W1)) / 2 == value
 
     def test_rejects_unknown_sense(self):
         with pytest.raises(db.ValidationError):
