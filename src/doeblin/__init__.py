@@ -19,7 +19,6 @@ from .channel import (
     min_trace,
     minorization_split,
     report,
-    stack_pmfs,
     tensor,
     tv_distance,
 )

@@ -10,6 +10,10 @@ characterizations of ``tau`` and ``tau_max``, the minorization split
 erasure-channel degradation, and channel algebra (composition, Kronecker
 product).
 
+A family of PMFs enters every module as the rows of a channel, through
+:func:`as_channel` alone: a :class:`Channel` passes through, and a 2-D array
+or a sequence of rows (Pmfs, lists or arrays, mixed) is validated once.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
 Alphabets are index sets ``0..m-1``; labels are cosmetic only.
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -113,11 +117,7 @@ class Channel:
     output_labels: tuple[str, ...] | None = None
 
     def __init__(self, rows, input_labels=None, output_labels=None):
-        if isinstance(rows, Channel):
-            rows = rows.matrix
-        elif isinstance(rows, (list, tuple)) and rows and isinstance(rows[0], Pmf):
-            rows = [r.probs for r in rows]
-        mat = _as_prob_vector(rows, what="channel")
+        mat = _as_prob_vector(_table(rows), what="channel")
         if mat.ndim != 2:
             raise ValidationError("channel must be a nonempty 2-D matrix")
         if input_labels is not None:
@@ -188,19 +188,34 @@ def _parsed_table(rows) -> np.ndarray:
     return arr
 
 
+def _table(rows):
+    """A Channel's matrix, an array as it is, or a sequence of rows (Pmfs,
+    lists or arrays, mixed) stacked once their lengths agree."""
+    if isinstance(rows, Channel):
+        return rows.matrix
+    if not isinstance(rows, (list, tuple)) or not rows:
+        return rows
+    vectors = [r.probs if isinstance(r, Pmf) else _as_float_array(r, f"channel row {i}")
+               for i, r in enumerate(rows)]
+    if any(v.shape != vectors[0].shape for v in vectors):
+        raise AlphabetMismatchError("PMFs must share one alphabet")
+    return np.stack(vectors)
+
+
 def as_channel(obj) -> Channel:
-    """Wrap a matrix-like object (or pass a Channel through)."""
+    """The family ``obj`` as a channel, one PMF per row: a Channel passes
+    through; a 2-D array, or a sequence of Pmfs, lists or arrays in any mix,
+    is validated once.  Rows of unequal length raise AlphabetMismatchError."""
     return obj if isinstance(obj, Channel) else Channel(obj)
 
 
-def stack_pmfs(pmfs: Iterable) -> Channel:
-    """Stack PMFs (or raw vectors) as the rows of a channel."""
-    rows = [p.probs if isinstance(p, Pmf) else _as_float_array(p, "pmf") for p in pmfs]
-    if not rows:
-        raise ValidationError("no PMFs given")
-    if any(r.shape != rows[0].shape or r.ndim != 1 for r in rows):
-        raise AlphabetMismatchError("PMFs must share one alphabet")
-    return Channel(np.stack(rows))
+def _family(obj, complaint: str) -> Channel:
+    """:func:`as_channel`, raising ``ValidationError(complaint)`` when the
+    family has fewer than two members."""
+    ch = as_channel(obj)
+    if ch.n < 2:
+        raise ValidationError(complaint)
+    return ch
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +241,14 @@ def max2_doeblin(channel) -> float:
     Where several rows tie for a column's maximum, the second-largest value
     equals that maximum.  Undefined for a single row.
     """
-    W = as_channel(channel).matrix
-    _require_multiway(W, "max2_doeblin")
+    W = _family(channel, "max2_doeblin requires at least two rows").matrix
     ordered = np.sort(W, axis=0)  # ascending per column
     return float(ordered[-2, :].sum())
 
 
 def dobrushin_tv(channel) -> float:
     """Dobrushin coefficient: the largest pairwise total-variation distance."""
-    W = as_channel(channel).matrix
-    _require_multiway(W, "dobrushin_tv")
+    W = _family(channel, "dobrushin_tv requires at least two rows").matrix
     n = W.shape[0]
     best = 0.0
     for i in range(n):
@@ -250,11 +263,6 @@ def tv_distance(p, q) -> float:
     pa = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=np.float64)
     qa = q.probs if isinstance(q, Pmf) else np.asarray(q, dtype=np.float64)
     return float(0.5 * np.abs(pa - qa).sum())
-
-
-def _require_multiway(W: np.ndarray, op: str) -> None:
-    if W.shape[0] < 2:
-        raise ValidationError(f"{op} requires at least two rows")
 
 
 @dataclass(frozen=True)
@@ -281,8 +289,7 @@ class CoefficientReport:
 
 def report(channel) -> CoefficientReport:
     """Compute all six coefficients of a channel with at least two rows."""
-    ch = as_channel(channel)
-    _require_multiway(ch.matrix, "report")
+    ch = _family(channel, "report requires at least two rows")
     tau = doeblin(ch)
     tmax = max_doeblin(ch)
     return CoefficientReport(

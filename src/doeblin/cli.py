@@ -20,7 +20,7 @@ from . import bayesnet as bn
 from . import coupling as cp
 from . import degroot as dg
 from . import lp
-from .channel import Channel, _parsed_table, as_channel, doeblin, max_doeblin, report
+from .channel import Channel, Pmf, _parsed_table, doeblin, max_doeblin, report
 from .exceptions import ExpansionCapError, InfeasibilityError, ValidationError
 from .fusion import fuse_min
 
@@ -82,34 +82,37 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def load_channel(path: str) -> Channel:
-    """Load a channel from JSON ({"rows": ...}) or CSV, by content sniffing."""
-    text = _read(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+def _parse_channel(text: str) -> Channel:
+    """A channel from JSON ({"rows": ...}) or CSV, by content sniffing."""
+    if text.lstrip().startswith("{"):
         return Channel.from_json(text)
     return Channel.from_csv(text)
 
 
-def load_pmfs(paths) -> list[list[float]]:
-    """Each path holds one JSON array, a JSON list of arrays, a JSON channel
-    object, or CSV lines (one PMF per line)."""
-    out: list[list[float]] = []
+def load_channel(path: str) -> Channel:
+    """Load a channel from JSON ({"rows": ...}) or CSV, by content sniffing."""
+    return _parse_channel(_read(path))
+
+
+def load_pmfs(paths) -> Channel:
+    """The PMFs of every path, in order, as the rows of one channel.  Each
+    path holds one JSON array, a JSON list of arrays, or a channel as
+    :func:`load_channel` reads it (JSON object or CSV, one PMF per line)."""
+    rows: list = []
     for path in paths:
         text = _read(path)
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            out.extend([list(row) for row in Channel.from_json(text).matrix])
-        elif stripped.startswith("["):
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"invalid PMF JSON in {path}: {exc}") from exc
-            table = _parsed_table(obj)
-            out.extend(table.tolist() if table.ndim > 1 else [table.tolist()])
-        else:
-            out.extend([list(row) for row in Channel.from_csv(text).matrix])
-    return out
+        if not text.lstrip().startswith("["):
+            ch = _parse_channel(text)
+            if len(paths) == 1:
+                return ch
+            rows.extend(ch.matrix)
+            continue
+        try:
+            table = _parsed_table(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"invalid PMF JSON in {path}: {exc}") from exc
+        rows.extend(table if table.ndim > 1 else [table])
+    return Channel(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +150,15 @@ def _cmd_couple(args) -> int:
         _emit(out)
         return 0
 
-    pmfs = load_pmfs(args.inputs)
+    ch = load_pmfs(args.inputs)
     if args.kind == "max":
-        built = cp.maximal_coupling(pmfs)
-        achieved = {"diagonal_mass": doeblin(as_channel(pmfs))}
+        built = cp.maximal_coupling(ch)
+        achieved = {"diagonal_mass": doeblin(ch)}
     else:  # min or min3
-        if args.kind == "min3" and len(pmfs) != 3:
+        if args.kind == "min3" and ch.n != 3:
             raise ValidationError("--kind min3 needs exactly three PMFs")
-        built = cp.minimal_coupling_max(pmfs) if args.kind == "min" else cp.minimal_coupling_max_n3(*pmfs)
-        achieved = {"union_mass": cp.minimal_union_mass(pmfs)}
+        built = cp.minimal_coupling_max(ch) if args.kind == "min" else cp.minimal_coupling_max_n3(*ch.matrix)
+        achieved = {"union_mass": cp.minimal_union_mass(ch)}
     out = {
         "kind": args.kind,
         "arity": built.arity,
@@ -180,7 +183,7 @@ def _expanded_if_under_cap(to_dict, expand: bool) -> dict:
 def _cmd_degroot(args) -> int:
     ch = load_channel(args.channel)
     try:
-        prior = json.loads(args.prior)
+        prior = Pmf(json.loads(args.prior))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"--prior must be a JSON array: {exc}") from exc
     out = {
@@ -263,15 +266,13 @@ def _recursion_report(net, targets) -> dict:
 
 
 def _cmd_fuse(args) -> int:
-    pmfs = load_pmfs(args.pmfs)
-    result = fuse_min(pmfs)
+    result = fuse_min(load_pmfs(args.pmfs))
     _emit({"fused": result.fused.to_list(), "agreement": result.agreement})
     return 0
 
 
 def _cmd_verify(args) -> int:
-    pmfs = load_pmfs(args.inputs)
-    ch = as_channel(pmfs)
+    ch = load_pmfs(args.inputs)
     if args.problem == "estimator":
         sense = args.sense or "min"
         value, witness = lp.estimator_opt(ch, sense, exact=args.exact)
@@ -291,12 +292,12 @@ def _cmd_verify(args) -> int:
 
     if args.problem == "diag":
         sense = args.sense or "max"
-        res = lp.coupling_diag_opt(pmfs, sense, exact=args.exact)
+        res = lp.coupling_diag_opt(ch, sense, exact=args.exact)
         closed = doeblin(ch) if sense == "max" else None
     else:  # union; argparse admits no other problem
         sense = args.sense or "min"
-        res = lp.coupling_union_opt(pmfs, sense, exact=args.exact)
-        closed = cp.minimal_union_mass(pmfs) if sense == "min" else None
+        res = lp.coupling_union_opt(ch, sense, exact=args.exact)
+        closed = cp.minimal_union_mass(ch) if sense == "min" else None
         if sense == "min" and closed is None:
             _note("no closed form is known for this regime; the reported value is the LP optimum only")
     out = {

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import _as_float_array, _as_prob_vector, max2_doeblin, max_doeblin, stack_pmfs
+from .channel import _as_float_array, _as_prob_vector, _family, max2_doeblin, max_doeblin
 from .exceptions import (
     AlphabetMismatchError,
     CouplingConditionError,
@@ -52,12 +52,12 @@ DEFAULT_EXPANSION_CAP = 10**6
 # they are dropped so their factor normalizers (possibly 0/0) never run.
 _ZERO_WEIGHT = 1e-14
 
+# The union-minimal mixture needs tau_max2 <= 1, up to this threshold.  Past
+# it minimal_coupling_max raises, minimal_coupling_max_n3 switches regime and
+# minimal_union_mass adds tau_max2 - 1 (or has no closed form).
+_MAX2_LIMIT = 1.0 + 1e-12
 
-def _gather(pmfs: Sequence) -> np.ndarray:
-    mats = stack_pmfs(pmfs).matrix
-    if mats.shape[0] < 2:
-        raise ValidationError("couplings need at least two marginals")
-    return mats
+_MARGINALS = "couplings need at least two marginals"
 
 
 def _normalized(raw: np.ndarray) -> np.ndarray:
@@ -246,7 +246,7 @@ def maximal_coupling(pmfs: Sequence) -> Coupling:
     The diagonal component carries exactly the column-minimum mass at every
     symbol, so the all-equal probability equals the Doeblin coefficient.
     """
-    mats = _gather(pmfs)
+    mats = _family(pmfs, _MARGINALS).matrix
     n, m = mats.shape
     colmin = mats.min(axis=0)
     c = float(colmin.sum())
@@ -274,11 +274,11 @@ def minimal_coupling_max(pmfs: Sequence) -> Coupling:
     coordinate subset equals its column-minimum sum, which also makes the
     coupling simultaneously maximal for the all-equal probability.
     """
-    mats = _gather(pmfs)
+    mats = _family(pmfs, _MARGINALS).matrix
     n, m = mats.shape
     ordered = np.sort(mats, axis=0)
     tau_max2 = float(ordered[-2, :].sum())
-    if tau_max2 > 1.0 + 1e-12:
+    if tau_max2 > _MAX2_LIMIT:
         raise CouplingConditionError(
             f"column-second-largest mass {tau_max2!r} exceeds 1; the union-minimal "
             "mixture is only valid up to 1. For n = 3 use minimal_coupling_max_n3; "
@@ -296,7 +296,13 @@ def minimal_coupling_max(pmfs: Sequence) -> Coupling:
     pmax_free = np.where(glued[:-1, :, None], 0.0, mats).max(axis=1)
     shared = np.maximum(pmin_glued, pmax_free) - pmax_free
     weights = shared.sum(axis=1)
-    residual = 1.0 - weights[weights > _ZERO_WEIGHT].sum()
+    # The components leaving coordinate a free, the full product included,
+    # weigh its excess mass in all.  A coordinate that is never a strict
+    # column maximum has none, so those weights (tau_max2 - 1 and 1 - tau_max2)
+    # are rounding or tolerance, and are dropped.
+    leaves_idle = (~glued & ~excess.any(axis=1)).any(axis=1)
+    weights[leaves_idle[:-1]] = 0.0
+    residual = 0.0 if leaves_idle[-1] else 1.0 - weights[weights > _ZERO_WEIGHT].sum()
     return _mixture(
         weights=np.append(weights, residual),
         shared=np.vstack([shared, np.zeros(m)]),
@@ -314,13 +320,12 @@ def minimal_coupling_max_n3(p1, p2, p3) -> Coupling:
     its coordinate, the full-product component disappears, and the attained
     union mass is ``tau_max + (tau_max2 - 1)``.
     """
-    mats = _gather([p1, p2, p3])
-    if mats.shape[0] != 3:
-        raise ValidationError("minimal_coupling_max_n3 takes exactly three marginals")
+    ch = _family([p1, p2, p3], _MARGINALS)
+    mats = ch.matrix
     ordered = np.sort(mats, axis=0)
     tau_max2 = float(ordered[-2, :].sum())
-    if tau_max2 <= 1.0 + 1e-12:
-        return minimal_coupling_max([mats[0], mats[1], mats[2]])
+    if tau_max2 <= _MAX2_LIMIT:
+        return minimal_coupling_max(ch)
 
     m = mats.shape[1]
     pmin = mats.min(axis=0)
@@ -363,9 +368,9 @@ def minimal_union_mass(pmfs: Sequence) -> float | None:
     """Closed-form minimum of the summed union mass over all couplings:
     ``tau_max`` when ``tau_max2 <= 1``, ``tau_max + (tau_max2 - 1)`` for three
     marginals, otherwise ``None`` (no closed form is known)."""
-    ch = stack_pmfs(pmfs)
+    ch = _family(pmfs, _MARGINALS)
     tmax, tmax2 = max_doeblin(ch), max2_doeblin(ch)
-    if tmax2 <= 1.0 + 1e-12:
+    if tmax2 <= _MAX2_LIMIT:
         return tmax
     if ch.n == 3:
         return tmax + (tmax2 - 1.0)
@@ -390,7 +395,6 @@ class JointCoupling:
     x_size: int
     y_size: int
     coupling: Coupling
-    targets: tuple[np.ndarray, ...]
 
     @property
     def arity(self) -> int:
@@ -488,7 +492,7 @@ def simultaneous_joint_coupling(joints: Sequence) -> JointCoupling:
         factors=np.concatenate([np.zeros((1, n, xs * ys)), per_x.reshape(xs, n, -1), free.reshape(1, n, -1)]),
         glued=glued,
     )
-    return JointCoupling(xs, ys, coupling, tuple(mats))
+    return JointCoupling(xs, ys, coupling)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +531,7 @@ class VerificationReport:
 def verify_coupling(coupling: Coupling, targets: Sequence) -> VerificationReport:
     """Report marginal residuals, diagonal/union/intersection masses, and
     component orthogonality, all read from the mixture without expansion."""
-    mats = _gather(targets)
+    mats = _family(targets, _MARGINALS).matrix
     n, m = mats.shape
     if n != coupling.arity or m != coupling.alphabet_size:
         raise AlphabetMismatchError("targets do not match the coupling's shape")

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channel, Pmf, _as_float_array, as_channel
+from .channel import Channel, Pmf, _as_float_array, _family, as_channel
 from .exceptions import ValidationError
+
+_HYPOTHESES = "DeGroot distances need at least two hypotheses"
 
 
 def identity_loss(n: int) -> np.ndarray:
@@ -50,8 +52,7 @@ def risk(prior, channel, loss, estimator) -> float:
 def min_degroot(prior, channel) -> float:
     """Risk drop under the identity loss:
     min(prior) - sum_y min_i prior_i W_i(y)."""
-    ch = as_channel(channel)
-    _require_multiway(ch)
+    ch = _family(channel, _HYPOTHESES)
     lam = _as_prior(prior, ch.n)
     weighted = lam[:, None] * ch.matrix
     return float(lam.min() - weighted.min(axis=0).sum())
@@ -60,8 +61,7 @@ def min_degroot(prior, channel) -> float:
 def max_degroot(prior, channel) -> float:
     """Risk drop under the complement loss:
     sum_y max_i prior_i W_i(y) - max(prior)."""
-    ch = as_channel(channel)
-    _require_multiway(ch)
+    ch = _family(channel, _HYPOTHESES)
     lam = _as_prior(prior, ch.n)
     weighted = lam[:, None] * ch.matrix
     return float(weighted.max(axis=0).sum() - lam.max())
@@ -96,8 +96,3 @@ def prior_risk(prior, n: int, loss_kind: str = "identity") -> float:
     if loss_kind == "complement":
         return float(1.0 - lam.max())
     raise ValidationError('loss_kind must be "identity" or "complement"')
-
-
-def _require_multiway(ch) -> None:
-    if ch.n < 2:
-        raise ValidationError("DeGroot distances need at least two hypotheses")

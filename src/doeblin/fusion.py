@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .channel import Pmf, stack_pmfs
-from .exceptions import NoConsensusError, ValidationError
+from .channel import Pmf, _family
+from .exceptions import NoConsensusError
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,7 @@ class FusionResult:
 
 def fuse_min(pmfs: Sequence) -> FusionResult:
     """Normalized pointwise minimum of the beliefs, with the agreement mass."""
-    mats = stack_pmfs(pmfs).matrix
-    if mats.shape[0] < 2:
-        raise ValidationError("fusion needs at least two beliefs")
+    mats = _family(pmfs, "fusion needs at least two beliefs").matrix
     colmin = mats.min(axis=0)
     agreement = float(colmin.sum())
     if agreement == 0.0:

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import Channel, _as_float_array, as_channel, stack_pmfs
+from .channel import Channel, _as_float_array, _family, as_channel
 from .exceptions import InfeasibilityError, ValidationError
 
 VARIABLE_CAP = 10**5
@@ -183,21 +183,10 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     residual = max(abs(A @ x - b)) if k else zero
 
     duals_out = duals * row_signs * sign  # report against the original rows/sense
-    if exact:
-        xf = np.array([float(v) for v in x])
-        return LpSolution(
-            value=float(sign * value_min),
-            x=xf,
-            duals=np.array([float(v) for v in duals_out]),
-            max_residual=float(residual),
-            duality_gap=float(gap),
-            dual_feasibility_margin=float(margin),
-            iterations=iterations,
-        )
     return LpSolution(
         value=float(sign * value_min),
-        x=x,
-        duals=duals_out,
+        x=np.asarray(x, dtype=np.float64),
+        duals=np.asarray(duals_out, dtype=np.float64),
         max_residual=float(residual),
         duality_gap=float(gap),
         dual_feasibility_margin=float(margin),
@@ -253,10 +242,8 @@ class OracleResult:
 
 def coupling_opt(pmfs: Sequence, objective_of_tuple: Callable, sense: str, exact: bool = False) -> OracleResult:
     """Optimize a per-tuple objective over all couplings of the given PMFs."""
-    mats = stack_pmfs(pmfs).matrix
+    mats = _family(pmfs, "coupling problems need at least two marginals").matrix
     n, m = mats.shape
-    if n < 2:
-        raise ValidationError("coupling problems need at least two marginals")
     if m**n > VARIABLE_CAP:
         raise ValidationError(f"coupling LP would need {m ** n} variables (cap {VARIABLE_CAP})")
     tuples = coupling_tuples(n, m)

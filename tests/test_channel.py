@@ -59,8 +59,13 @@ class TestValidation:
         assert p.probs.sum() == 1.0
 
     def test_channel_needs_common_alphabet(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(db.AlphabetMismatchError):
             db.Channel([db.Pmf([1.0]), db.Pmf([0.5, 0.5])])
+
+    def test_channel_takes_mixed_row_kinds(self):
+        ch = db.Channel([db.Pmf([0.5, 0.5]), [0.25, 0.75], np.array([1.0, 0.0])])
+        assert np.array_equal(ch.matrix, [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
+        assert db.as_channel(ch) is ch
 
     def test_json_roundtrip(self):
         import json

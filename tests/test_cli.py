@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from doeblin import ValidationError, cli, lp
+from doeblin import ValidationError, channel, cli, lp
 from doeblin import bayesnet as bn
 
 HERE = Path(__file__).resolve().parent
@@ -169,6 +169,35 @@ def test_verify_estimator_exact_has_no_gap(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == out["closed_form"] == 0.375
     assert out["gap"] == 0
+
+
+def test_couple_rows_across_files_match_one_file(tmp_path, capsys):
+    # A JSON array and a CSV file holding trio.json's rows between them.
+    first = tmp_path / "first.json"
+    first.write_text("[[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]]")
+    second = tmp_path / "second.csv"
+    second.write_text("0.3,0.2,0.5\n")
+    assert _invoke(["couple", "--kind", "max", str(first), str(second)]) == 0
+    split = capsys.readouterr().out
+    assert _invoke(CASES["couple_max"][0]) == 0
+    assert split == capsys.readouterr().out
+
+
+def test_each_input_validated_once(monkeypatch, capsys):
+    seen = []
+    validate = channel._as_prob_vector
+
+    def counting(values, *, what="pmf"):
+        seen.append(what)
+        return validate(values, what=what)
+
+    monkeypatch.setattr(channel, "_as_prob_vector", counting)
+    assert _invoke(["verify", "--problem", "union", _f("trio.json")]) == 0
+    assert seen == ["channel"]
+    seen.clear()
+    # The prior once; the channel once and one estimator kernel per loss.
+    assert _invoke(CASES["degroot"][0]) == 0
+    assert sorted(seen) == ["channel", "channel", "channel", "pmf"]
 
 
 def test_open_union_regime_notes(capsys):

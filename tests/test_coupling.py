@@ -217,6 +217,29 @@ class TestMinimalCouplingN3:
         with pytest.raises(db.ValidationError):
             db.minimal_coupling_max_n3([0.5, 0.5], [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("excess, above", [(5e-13, False), (2e-12, True)])
+    def test_regime_agrees_at_validity_threshold(self, excess, above):
+        # tau_max2 = 3y = 1 + excess; the threshold sits at 1 + 1e-12, and the
+        # union-minimal mixture, the three-marginal variant and the closed form
+        # must all take the same side of it.
+        y = (1.0 + excess) / 3.0
+        mats = [[1.0 - 2.0 * y, y, y], [y, 1.0 - 2.0 * y, y], [y, y, 1.0 - 2.0 * y]]
+        tau_max2 = db.max2_doeblin(mats)
+        assert tau_max2 == pytest.approx(1.0 + excess, abs=1e-15)
+        n3 = db.minimal_coupling_max_n3(*mats)
+        if above:
+            with pytest.raises(CouplingConditionError):
+                db.minimal_coupling_max(mats)
+            assert minimal_union_mass(mats) == db.max_doeblin(mats) + (tau_max2 - 1.0)
+            assert not any(c["glued"] == [] for c in n3.components)  # no full product
+        else:
+            # Ties at every column maximum leave no excess factor to normalize.
+            built = db.minimal_coupling_max(mats)
+            rep = db.verify_coupling(built, mats)
+            assert max(rep.max_marginal_residual, rep.weight_residual) <= 4 * excess
+            assert minimal_union_mass(mats) == db.max_doeblin(mats)
+            assert n3.to_dict() == built.to_dict()
+
 
 # ---------------------------------------------------------------------------
 # Sandwich bounds hold for arbitrary feasible couplings
