@@ -6,14 +6,20 @@ is re-derivable as a small dense linear program over the coupling polytope
 or the row-stochastic polytope.  This module solves those programs from
 scratch with a two-phase tableau simplex using Bland's rule, which cannot
 cycle, so termination is guaranteed.  Problems are desk-scale (at most 1e5
-variables), so no external solver is needed.  Exact rational arithmetic is
-available behind a flag for when float pivoting is in doubt; both modes run
-the same code on numpy arrays of floats or of ``Fraction`` objects.
+variables), so no external solver is needed.
 
-Each pivot costs one rank-1 update of the tableau rows that are nonzero in
-the pivot column (the coupling tableaus are sparse, so most rows are
-skipped), and the reduced-cost row is carried through the pivots rather than
-recomputed from the basis.  Neither changes which pivots are taken.
+Float mode pivots on a float tableau: each pivot costs one rank-1 update of
+the rows that are nonzero in the pivot column (the coupling tableaus are
+sparse, so most rows are skipped), and the reduced-cost row is carried
+through the pivots rather than recomputed from the basis.  Exact mode, for
+when float pivoting is in doubt, runs the same pivot rule without rounding
+on an integer tableau with one shared denominator: every float input is a
+dyadic rational, so scaling the columns by powers of two makes the tableau
+integral, and fraction-free (Edmonds-Bareiss) pivots keep it integral with
+exact divisions and no gcd.  Column scaling changes neither the sign of a
+reduced cost nor the order of the ratios, so both modes take the pivots of
+the rational tableau; ``tests/helpers.reference_simplex`` is the row-loop
+``Fraction`` tableau that holds them to that, bit for bit.
 
 The solver reports the dual vector alongside the primal optimum; the two
 must agree (strong duality), which serves as a built-in self-check.
@@ -23,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,40 +88,34 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     entries above ``tol``, ties going to the smallest basic variable index.
     The reduced-cost row is computed from the basis once per phase and then
     updated by each pivot; a pivot touches only the rows whose entry in the
-    pivot column is nonzero.  ``tol`` is ``1e-10`` in float mode and zero in
-    exact mode, where every entry is a ``Fraction``.
+    pivot column is nonzero.  ``tol`` is ``1e-10``.
+
+    ``exact=True`` takes the same pivots with ``tol`` zero on an integer
+    tableau and no rounding anywhere; see :func:`_solve_integer`.
 
     Raises :class:`InfeasibilityError` when the program is infeasible or
     unbounded, or past ``_MAX_ITER`` pivots.
     """
     sign = 1.0 if problem.sense == "min" else -1.0
     if exact:
-        conv = np.vectorize(lambda v: Fraction(float(v)), otypes=[object])
-        c = conv(problem.objective) * Fraction(int(sign))
-        A = conv(problem.eq_matrix)
-        b = conv(problem.eq_rhs)
-        zero, one = Fraction(0), Fraction(1)
-        piv_tol = feas_tol = zero
-    else:
-        c = sign * problem.objective
-        A = problem.eq_matrix
-        b = problem.eq_rhs
-        zero, one = 0.0, 1.0
-        piv_tol, feas_tol = _PIVOT_TOL, _FEAS_TOL
+        return _solve_integer(problem, sign)
+    c = sign * problem.objective
+    A = problem.eq_matrix
+    b = problem.eq_rhs
 
     k, nv = A.shape
     # Standard form wants a nonnegative right-hand side.
-    row_signs = np.where(b < zero, -one, one)
+    row_signs = np.where(b < 0.0, -1.0, 1.0)
     A = A * row_signs[:, None]
     b = b * row_signs
 
     # Tableau columns: nv structural variables then k artificials.
-    T = np.concatenate([A, np.eye(k, dtype=A.dtype) * one], axis=1)
+    T = np.concatenate([A, np.eye(k)], axis=1)
     rhs = b.copy()
     basis = np.arange(nv, nv + k)
     in_basis = np.zeros(nv + k, dtype=bool)
     in_basis[nv:] = True
-    red = np.full(nv + k, zero, dtype=T.dtype)  # reduced costs, set per phase
+    red = np.zeros(nv + k)  # reduced costs, set per phase
     iterations = 0
 
     def pivot(r: int, j: int) -> None:
@@ -126,7 +125,7 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
         rhs[r] = rhs[r] / piv
         # Rows already zero in the pivot column are left alone; the rest take
         # one rank-1 update across the full width.
-        rows = np.flatnonzero(T[:, j] != zero)
+        rows = np.flatnonzero(T[:, j] != 0.0)
         rows = rows[rows != r]
         f = T[rows, j]
         T[rows] -= np.outer(f, T[r])
@@ -144,12 +143,12 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
             if iterations > _MAX_ITER:
                 raise InfeasibilityError("simplex iteration cap exceeded")
             # Bland: the smallest eligible index enters ...
-            eligible = np.flatnonzero((red[:allow] < -piv_tol) & ~in_basis[:allow])
+            eligible = np.flatnonzero((red[:allow] < -_PIVOT_TOL) & ~in_basis[:allow])
             if not eligible.size:
                 return
             entering = eligible[0]
             col = T[:, entering]
-            rows = np.flatnonzero(col > piv_tol)
+            rows = np.flatnonzero(col > _PIVOT_TOL)
             if not rows.size:
                 raise InfeasibilityError("LP is unbounded")
             # ... and the minimum-ratio row leaves, ties to the smallest basic index.
@@ -157,39 +156,165 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
             tied = rows[ratios == ratios.min()]
             pivot(tied[np.argmin(basis[tied])], entering)
 
-    phase1_cost = np.concatenate([np.full(nv, zero, dtype=T.dtype), np.full(k, one, dtype=T.dtype)])
+    phase1_cost = np.concatenate([np.zeros(nv), np.ones(k)])
     run_phase(phase1_cost, nv + k)
     infeas = phase1_cost[basis] @ rhs
-    if infeas > feas_tol:
+    if infeas > _FEAS_TOL:
         raise InfeasibilityError(f"LP infeasible (phase-1 objective {float(infeas)!r})")
 
     # Swap any artificial still in the basis for a structural column when its
     # row has one; an all-zero row is a redundant constraint and stays inert.
     for r in np.flatnonzero(basis >= nv):
-        candidates = np.flatnonzero((abs(T[r, :nv]) > piv_tol) & ~in_basis[:nv])
+        candidates = np.flatnonzero((abs(T[r, :nv]) > _PIVOT_TOL) & ~in_basis[:nv])
         if candidates.size:
             pivot(r, candidates[0])
 
-    cost = np.concatenate([c, np.full(k, zero, dtype=T.dtype)])
+    cost = np.concatenate([c, np.zeros(k)])
     run_phase(cost, nv)
 
-    x = np.full(nv, zero, dtype=T.dtype)
+    x = np.zeros(nv)
     structural = basis < nv
     x[basis[structural]] = rhs[structural]
     duals = cost[basis] @ T[:, nv:]
     value_min = cost[:nv] @ x
-    margin = min(cost[:nv] - duals @ A) if nv else zero
+    margin = min(cost[:nv] - duals @ A) if nv else 0.0
     gap = abs(value_min - duals @ b)
-    residual = max(abs(A @ x - b)) if k else zero
+    residual = max(abs(A @ x - b)) if k else 0.0
 
     duals_out = duals * row_signs * sign  # report against the original rows/sense
     return LpSolution(
         value=float(sign * value_min),
-        x=np.asarray(x, dtype=np.float64),
-        duals=np.asarray(duals_out, dtype=np.float64),
+        x=x,
+        duals=duals_out,
         max_residual=float(residual),
         duality_gap=float(gap),
         dual_feasibility_margin=float(margin),
+        iterations=iterations,
+    )
+
+
+def _dyadic(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integer numerators of ``values`` over their common denominator.
+
+    Every float is a dyadic rational, so the common denominator is the largest
+    of the power-of-two denominators of the entries (1 when there are none).
+    """
+    ratios = [v.as_integer_ratio() for v in values.ravel().tolist()]
+    den = max((q for _, q in ratios), default=1)
+    nums = np.empty(len(ratios), dtype=object)
+    nums[:] = [p * (den // q) for p, q in ratios]
+    return nums.reshape(values.shape), den
+
+
+def _solve_integer(problem: LpProblem, sign: float) -> LpSolution:
+    """Exact mode of :func:`solve`: fraction-free pivoting on Python integers.
+
+    With ``Da``, ``Db`` and ``Dc`` the powers of two that clear the
+    denominators of the matrix, the right-hand side and the objective, the
+    tableau starts as ``M = [Da*A | I | Db*b]`` (rows sign-corrected so that
+    ``b >= 0``) with the shared denominator ``d = 1``.  Scaling a column by a
+    positive constant scales its reduced cost by the same constant and every
+    ratio of the minimum-ratio test by one common factor, so signs, ratios and
+    ties are those of the rational tableau and Bland's rule takes the same
+    pivots.  A pivot on ``(r, j)`` with ``p = M[r, j]`` replaces every other
+    row by ``(M[i]*p - M[i, j]*M[r]) // d`` and then sets ``d = p`` (Edmonds;
+    Bareiss): ``M`` stays ``adj(B) M0`` and ``d`` stays ``det(B)`` for the
+    basis ``B``, so each division is exact and no gcd is ever taken.  When an
+    artificial leaves on a negative pivot, ``M``, the reduced costs and ``d``
+    change sign together, which keeps ``d > 0``.  The reduced-cost row takes
+    the same update and is ``d`` times the reduced costs of the scaled
+    program.  The certificates are integer numerators over known
+    denominators, each converted to a float once, by correctly rounded
+    integer division, as ``float(Fraction)`` rounds.
+    """
+    a_num, Da = _dyadic(problem.eq_matrix)
+    b_num, Db = _dyadic(problem.eq_rhs)
+    c_num, Dc = _dyadic(problem.objective)
+    k, nv = a_num.shape
+    row_signs = np.array([-1 if v < 0 else 1 for v in b_num], dtype=object)
+    A = a_num * row_signs[:, None]
+    b = b_num * row_signs
+    c = c_num * int(sign)
+
+    M = np.concatenate([A, np.eye(k, dtype=object), b[:, None]], axis=1)
+    width = nv + k  # the reduced costs span every column but the rhs
+    d = 1
+    basis = np.arange(nv, nv + k)
+    in_basis = np.zeros(width, dtype=bool)
+    in_basis[nv:] = True
+    red = np.zeros(width, dtype=object)
+    iterations = 0
+
+    def pivot(r: int, j: int) -> None:
+        nonlocal M, d, iterations
+        p = M[r, j]
+        prow = M[r]
+        M_next = (M * p - np.outer(M[:, j], prow)) // d
+        M_next[r] = prow
+        red[:] = (red * p - red[j] * prow[:width]) // d
+        if p < 0:
+            M_next = -M_next
+            red[:] = -red
+        M, d = M_next, abs(p)
+        in_basis[basis[r]] = False
+        in_basis[j] = True
+        basis[r] = j
+        iterations += 1
+
+    def run_phase(cost: np.ndarray, allow: int) -> None:
+        """Drive reduced costs nonnegative over the first ``allow`` columns."""
+        red[:] = d * cost - cost[basis] @ M[:, :width]
+        while True:
+            if iterations > _MAX_ITER:
+                raise InfeasibilityError("simplex iteration cap exceeded")
+            eligible = np.flatnonzero((red[:allow] < 0) & ~in_basis[:allow])
+            if not eligible.size:
+                return
+            entering = eligible[0]
+            col = M[:, entering]
+            rows = np.flatnonzero(col > 0)
+            if not rows.size:
+                raise InfeasibilityError("LP is unbounded")
+            # Ratios compared by cross-multiplication over positive entries.
+            best = rows[0]
+            for i in rows[1:]:
+                lhs, rhs = M[i, -1] * col[best], M[best, -1] * col[i]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best = i
+            pivot(best, entering)
+
+    phase1_cost = np.array([0] * nv + [1] * k, dtype=object)
+    run_phase(phase1_cost, width)
+    infeas = sum(M[basis >= nv, -1])
+    if infeas > 0:
+        raise InfeasibilityError(f"LP infeasible (phase-1 objective {infeas / (d * Db)!r})")
+
+    for r in np.flatnonzero(basis >= nv):
+        candidates = np.flatnonzero((M[r, :nv] != 0) & ~in_basis[:nv])
+        if candidates.size:
+            pivot(r, candidates[0])
+
+    run_phase(np.concatenate([c, np.zeros(k, dtype=object)]), nv)
+
+    # x = Da*xn/(d*Db), duals = Da*yn/(d*Dc), the min-form value Da*vn/(d*Db*Dc).
+    structural = basis < nv
+    xn = np.zeros(nv, dtype=object)
+    xn[basis[structural]] = M[structural, -1]
+    yn = c[basis[structural]] @ M[structural, nv:width]
+    vn = c @ xn
+    margin = min(d * c - yn @ A) if nv else 0
+    gap = abs(vn - yn @ b) * Da
+    residual = max(abs(A @ xn - d * b)) if k else 0
+    # Signed zeros follow ``Fraction * float``, as in the reference tableau:
+    # the value is sign * float(value_min), a dual float(y * row_sign) * sign.
+    duals = [Da * y * s / (d * Dc) * sign for y, s in zip(yn, row_signs)]
+    return LpSolution(
+        value=sign * (Da * vn / (d * Db * Dc)),
+        x=np.array([Da * v / (d * Db) for v in xn], dtype=np.float64),
+        duals=np.array(duals, dtype=np.float64),
+        max_residual=residual / (d * Db),
+        duality_gap=gap / (d * Db * Dc),
+        dual_feasibility_margin=margin / (d * Dc),
         iterations=iterations,
     )
 

@@ -1,5 +1,7 @@
 """Simplex solver unit tests and oracle cross-checks against closed forms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,14 +102,27 @@ def _assert_same_solution(got, want):
     assert got.duals.dtype == want.duals.dtype and got.duals.tobytes() == want.duals.tobytes()
 
 
+def _assert_certified(sol):
+    """An exact optimum satisfies its certificates without rounding."""
+    assert sol.duality_gap == 0.0
+    assert sol.max_residual == 0.0
+    assert sol.dual_feasibility_margin >= 0.0
+
+
 def _assert_matches_reference(prob, exact):
+    """Same bits as the reference, or the same error with the same message;
+    an exact optimum must also certify itself."""
     try:
         want = reference_simplex(prob, exact=exact)
     except InfeasibilityError as exc:
-        with pytest.raises(type(exc)):
+        with pytest.raises(type(exc)) as raised:
             lp.solve(prob, exact=exact)
+        assert str(raised.value) == str(exc)
         return
-    _assert_same_solution(lp.solve(prob, exact=exact), want)
+    got = lp.solve(prob, exact=exact)
+    _assert_same_solution(got, want)
+    if exact:
+        _assert_certified(got)
 
 
 @st.composite
@@ -162,6 +177,58 @@ class TestPivotsMatchReference:
     def test_edge_cases(self, objective, matrix, rhs, sense, exact):
         prob = lp.LpProblem(np.array(objective), np.array(matrix), np.array(rhs), sense)
         _assert_matches_reference(prob, exact)
+
+
+# Decimal fractions such as 0.1 have denominators up to 2**55.
+_ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.1, -0.3, 0.5, 0.7, -2.5])
+
+
+@st.composite
+def general_programs(draw):
+    """Small programs with fractional and negative entries, negative and zero
+    right-hand sides, and sometimes a duplicated row; half of them get a
+    right-hand side ``A @ x`` with ``x >= 0``, so that they are feasible."""
+    k = draw(st.integers(1, 4))
+    nv = draw(st.integers(1, 5))
+    A = np.array([draw(st.lists(_ENTRIES, min_size=nv, max_size=nv)) for _ in range(k)])
+    if draw(st.booleans()):
+        b = A @ np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 0.1]), min_size=nv, max_size=nv)))
+    else:
+        b = np.array(draw(st.lists(_ENTRIES, min_size=k, max_size=k)))
+    if k >= 2 and draw(st.booleans()):
+        A[-1], b[-1] = A[0], b[0]
+    c = np.array(draw(st.lists(_ENTRIES, min_size=nv, max_size=nv)))
+    return lp.LpProblem(c, A, b, draw(st.sampled_from(["min", "max"])))
+
+
+class TestExactMode:
+    """Exact ``lp.solve`` against ``helpers.reference_simplex(exact=True)``
+    beyond 0/1 matrices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(general_programs())
+    def test_general_programs(self, prob):
+        _assert_matches_reference(prob, exact=True)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize(
+        "objective, matrix, rhs, sense, outcome",
+        [
+            ([1.0, 2.0], np.zeros((0, 2)), [], "min", 0.0),  # no constraints: x = 0
+            ([1.0, 2.0], np.zeros((0, 2)), [], "max", "LP is unbounded"),
+            ([], np.zeros((2, 0)), [0.0, 0.0], "max", 0.0),  # no variables, zero rhs
+            ([], np.zeros((2, 0)), [1.0, 0.0], "min", "LP infeasible (phase-1 objective 1.0)"),
+            ([], np.zeros((0, 0)), [], "min", 0.0),
+        ],
+    )
+    def test_empty_dimensions(self, objective, matrix, rhs, sense, outcome, exact):
+        prob = lp.LpProblem(np.array(objective), matrix, np.array(rhs), sense)
+        _assert_matches_reference(prob, exact)
+        if isinstance(outcome, str):
+            with pytest.raises(InfeasibilityError, match=re.escape(outcome)):
+                lp.solve(prob, exact=exact)
+        else:
+            assert lp.solve(prob, exact=exact).value == outcome
 
 
 class TestCouplingOracle:
