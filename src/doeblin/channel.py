@@ -313,14 +313,19 @@ class TraceResult:
     kernel: Channel  # deterministic m x n estimation kernel attaining the value
 
 
+def _deterministic_kernel(choice: np.ndarray, n: int) -> Channel:
+    """The ``m x n`` 0/1 kernel whose row j puts unit mass on ``choice[j]``."""
+    P = np.zeros((len(choice), n))
+    P[np.arange(len(choice)), choice] = 1.0
+    return Channel(P)
+
+
 def _trace_extremum(channel, pick) -> TraceResult:
     ch = as_channel(channel)
     W = ch.matrix
     choice = pick(W, axis=0)  # smallest attaining index per column on ties
-    P = np.zeros((ch.m, ch.n))
-    P[np.arange(ch.m), choice] = 1.0
     value = float(W[choice, np.arange(ch.m)].sum())
-    return TraceResult(value=value, kernel=Channel(P))
+    return TraceResult(value=value, kernel=_deterministic_kernel(choice, ch.n))
 
 
 def min_trace(channel) -> TraceResult:

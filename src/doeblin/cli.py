@@ -155,9 +155,7 @@ def _cmd_couple(args) -> int:
         built = cp.maximal_coupling(ch)
         achieved = {"diagonal_mass": doeblin(ch)}
     else:  # min or min3
-        if args.kind == "min3" and ch.n != 3:
-            raise ValidationError("--kind min3 needs exactly three PMFs")
-        built = cp.minimal_coupling_max(ch) if args.kind == "min" else cp.minimal_coupling_max_n3(*ch.matrix)
+        built = cp.minimal_coupling_max(ch) if args.kind == "min" else cp.minimal_coupling_max_n3(ch)
         achieved = {"union_mass": cp.minimal_union_mass(ch)}
     out = {
         "kind": args.kind,

@@ -12,9 +12,9 @@ Four constructions live here:
   each free coordinate follows its own "strict-maximum excess" factor.  The
   construction is valid exactly when the column-second-largest mass is at
   most one.
-* :func:`minimal_coupling_max_n3` covers three marginals unconditionally;
-  past the validity threshold it switches to corrected free factors and
-  drops the full-product component, attaining
+* :func:`minimal_coupling_max_n3` covers a family of exactly three
+  marginals unconditionally; past the validity threshold it switches to
+  corrected free factors and drops the full-product component, attaining
   ``tau_max + (tau_max2 - 1)_+``.
 * :func:`simultaneous_joint_coupling` couples bivariate distributions so the
   all-pairs-equal probability and the first-coordinate-equal probability are
@@ -22,7 +22,8 @@ Four constructions live here:
 
 Every coupling has one form: a weighted mixture of components, each gluing
 a block of coordinates on one shared factor and drawing every other
-coordinate from its own factor, stored as four arrays (:class:`Coupling`).
+coordinate from its own factor, stored as three arrays (:class:`Coupling`).
+The shared factor is read from the glued coordinates, so it is stored once.
 Every mass is read from those arrays in closed form at any size.  The
 sparse joint table is expanded, under a cap, only for export and as the
 test oracle.  Components with zero weight are dropped before their factors
@@ -72,20 +73,19 @@ def _normalized(raw: np.ndarray) -> np.ndarray:
 class Coupling:
     """A joint distribution over n-tuples on m symbols, stored as a mixture of
     K components.  Component k draws its glued coordinates as one symbol from
-    ``shared[k]`` and every other coordinate i independently from
+    its shared factor and every other coordinate i independently from
     ``factors[k, i]``.
 
-    Arrays: ``weights`` (K,), ``shared`` (K, m; zero without glue),
-    ``factors`` (K, n, m; a glued coordinate holds the shared factor) and the
-    glue mask ``glued`` (K, n).  ``expanded`` stays ``None`` until
-    :meth:`expand` fills it.
+    Arrays: ``weights`` (K,), ``factors`` (K, n, m; every glued coordinate
+    holds the shared factor) and the glue mask ``glued`` (K, n).
+    :attr:`shared` is derived from them.  ``expanded`` stays ``None`` until
+    :meth:`expand` fills it, and is not copied by ``dataclasses.replace``.
     """
 
     weights: np.ndarray
-    shared: np.ndarray
     factors: np.ndarray
     glued: np.ndarray
-    expanded: dict | None = field(default=None, repr=False)
+    expanded: dict | None = field(default=None, init=False, repr=False)
 
     @property
     def arity(self) -> int:
@@ -94,6 +94,12 @@ class Coupling:
     @property
     def alphabet_size(self) -> int:
         return self.factors.shape[2]
+
+    @cached_property
+    def shared(self) -> np.ndarray:
+        """(K, m): each component's first glued factor, zero without glue."""
+        first_glued = self.factors[np.arange(len(self.glued)), self.glued.argmax(axis=1)]
+        return np.where(self.glued.any(axis=1)[:, None], first_glued, 0.0)
 
     @property
     def components(self) -> list[dict]:
@@ -227,12 +233,8 @@ def _mixture(weights, shared, factors, glued) -> Coupling:
     unnormalized shared factor; then every factor is normalized and validated
     in one pass."""
     keep = weights > _ZERO_WEIGHT
-    glued = glued[keep]
-    raw = np.where(glued[:, :, None], shared[keep][:, None, :], factors[keep])
-    factors = _as_prob_vector(_normalized(raw), what="coupling factor")
-    first_glued = factors[np.arange(len(glued)), glued.argmax(axis=1)]
-    shared = np.where(glued.any(axis=1)[:, None], first_glued, 0.0)
-    return Coupling(weights[keep], shared, factors, glued)
+    raw = np.where(glued[keep][:, :, None], shared[keep][:, None, :], factors[keep])
+    return Coupling(weights[keep], _as_prob_vector(_normalized(raw), what="coupling factor"), glued[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +313,9 @@ def minimal_coupling_max(pmfs: Sequence) -> Coupling:
     )
 
 
-def minimal_coupling_max_n3(p1, p2, p3) -> Coupling:
-    """Union-minimal coupling of exactly three marginals, all regimes.
+def minimal_coupling_max_n3(pmfs: Sequence) -> Coupling:
+    """Union-minimal coupling of a family of exactly three marginals, all
+    regimes.
 
     Below the validity threshold this is :func:`minimal_coupling_max`.
     Above it, each free factor gains a correction proportional to
@@ -320,46 +323,32 @@ def minimal_coupling_max_n3(p1, p2, p3) -> Coupling:
     its coordinate, the full-product component disappears, and the attained
     union mass is ``tau_max + (tau_max2 - 1)``.
     """
-    ch = _family([p1, p2, p3], _MARGINALS)
+    ch = _family(pmfs, _MARGINALS)
+    if ch.n != 3:
+        raise ValidationError(f"minimal_coupling_max_n3 needs exactly three marginals, got {ch.n}")
     mats = ch.matrix
-    ordered = np.sort(mats, axis=0)
-    tau_max2 = float(ordered[-2, :].sum())
+    tau_max2 = float(np.sort(mats, axis=0)[-2].sum())
     if tau_max2 <= _MAX2_LIMIT:
         return minimal_coupling_max(ch)
 
-    m = mats.shape[1]
     pmin = mats.min(axis=0)
-    pair_min = {}
-    pair_glue = {}
-    for i, j in itertools.combinations(range(3), 2):
-        pm = np.minimum(mats[i], mats[j])
-        pair_min[(i, j)] = pm
-        # tau_ij > tau strictly here: a pair overlap equal to the triple
-        # overlap forces the second-largest mass down to 1 or below.
-        pair_glue[(i, j)] = _normalized(np.maximum(pm - pmin, 0.0))
-
+    # Row i is the overlap of the pair that leaves coordinate i out.  Its
+    # excess over the triple overlap is positive here: a pair overlap equal
+    # to the triple one forces the second-largest mass down to 1 or below.
+    pair_min = np.minimum(mats[[1, 0, 0]], mats[[2, 2, 1]])
+    pair_excess = np.maximum(pair_min - pmin, 0.0)
+    pair_glue = _normalized(pair_excess)
+    # Coordinate i is touched by the pairs leaving out touch_a[i] and touch_b[i].
+    touch_a, touch_b = [2, 2, 1], [1, 0, 0]
     bump = (tau_max2 - 1.0) / 3.0
+    correction = bump * (pair_glue[touch_a] + pair_glue[touch_b])
+    raw = np.maximum(mats + pmin - pair_min[touch_a] - pair_min[touch_b] + correction, 0.0)
     # Component 0 glues all three on the triple overlap; component i + 1
-    # glues the other two on their pair overlap and leaves i free.
-    weights, shared, factors = [float(pmin.sum())], [pmin], [mats]
-    for i in range(3):
-        pair = tuple(j for j in range(3) if j != i)
-        pa, pb = (tuple(sorted((i, j))) for j in pair)
-        raw = (
-            mats[i]
-            + pmin
-            - pair_min[pa]
-            - pair_min[pb]
-            + bump * (pair_glue[pa] + pair_glue[pb])
-        )
-        raw = np.maximum(raw, 0.0)
-        weights.append(float(raw.sum()))
-        shared.append(np.maximum(pair_min[pair] - pmin, 0.0))
-        factors.append(np.broadcast_to(raw, (3, m)))
+    # glues the other two on their pair excess and leaves i free on raw[i].
     return _mixture(
-        weights=np.array(weights),
-        shared=np.array(shared),
-        factors=np.array(factors),
+        weights=np.concatenate([[pmin.sum()], raw.sum(axis=1)]),
+        shared=np.vstack([pmin, pair_excess]),
+        factors=np.concatenate([mats[None], np.repeat(raw[:, None], 3, axis=1)]),
         glued=~np.eye(4, 3, k=-1, dtype=bool),
     )
 
@@ -423,7 +412,7 @@ class JointCoupling:
         def over_y(a):
             return a.reshape(*a.shape[:-1], self.x_size, self.y_size).sum(axis=-1)
 
-        return Coupling(c.weights, over_y(c.shared), over_y(c.factors), c.glued).diagonal_mass()
+        return Coupling(c.weights, over_y(c.factors), c.glued).diagonal_mass()
 
     def to_dict(self, include_table: bool = True) -> dict:
         """The expanded table, or with ``include_table=False`` the mixture's

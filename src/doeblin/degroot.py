@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channel, Pmf, _as_float_array, _family, as_channel
+from .channel import Channel, Pmf, _as_float_array, _deterministic_kernel, _family, as_channel
 from .exceptions import ValidationError
 
 _HYPOTHESES = "DeGroot distances need at least two hypotheses"
@@ -83,9 +83,7 @@ def optimal_estimator(prior, channel, loss_kind: str = "identity") -> Channel:
         choice = np.argmax(weighted, axis=0)
     else:
         raise ValidationError('loss_kind must be "identity" or "complement"')
-    P = np.zeros((ch.m, ch.n))
-    P[np.arange(ch.m), choice] = 1.0
-    return Channel(P)
+    return _deterministic_kernel(choice, ch.n)
 
 
 def prior_risk(prior, n: int, loss_kind: str = "identity") -> float:

@@ -99,6 +99,46 @@ def supercritical_trio(rng, m):
             return mats
 
 
+def minimal_n3_components(mats: np.ndarray):
+    """Raw component arrays ``(weights, shared, factors, glued)`` of the
+    supercritical three-marginal union-minimal coupling, before zero weights
+    are dropped and factors normalized: one pair overlap at a time, in plain
+    loops over coordinates.  Component 0 glues all three on the triple
+    overlap; component i + 1 glues the other two on their pair overlap's
+    excess and leaves i free."""
+    tau_max2 = max2_of(mats)
+    m = mats.shape[1]
+    pmin = mats.min(axis=0)
+    pair_min = {}
+    pair_glue = {}
+    for i, j in itertools.combinations(range(3), 2):
+        pm = np.minimum(mats[i], mats[j])
+        pair_min[(i, j)] = pm
+        excess = np.maximum(pm - pmin, 0.0)
+        pair_glue[(i, j)] = excess / excess.sum()
+
+    bump = (tau_max2 - 1.0) / 3.0
+    weights, shared, factors = [float(pmin.sum())], [pmin], [mats]
+    for i in range(3):
+        pair = tuple(j for j in range(3) if j != i)
+        pa, pb = (tuple(sorted((i, j))) for j in pair)
+        raw = (
+            mats[i]
+            + pmin
+            - pair_min[pa]
+            - pair_min[pb]
+            + bump * (pair_glue[pa] + pair_glue[pb])
+        )
+        raw = np.maximum(raw, 0.0)
+        weights.append(float(raw.sum()))
+        shared.append(np.maximum(pair_min[pair] - pmin, 0.0))
+        factors.append(np.broadcast_to(raw, (3, m)))
+    glued = np.ones((4, 3), dtype=bool)
+    for i in range(3):
+        glued[i + 1, i] = False
+    return np.array(weights), np.array(shared), np.array(factors), glued
+
+
 # ---------------------------------------------------------------------------
 # Expanded-table oracles (plain dict arithmetic, no library calls)
 # ---------------------------------------------------------------------------

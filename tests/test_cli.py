@@ -195,6 +195,9 @@ def test_each_input_validated_once(monkeypatch, capsys):
     assert _invoke(["verify", "--problem", "union", _f("trio.json")]) == 0
     assert seen == ["channel"]
     seen.clear()
+    assert _invoke(CASES["couple_min3_supercritical"][0]) == 0
+    assert seen == ["channel"]
+    seen.clear()
     # The prior once; the channel once and one estimator kernel per loss.
     assert _invoke(CASES["degroot"][0]) == 0
     assert sorted(seen) == ["channel", "channel", "channel", "pmf"]

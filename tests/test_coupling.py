@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import doeblin as db
-from doeblin import CouplingConditionError, ExpansionCapError, lp
+from doeblin import CouplingConditionError, ExpansionCapError, coupling, lp
 from doeblin.coupling import DEFAULT_EXPANSION_CAP, minimal_union_mass
 
 from helpers import (
@@ -17,6 +17,7 @@ from helpers import (
     feasible_minimal_instance,
     joint_coupling_table,
     max2_of,
+    minimal_n3_components,
     random_pmf,
     supercritical_trio,
     table_diag_mass,
@@ -42,6 +43,21 @@ def pmf_families(draw, min_n=2, max_n=4, min_m=2, max_m=4):
         )
         total = sum(w)
         fam.append([x / total for x in w])
+    return fam
+
+
+@st.composite
+def supercritical_integer_trios(draw):
+    """Three PMFs from small integer weights, so ties and zeros occur.  Each
+    row is light on its own symbol, which mostly puts tau_max2 above one."""
+    m = draw(st.integers(3, 5))
+    fam = []
+    for i in range(3):
+        w = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
+        w[i] = draw(st.integers(0, 2))
+        assume(sum(w) > 0)
+        fam.append([x / sum(w) for x in w])
+    assume(max2_of(db.Channel(fam).matrix) > 1.0 + 1e-12)
     return fam
 
 
@@ -178,7 +194,7 @@ class TestMinimalCoupling:
 
 class TestMinimalCouplingN3:
     def test_supercritical_worked(self):
-        c = db.minimal_coupling_max_n3(*SYM08)
+        c = db.minimal_coupling_max_n3(SYM08)
         assert c.union_mass() == pytest.approx(1.4, abs=1e-10)
         oracle = lp.coupling_union_opt(SYM08, "min")
         assert c.union_mass() == pytest.approx(oracle.value, abs=1e-9)
@@ -190,7 +206,7 @@ class TestMinimalCouplingN3:
         rng = np.random.default_rng(36)
         for _ in range(20):
             mats = supercritical_trio(rng, int(rng.integers(3, 6)))
-            c = db.minimal_coupling_max_n3(*mats)
+            c = db.minimal_coupling_max_n3(mats)
             expected = db.max_doeblin(mats) + (max2_of(mats) - 1.0)
             assert c.union_mass() == pytest.approx(expected, abs=1e-10)
             table = c.expand()
@@ -202,7 +218,7 @@ class TestMinimalCouplingN3:
         # must attain the plain column-maximum total.
         mats = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         assert max2_of(mats) == pytest.approx(1.0, abs=1e-15)
-        c = db.minimal_coupling_max_n3(*mats)
+        c = db.minimal_coupling_max_n3(mats)
         assert c.union_mass() == pytest.approx(db.max_doeblin(mats), abs=1e-10)
         table = c.expand()
         for i in range(3):
@@ -210,12 +226,27 @@ class TestMinimalCouplingN3:
 
     def test_all_equal(self):
         p = [0.2, 0.3, 0.5]
-        c = db.minimal_coupling_max_n3(p, p, p)
+        c = db.minimal_coupling_max_n3([p, p, p])
         assert c.union_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_wrong_arity(self):
         with pytest.raises(db.ValidationError):
-            db.minimal_coupling_max_n3([0.5, 0.5], [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+            db.minimal_coupling_max_n3([[0.5, 0.5], [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]])
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_family_of_other_size_raises(self, rows):
+        with pytest.raises(db.ValidationError):
+            db.minimal_coupling_max_n3((SYM08 * 2)[:rows])
+
+    @settings(max_examples=60, deadline=None)
+    @given(supercritical_integer_trios())
+    def test_arrays_match_pairwise_reference(self, fam):
+        built = db.minimal_coupling_max_n3(fam)
+        ref = coupling._mixture(*minimal_n3_components(db.Channel(fam).matrix))
+        for name in ("weights", "factors", "glued"):
+            got, want = getattr(built, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("excess, above", [(5e-13, False), (2e-12, True)])
     def test_regime_agrees_at_validity_threshold(self, excess, above):
@@ -226,7 +257,7 @@ class TestMinimalCouplingN3:
         mats = [[1.0 - 2.0 * y, y, y], [y, 1.0 - 2.0 * y, y], [y, y, 1.0 - 2.0 * y]]
         tau_max2 = db.max2_doeblin(mats)
         assert tau_max2 == pytest.approx(1.0 + excess, abs=1e-15)
-        n3 = db.minimal_coupling_max_n3(*mats)
+        n3 = db.minimal_coupling_max_n3(mats)
         if above:
             with pytest.raises(CouplingConditionError):
                 db.minimal_coupling_max(mats)
@@ -398,6 +429,42 @@ class TestJointAgainstExpandedReference:
 # ---------------------------------------------------------------------------
 
 
+def _joint_coupling():
+    j1 = np.array([[0.1, 0.2], [0.3, 0.4]])
+    j2 = np.array([[0.25, 0.05], [0.4, 0.3]])
+    return db.simultaneous_joint_coupling([j1, j2]).coupling
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: db.maximal_coupling(TRIO),
+        lambda: db.minimal_coupling_max(TRIO),
+        lambda: db.minimal_coupling_max_n3(SYM08),
+        _joint_coupling,
+    ],
+    ids=["maximal", "minimal", "minimal_n3", "joint"],
+)
+def test_shared_is_every_glued_factor(build):
+    c = build()
+    for shared, factors, glued in zip(c.shared, c.factors, c.glued):
+        if glued.any():
+            assert (factors[glued] == shared).all()
+        else:
+            assert not shared.any()
+
+
+def test_replace_recomputes_expansion():
+    # The expansion memo belongs to one instance: a copy with other factors
+    # expands its own table.
+    c = db.maximal_coupling([[0.5, 0.5], [0.2, 0.8]])
+    c.expand()
+    swapped = dataclasses.replace(c, factors=c.factors[:, :, ::-1])
+    assert swapped.expanded is None
+    assert swapped.expand() == table_from_components(swapped.to_dict())
+    assert swapped.expand() != c.expand()
+
+
 class TestVerifyCoupling:
     def test_clean_coupling_passes(self):
         rng = np.random.default_rng(40)
@@ -411,14 +478,13 @@ class TestVerifyCoupling:
         pmfs = [np.array(p) for p in TRIO]
         c = db.maximal_coupling(pmfs)
         assert c.glued[0].all()
-        # Move 3e-3 of the diagonal factor's mass from symbol 1 to symbol 0,
-        # in the shared factor and on every glued coordinate: the weights
-        # still sum to one, only the marginals are off.
+        # Move 3e-3 of the diagonal factor's mass from symbol 1 to symbol 0
+        # on every glued coordinate: the weights still sum to one, only the
+        # marginals are off.
         shift = np.array([3e-3, -3e-3, 0.0])
-        shared, factors = c.shared.copy(), c.factors.copy()
-        shared[0] = db.Pmf(shared[0] + shift).probs
-        factors[0] = shared[0]
-        corrupted = dataclasses.replace(c, shared=shared, factors=factors)
+        factors = c.factors.copy()
+        factors[0, c.glued[0]] = db.Pmf(c.shared[0] + shift).probs
+        corrupted = dataclasses.replace(c, factors=factors)
         rep = db.verify_coupling(corrupted, pmfs)
         assert rep.weight_residual < 1e-12
         assert rep.max_marginal_residual >= 5e-4
@@ -502,18 +568,17 @@ def _random_factor(rng, m):
 
 
 def _hand_built(rng, n, m, glue_sets):
-    """The four arrays written directly: every coordinate gets its own factor,
+    """The three arrays written directly: every coordinate gets its own factor,
     then the glued ones are overwritten with the component's shared factor."""
     K = len(glue_sets)
     weights = rng.dirichlet(np.ones(K))
-    shared = np.zeros((K, m))
     factors = np.array([[_random_factor(rng, m) for _ in range(n)] for _ in range(K)])
     glued = np.zeros((K, n), dtype=bool)
     for k, block in enumerate(glue_sets):
         if block:
             glued[k, list(block)] = True
-            shared[k] = factors[k, list(block)] = _random_factor(rng, m)
-    return db.Coupling(weights, shared, factors, glued)
+            factors[k, list(block)] = _random_factor(rng, m)
+    return db.Coupling(weights, factors, glued)
 
 
 class TestStructuredMasses:
@@ -531,12 +596,12 @@ class TestStructuredMasses:
     @settings(max_examples=40, deadline=None)
     @given(pmf_families(min_n=3, max_n=3, min_m=3, max_m=5))
     def test_minimal_n3(self, fam):
-        _assert_masses_match_table(db.minimal_coupling_max_n3(*fam))
+        _assert_masses_match_table(db.minimal_coupling_max_n3(fam))
 
     def test_minimal_n3_supercritical(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
-            c = db.minimal_coupling_max_n3(*supercritical_trio(rng, int(rng.integers(3, 6))))
+            c = db.minimal_coupling_max_n3(supercritical_trio(rng, int(rng.integers(3, 6))))
             _assert_masses_match_table(c)
 
     @pytest.mark.parametrize(
@@ -561,7 +626,7 @@ class TestStructuredMasses:
     def test_orthogonality_of_constructions(self):
         assert db.maximal_coupling(TRIO).orthogonal_components()
         assert db.minimal_coupling_max(TRIO).orthogonal_components()
-        assert db.minimal_coupling_max_n3(*SYM08).orthogonal_components()
+        assert db.minimal_coupling_max_n3(SYM08).orthogonal_components()
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ FUNCTIONS = {
     "report": lambda f: db.report(f).to_dict(),
     "maximal_coupling": lambda f: db.maximal_coupling(f).to_dict(),
     "minimal_coupling_max": lambda f: db.minimal_coupling_max(f).to_dict(),
+    "minimal_coupling_max_n3": lambda f: db.minimal_coupling_max_n3(f).to_dict(),
     "verify_coupling": lambda f: db.verify_coupling(db.maximal_coupling(FAMILY), f).to_dict(),
     "minimal_union_mass": minimal_union_mass,
     "fuse_min": lambda f: _fused(fuse_min(f)),
