@@ -7,11 +7,8 @@ Four constructions live here:
   achievable probability that every coordinate coincides), plus one product
   component for the leftover mass.
 * :func:`minimal_coupling_max` minimizes the summed union mass down to the
-  max-Doeblin coefficient.  It mixes one component per subset A of
-  coordinates left free: the complement of A is glued on a shared factor and
-  each free coordinate follows its own "strict-maximum excess" factor.  The
-  construction is valid exactly when the column-second-largest mass is at
-  most one.
+  max-Doeblin coefficient when the column-second-largest mass is at most
+  one, gluing the entries above each positive gap of a sorted column.
 * :func:`minimal_coupling_max_n3` covers a family of exactly three
   marginals unconditionally; past the validity threshold it switches to
   corrected free factors and drops the full-product component, attaining
@@ -86,6 +83,10 @@ class Coupling:
     factors: np.ndarray
     glued: np.ndarray
     expanded: dict | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if not (self.factors == self.shared[:, None, :])[self.glued].all():
+            raise ValidationError("glued coordinates of a component must hold one shared factor")
 
     @property
     def arity(self) -> int:
@@ -177,8 +178,11 @@ class Coupling:
         built one coordinate at a time; row ``mask`` holds the subset of its bits."""
         shared, factors, glued = self.shared, self.factors, self.glued
         K, m = shared.shape
-        prod = np.empty((1 << self.arity, K, m))  # free factors' product over the subset
-        hit = np.zeros((1 << self.arity, K), dtype=bool)  # subset meets the glued block
+        rows = 1 << self.arity
+        if rows * K * m > DEFAULT_EXPANSION_CAP:
+            raise ExpansionCapError(f"subset table needs {rows * K * m} entries (cap {DEFAULT_EXPANSION_CAP})")
+        prod = np.empty((rows, K, m))  # free factors' product over the subset
+        hit = np.zeros((rows, K), dtype=bool)  # subset meets the glued block
         prod[0] = 1.0
         for i in range(self.arity):
             half = 1 << i
@@ -267,14 +271,13 @@ def minimal_coupling_max(pmfs: Sequence) -> Coupling:
     otherwise raises, pointing at the three-marginal variant or the LP
     oracle.
 
-    Components are enumerated over the free subset A by size then
-    lexicographically: the complement of A is glued on the shared factor
-    ``max(min over A-complement, max over A) - max over A`` and each free
-    coordinate a follows the strict-maximum excess factor of its marginal.
-    The leftover weight ``1 - tau_max2`` goes to the full product of those
-    excess factors.  Under this mixture the intersection mass of every
-    coordinate subset equals its column-minimum sum, which also makes the
-    coupling simultaneously maximal for the all-equal probability.
+    Gluing a set G of coordinates puts mass ``(min over G - max off G)_+`` on
+    each symbol, positive only when G holds the |G| largest entries of the
+    column with a strict gap below them; the mass is then that gap.  So
+    there are at most m components per size |G| = 2..n, and ``m (n - 1) + 1``
+    with the full product of the strict-maximum excess factors, weighing
+    ``1 - tau_max2``.  Every coordinate subset then meets with its
+    column-minimum mass, so the all-equal probability is maximal too.
     """
     mats = _family(pmfs, _MARGINALS).matrix
     n, m = mats.shape
@@ -289,28 +292,25 @@ def minimal_coupling_max(pmfs: Sequence) -> Coupling:
     colmax = ordered[-1]
     # Strict-maximum excess of each marginal over the others' pointwise max.
     excess = np.where(mats == colmax, colmax - ordered[-2], 0.0)
-    free_sets = [a for k in range(n - 1) for a in itertools.combinations(range(n), k)]
-    glued = np.ones((len(free_sets) + 1, n), dtype=bool)
-    for row, free_set in zip(glued, free_sets):
-        row[list(free_set)] = False
-    glued[-1] = False  # the full product of the excess factors
-    pmin_glued = np.where(glued[:-1, :, None], mats, np.inf).min(axis=1)
-    pmax_free = np.where(glued[:-1, :, None], 0.0, mats).max(axis=1)
-    shared = np.maximum(pmin_glued, pmax_free) - pmax_free
+    # Row k: each column's gap below its k + 2 largest entries, that glue set's mass.
+    gaps = ordered[-2::-1] - np.vstack([ordered[-3::-1], np.zeros(m)])
+    ks, ys = np.nonzero(gaps > 0.0)
+    free = n - 2 - ks  # free-set size; ordered[free] is the smallest glued entry
+    # Sorted by free-set size, then glue mask (False first); the full product comes last.
+    keys = np.column_stack([free, mats[:, ys].T >= ordered[free, ys, None]])
+    keys, comp = np.unique(np.vstack([keys, [n] + [0] * n]), axis=0, return_inverse=True)
+    glued = keys[:, 1:] > 0
+    shared = np.zeros((len(keys), m))
+    shared[comp.reshape(-1)[:-1], ys] = gaps[ks, ys]
     weights = shared.sum(axis=1)
     # The components leaving coordinate a free, the full product included,
     # weigh its excess mass in all.  A coordinate that is never a strict
     # column maximum has none, so those weights (tau_max2 - 1 and 1 - tau_max2)
     # are rounding or tolerance, and are dropped.
     leaves_idle = (~glued & ~excess.any(axis=1)).any(axis=1)
-    weights[leaves_idle[:-1]] = 0.0
-    residual = 0.0 if leaves_idle[-1] else 1.0 - weights[weights > _ZERO_WEIGHT].sum()
-    return _mixture(
-        weights=np.append(weights, residual),
-        shared=np.vstack([shared, np.zeros(m)]),
-        factors=np.broadcast_to(excess, (len(glued), n, m)),
-        glued=glued,
-    )
+    weights[leaves_idle] = 0.0
+    weights[-1] = 0.0 if leaves_idle[-1] else 1.0 - weights[weights > _ZERO_WEIGHT].sum()
+    return _mixture(weights, shared, np.broadcast_to(excess, (len(glued), n, m)), glued)
 
 
 def minimal_coupling_max_n3(pmfs: Sequence) -> Coupling:
@@ -327,7 +327,7 @@ def minimal_coupling_max_n3(pmfs: Sequence) -> Coupling:
     if ch.n != 3:
         raise ValidationError(f"minimal_coupling_max_n3 needs exactly three marginals, got {ch.n}")
     mats = ch.matrix
-    tau_max2 = float(np.sort(mats, axis=0)[-2].sum())
+    tau_max2 = max2_doeblin(ch)
     if tau_max2 <= _MAX2_LIMIT:
         return minimal_coupling_max(ch)
 

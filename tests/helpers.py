@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from doeblin import BayesNet, InfeasibilityError, Node
+from doeblin import BayesNet, CouplingConditionError, InfeasibilityError, Node
+from doeblin.channel import _family
+from doeblin.coupling import _MARGINALS, _MAX2_LIMIT, _ZERO_WEIGHT, Coupling, _mixture
 from doeblin.lp import LpSolution
 
 # ---------------------------------------------------------------------------
@@ -137,6 +139,63 @@ def minimal_n3_components(mats: np.ndarray):
     for i in range(3):
         glued[i + 1, i] = False
     return np.array(weights), np.array(shared), np.array(factors), glued
+
+
+def reference_minimal_coupling_max(pmfs) -> Coupling:
+    """The union-minimal coupling built over every glue set, one component per
+    subset of coordinates left free, most of them of zero weight.  Kept as
+    the oracle that the column-gap construction of
+    ``coupling.minimal_coupling_max`` is held to byte for byte.
+
+    Coupling minimizing the summed union mass, down to the column-maximum
+    mass.  Valid when the column-second-largest mass is at most one;
+    otherwise raises, pointing at the three-marginal variant or the LP
+    oracle.
+
+    Components are enumerated over the free subset A by size then
+    lexicographically: the complement of A is glued on the shared factor
+    ``max(min over A-complement, max over A) - max over A`` and each free
+    coordinate a follows the strict-maximum excess factor of its marginal.
+    The leftover weight ``1 - tau_max2`` goes to the full product of those
+    excess factors.  Under this mixture the intersection mass of every
+    coordinate subset equals its column-minimum sum, which also makes the
+    coupling simultaneously maximal for the all-equal probability.
+    """
+    mats = _family(pmfs, _MARGINALS).matrix
+    n, m = mats.shape
+    ordered = np.sort(mats, axis=0)
+    tau_max2 = float(ordered[-2, :].sum())
+    if tau_max2 > _MAX2_LIMIT:
+        raise CouplingConditionError(
+            f"column-second-largest mass {tau_max2!r} exceeds 1; the union-minimal "
+            "mixture is only valid up to 1. For n = 3 use minimal_coupling_max_n3; "
+            "otherwise the LP oracle still yields an empirical minimum."
+        )
+    colmax = ordered[-1]
+    # Strict-maximum excess of each marginal over the others' pointwise max.
+    excess = np.where(mats == colmax, colmax - ordered[-2], 0.0)
+    free_sets = [a for k in range(n - 1) for a in itertools.combinations(range(n), k)]
+    glued = np.ones((len(free_sets) + 1, n), dtype=bool)
+    for row, free_set in zip(glued, free_sets):
+        row[list(free_set)] = False
+    glued[-1] = False  # the full product of the excess factors
+    pmin_glued = np.where(glued[:-1, :, None], mats, np.inf).min(axis=1)
+    pmax_free = np.where(glued[:-1, :, None], 0.0, mats).max(axis=1)
+    shared = np.maximum(pmin_glued, pmax_free) - pmax_free
+    weights = shared.sum(axis=1)
+    # The components leaving coordinate a free, the full product included,
+    # weigh its excess mass in all.  A coordinate that is never a strict
+    # column maximum has none, so those weights (tau_max2 - 1 and 1 - tau_max2)
+    # are rounding or tolerance, and are dropped.
+    leaves_idle = (~glued & ~excess.any(axis=1)).any(axis=1)
+    weights[leaves_idle[:-1]] = 0.0
+    residual = 0.0 if leaves_idle[-1] else 1.0 - weights[weights > _ZERO_WEIGHT].sum()
+    return _mixture(
+        weights=np.append(weights, residual),
+        shared=np.vstack([shared, np.zeros(m)]),
+        factors=np.broadcast_to(excess, (len(glued), n, m)),
+        glued=glued,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import dataclasses
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import doeblin as db
@@ -19,6 +21,7 @@ from helpers import (
     max2_of,
     minimal_n3_components,
     random_pmf,
+    reference_minimal_coupling_max,
     supercritical_trio,
     table_diag_mass,
     table_from_components,
@@ -28,7 +31,11 @@ from helpers import (
     table_union_mass,
 )
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 TRIO = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+# tau_max2 is one exactly but 1 + 2**-52 in floats; rows 1 and 2 are never a
+# strict column maximum, so the components leaving them free are dropped.
+BOUNDARY = [[1.0, 0.0, 0.0, 0.0, 0.0]] + [[x / 13 for x in (1, 3, 3, 3, 3)]] * 2
 SYM08 = [[0.2, 0.4, 0.4], [0.4, 0.2, 0.4], [0.4, 0.4, 0.2]]
 
 
@@ -58,6 +65,32 @@ def supercritical_integer_trios(draw):
         assume(sum(w) > 0)
         fam.append([x / sum(w) for x in w])
     assume(max2_of(db.Channel(fam).matrix) > 1.0 + 1e-12)
+    return fam
+
+
+@st.composite
+def subcritical_integer_families(draw):
+    """Two to seven PMFs from small integer weights with tau_max2 <= 1 in
+    exact arithmetic, so ties, zeros and rows on the boundary tau_max2 = 1
+    occur (the float sum may land just above one).
+
+    Column y has a cap c_y and at most one owner row.  A row stays within
+    the caps off the columns it owns and totals at least sum(c); a row that
+    owns nothing is the caps themselves.  Every second-largest entry is then
+    at most c_y / sum(c)."""
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(2, 6))
+    caps = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(sum))
+    owner = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))  # n: no owner
+    fam = []
+    for i in range(n):
+        owned = [y for y in range(m) if owner[y] == i]
+        if not owned:
+            w = list(caps)
+        else:
+            w = [draw(st.integers(0, 4 if owner[y] == i else c)) for y, c in enumerate(caps)]
+            w[owned[0]] += max(0, sum(caps) - sum(w))
+        fam.append([x / sum(w) for x in w])
     return fam
 
 
@@ -185,6 +218,41 @@ class TestMinimalCoupling:
                 max(0.0, 1.0 - max2_of(mats)), abs=1e-10
             )
             assert c.weight_sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(subcritical_integer_families())
+    @example(BOUNDARY)
+    def test_arrays_match_glue_set_reference(self, fam):
+        built = db.minimal_coupling_max(fam)
+        ref = reference_minimal_coupling_max(fam)
+        for name in ("weights", "factors", "glued"):
+            got, want = getattr(built, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(subcritical_integer_families())
+    @example(BOUNDARY)
+    def test_components_are_strict_gap_prefixes(self, fam):
+        mats = db.Channel(fam).matrix
+        n, m = mats.shape
+        c = db.minimal_coupling_max(fam)
+        assert len(c.weights) <= m * (n - 1) + 1
+        for shared, glued in zip(c.shared, c.glued):
+            for y in np.flatnonzero(shared > 0.0):
+                below = mats[~glued, y].max(initial=0.0)
+                assert mats[glued, y].min() > below
+
+    def test_boundary_example_sits_in_the_tolerance_band(self):
+        assert 1.0 < max2_of(np.array(BOUNDARY)) <= 1.0 + 1e-12
+
+    def test_forty_marginals(self):
+        rng = np.random.default_rng(43)
+        mats = feasible_minimal_instance(rng, 40, 60)
+        c = db.minimal_coupling_max(list(mats))
+        assert len(c.weights) <= 60 * 39 + 1
+        assert c.weight_sum() == pytest.approx(1.0, abs=1e-12)
+        assert max(np.abs(c.marginal(i) - mats[i]).max() for i in range(40)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +522,13 @@ def test_shared_is_every_glued_factor(build):
             assert not shared.any()
 
 
+def test_glued_coordinates_with_different_factors_rejected():
+    # Otherwise marginal(1) reads [0, 1] while expand() and diagonal_mass()
+    # read the first glued row alone and put all the mass on (0, 0).
+    with pytest.raises(db.ValidationError):
+        db.Coupling(np.array([1.0]), np.array([[[1.0, 0.0], [0.0, 1.0]]]), np.array([[True, True]]))
+
+
 def test_replace_recomputes_expansion():
     # The expansion memo belongs to one instance: a copy with other factors
     # expands its own table.
@@ -516,6 +591,14 @@ class TestVerifyCoupling:
         for coords, mass in rep.intersection_masses.items():
             assert mass == pytest.approx(mats[list(coords)].min(axis=0).sum(), abs=1e-12)
         assert rep.orthogonal_components == table_orthogonal(c.to_dict())
+
+    def test_subset_table_past_cap_raises(self):
+        # Twenty peaked rows build in milliseconds, but the table of all 2^20
+        # coordinate subsets would hold 2^20 * K * 24 floats.
+        mats = db.Channel(json.loads((FIXTURES / "peaked20.json").read_text())).matrix
+        c = db.minimal_coupling_max(mats)
+        with pytest.raises(ExpansionCapError):
+            db.verify_coupling(c, mats)
 
     def test_export_roundtrip_shape(self):
         c = db.minimal_coupling_max(TRIO)
