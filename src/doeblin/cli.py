@@ -273,7 +273,7 @@ def _cmd_verify(args) -> int:
     ch = load_pmfs(args.inputs)
     if args.problem == "estimator":
         sense = args.sense or "min"
-        value, witness = lp.estimator_opt(ch, sense, exact=args.exact)
+        value, kernel = lp.estimator_opt(ch, sense, exact=args.exact)
         closed = doeblin(ch) / ch.n if sense == "min" else max_doeblin(ch) / ch.n
         out = {
             "problem": "estimator",
@@ -284,7 +284,7 @@ def _cmd_verify(args) -> int:
             "paper_backed": True,
         }
         if args.witness:
-            out["witness"] = witness.to_dict()
+            out["witness"] = Channel(kernel).to_dict()
         _emit(out)
         return 0
 

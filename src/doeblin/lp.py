@@ -8,10 +8,15 @@ scratch with a two-phase tableau simplex using Bland's rule, which cannot
 cycle, so termination is guaranteed.  Problems are desk-scale (at most 1e5
 variables), so no external solver is needed.
 
-Float mode pivots on a float tableau: each pivot costs one rank-1 update of
-the rows that are nonzero in the pivot column (the coupling tableaus are
-sparse, so most rows are skipped), and the reduced-cost row is carried
-through the pivots rather than recomputed from the basis.  Exact mode, for
+Float mode pivots on one float tableau that holds the constraint rows, the
+right-hand side as its last column and the reduced costs as its last row:
+each pivot costs one rank-1 update of the rows that are nonzero in the pivot
+column (the coupling tableaus are sparse, so most rows are skipped), so the
+reduced costs are carried through the pivots rather than recomputed from the
+basis.  Phase 1 reads only the constraints, so the tableau after phase 1 of
+the last program solved is kept, and a program with the same constraints
+(another objective over the same coupling polytope) starts at phase 2; the
+pivot count still covers the whole path, phase 1 included.  Exact mode, for
 when float pivoting is in doubt, runs the same pivot rule without rounding
 on an integer tableau with one shared denominator: every float input is a
 dyadic rational, so scaling the columns by powers of two makes the tableau
@@ -33,13 +38,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import Channel, _as_float_array, _family, as_channel
+from .channel import _as_float_array, _family, as_channel
 from .exceptions import InfeasibilityError, ValidationError
 
 VARIABLE_CAP = 10**5
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-8
 _MAX_ITER = 200_000
+_phase1: tuple = (None, None)  # (key, state) of the last phase 1 solved; see solve
 
 
 @dataclass(frozen=True)
@@ -86,9 +92,15 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     whose reduced cost is below ``-tol`` among the nonbasic columns, and the
     leaving row attains the minimum ratio ``rhs / column`` over the column's
     entries above ``tol``, ties going to the smallest basic variable index.
-    The reduced-cost row is computed from the basis once per phase and then
-    updated by each pivot; a pivot touches only the rows whose entry in the
-    pivot column is nonzero.  ``tol`` is ``1e-10``.
+    The reduced costs are the last row of the tableau and the right-hand
+    side its last column; the reduced costs are computed from the basis once
+    per phase and then updated by each pivot, and a pivot touches only the
+    rows whose entry in the pivot column is nonzero.  ``tol`` is ``1e-10``.
+
+    The state after phase 1 and the drive-out is kept for the last ``(A, b)``
+    solved (one entry; a phase 1 that raises is not kept); a program with the
+    same ``A`` and ``b`` resumes from a copy.  ``iterations`` (the traced
+    pivot count) still counts the whole path, phase 1 included.
 
     ``exact=True`` takes the same pivots with ``tol`` zero on an integer
     tableau and no rounding anywhere; see :func:`_solve_integer`.
@@ -102,6 +114,7 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     c = sign * problem.objective
     A = problem.eq_matrix
     b = problem.eq_rhs
+    key = (A.shape, A.tobytes(), b.tobytes())
 
     k, nv = A.shape
     # Standard form wants a nonnegative right-hand side.
@@ -109,28 +122,14 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     A = A * row_signs[:, None]
     b = b * row_signs
 
-    # Tableau columns: nv structural variables then k artificials.
-    T = np.concatenate([A, np.eye(k)], axis=1)
-    rhs = b.copy()
-    basis = np.arange(nv, nv + k)
-    in_basis = np.zeros(nv + k, dtype=bool)
-    in_basis[nv:] = True
-    red = np.zeros(nv + k)  # reduced costs, set per phase
-    iterations = 0
-
     def pivot(r: int, j: int) -> None:
         nonlocal iterations
-        piv = T[r, j]
-        T[r] = T[r] / piv
-        rhs[r] = rhs[r] / piv
-        # Rows already zero in the pivot column are left alone; the rest take
-        # one rank-1 update across the full width.
-        rows = np.flatnonzero(T[:, j] != 0.0)
+        T[r] /= T[r, j]
+        # Rows already zero in the pivot column (the reduced-cost row among
+        # them) are left alone; the rest take one rank-1 update.
+        rows = (T[:, j] != 0.0).nonzero()[0]
         rows = rows[rows != r]
-        f = T[rows, j]
-        T[rows] -= np.outer(f, T[r])
-        rhs[rows] -= f * rhs[r]
-        red[:] -= red[j] * T[r]
+        T[rows] -= T[rows, j, None] * T[r]
         in_basis[basis[r]] = False
         in_basis[j] = True
         basis[r] = j
@@ -138,48 +137,65 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
 
     def run_phase(cost: np.ndarray, allow: int) -> None:
         """Drive reduced costs nonnegative over the first ``allow`` columns."""
-        red[:] = cost - cost[basis] @ T
+        T[k, :-1] = cost - cost[basis] @ T[:k, :-1]
         while True:
             if iterations > _MAX_ITER:
                 raise InfeasibilityError("simplex iteration cap exceeded")
             # Bland: the smallest eligible index enters ...
-            eligible = np.flatnonzero((red[:allow] < -_PIVOT_TOL) & ~in_basis[:allow])
+            eligible = ((T[k, :allow] < -_PIVOT_TOL) & ~in_basis[:allow]).nonzero()[0]
             if not eligible.size:
                 return
             entering = eligible[0]
-            col = T[:, entering]
-            rows = np.flatnonzero(col > _PIVOT_TOL)
+            col = T[:k, entering]
+            rows = (col > _PIVOT_TOL).nonzero()[0]
             if not rows.size:
                 raise InfeasibilityError("LP is unbounded")
             # ... and the minimum-ratio row leaves, ties to the smallest basic index.
-            ratios = rhs[rows] / col[rows]
+            ratios = T[rows, -1] / col[rows]
             tied = rows[ratios == ratios.min()]
-            pivot(tied[np.argmin(basis[tied])], entering)
+            pivot(tied[basis[tied].argmin()], entering)
 
-    phase1_cost = np.concatenate([np.zeros(nv), np.ones(k)])
-    run_phase(phase1_cost, nv + k)
-    infeas = phase1_cost[basis] @ rhs
-    if infeas > _FEAS_TOL:
-        raise InfeasibilityError(f"LP infeasible (phase-1 objective {float(infeas)!r})")
-
-    # Swap any artificial still in the basis for a structural column when its
-    # row has one; an all-zero row is a redundant constraint and stays inert.
-    for r in np.flatnonzero(basis >= nv):
-        candidates = np.flatnonzero((abs(T[r, :nv]) > _PIVOT_TOL) & ~in_basis[:nv])
-        if candidates.size:
-            pivot(r, candidates[0])
+    global _phase1
+    memo_key, state = _phase1
+    if memo_key == key:
+        T, basis, in_basis = (a.copy() for a in state[:3])
+        iterations = state[3]
+    else:
+        # Rows: k constraints, then the reduced costs.  Columns: nv structural
+        # variables, k artificials, then the right-hand side.
+        T = np.zeros((k + 1, nv + k + 1))
+        T[:k] = np.concatenate([A, np.eye(k), b[:, None]], axis=1)
+        basis = np.arange(nv, nv + k)
+        in_basis = np.zeros(nv + k, dtype=bool)
+        in_basis[nv:] = True
+        iterations = 0
+        phase1_cost = np.concatenate([np.zeros(nv), np.ones(k)])
+        run_phase(phase1_cost, nv + k)
+        infeas = phase1_cost[basis] @ T[:k, -1].copy()  # a strided dot may sum in another order
+        if infeas > _FEAS_TOL:
+            raise InfeasibilityError(f"LP infeasible (phase-1 objective {float(infeas)!r})")
+        # Swap any artificial still in the basis for a structural column when
+        # its row has one; an all-zero row is a redundant constraint and stays inert.
+        for r in np.flatnonzero(basis >= nv):
+            candidates = np.flatnonzero((abs(T[r, :nv]) > _PIVOT_TOL) & ~in_basis[:nv])
+            if candidates.size:
+                pivot(r, candidates[0])
+        _phase1 = (key, (T.copy(), basis.copy(), in_basis.copy(), iterations))
 
     cost = np.concatenate([c, np.zeros(k)])
     run_phase(cost, nv)
 
     x = np.zeros(nv)
     structural = basis < nv
-    x[basis[structural]] = rhs[structural]
-    duals = cost[basis] @ T[:, nv:]
+    x[basis[structural]] = T[:k, -1][structural]
+    duals = cost[basis] @ T[:k, nv:-1]
     value_min = cost[:nv] @ x
-    margin = min(cost[:nv] - duals @ A) if nv else 0.0
+    # ``argmin`` keeps the first of equal entries, as the builtin ``min`` does,
+    # so a zero margin keeps its sign; ``.min()`` may pick a later signed zero.
+    reduced = cost[:nv] - duals @ A
+    margin = reduced[reduced.argmin()] if nv else 0.0
     gap = abs(value_min - duals @ b)
-    residual = max(abs(A @ x - b)) if k else 0.0
+    residual = abs(A @ x - b).max() if k else 0.0
 
     duals_out = duals * row_signs * sign  # report against the original rows/sense
     return LpSolution(
@@ -332,23 +348,16 @@ def coupling_tuples(n: int, m: int) -> list[tuple[int, ...]]:
 def _coupling_program(mats: np.ndarray, coords: np.ndarray, objective: np.ndarray, sense: str) -> LpProblem:
     """The coupling LP over the tuples ``coords`` (one row per variable)."""
     n, m = mats.shape
-    nvars = len(coords)
     # One equality family per coordinate; each family's constraints sum to the
     # total-mass constraint, so beyond the first family the last symbol's row
     # is redundant and dropped to keep the basis nonsingular.
-    rows = []
-    rhs = []
-    for i in range(n):
-        symbols = range(m) if i == 0 else range(m - 1)
-        for y in symbols:
-            row = np.zeros(nvars)
-            row[coords[:, i] == y] = 1.0
-            rows.append(row)
-            rhs.append(mats[i, y])
+    keep = np.ones((n, m), dtype=bool)
+    keep[1:, -1] = False
+    rows = (coords.T[:, None, :] == np.arange(m)[:, None])[keep]
     return LpProblem(
         objective=objective,
-        eq_matrix=np.array(rows),
-        eq_rhs=np.array(rhs),
+        eq_matrix=rows.astype(np.float64),
+        eq_rhs=mats[keep],
         sense=sense,
     )
 
@@ -406,7 +415,7 @@ def coupling_union_opt(pmfs: Sequence, sense: str = "min", exact: bool = False) 
 # ---------------------------------------------------------------------------
 
 
-def estimator_opt(channel, sense: str, exact: bool = False) -> tuple[float, Channel]:
+def estimator_opt(channel, sense: str, exact: bool = False) -> tuple[float, np.ndarray]:
     """Optimal guessing probability Tr(P W)/n under a uniform prior.
 
     Solves the row-stochastic program with :func:`solve`: one variable
@@ -415,7 +424,8 @@ def estimator_opt(channel, sense: str, exact: bool = False) -> tuple[float, Chan
     It is kept apart from the column-wise closed forms
     (:func:`~doeblin.channel.min_trace`, :func:`~doeblin.channel.max_trace`)
     so that it can check them.  ``exact`` pivots in rational arithmetic, as
-    in :func:`solve`.  Returns the value and an optimal ``m x n`` kernel P.
+    in :func:`solve`.  Returns the value and an optimal ``m x n`` kernel P as
+    an array; wrap it in :class:`~doeblin.channel.Channel` to validate it.
     """
     W = as_channel(channel).matrix
     n, m = W.shape
@@ -426,4 +436,4 @@ def estimator_opt(channel, sense: str, exact: bool = False) -> tuple[float, Chan
         sense=sense,
     )
     sol = solve(problem, exact=exact)
-    return sol.value / n, Channel(sol.x.reshape(m, n))
+    return sol.value / n, sol.x.reshape(m, n)

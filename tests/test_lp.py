@@ -178,6 +178,96 @@ class TestPivotsMatchReference:
         prob = lp.LpProblem(np.array(objective), np.array(matrix), np.array(rhs), sense)
         _assert_matches_reference(prob, exact)
 
+def _coupling_prob(mats, kind, sense):
+    n, m = mats.shape
+    tuples = lp.coupling_tuples(n, m)
+    if kind == "diag":
+        objective = np.array([1.0 if len(set(t)) == 1 else 0.0 for t in tuples])
+    else:
+        objective = np.array([float(len(set(t))) for t in tuples])
+    return lp._coupling_program(mats, np.array(tuples), objective, sense)
+
+
+def _phase1_key(prob):
+    return (prob.eq_matrix.shape, prob.eq_matrix.tobytes(), prob.eq_rhs.tobytes())
+
+
+class TestPhaseOneMemo:
+    """Float ``lp.solve`` keeps the last phase 1 it solved and reuses it for
+    the next program with the same constraints; every solve still matches
+    ``helpers.reference_simplex`` bit for bit."""
+
+    def test_diag_then_union_reuses_phase_one(self):
+        diag = _coupling_prob(np.array(TRIO), "diag", "max")
+        union = _coupling_prob(np.array(TRIO), "union", "min")
+        _assert_matches_reference(diag, exact=False)
+        assert lp._phase1[0] == _phase1_key(union)  # the union solve is a hit
+        _assert_matches_reference(union, exact=False)
+
+    def test_no_state_leaks_between_objectives(self):
+        c1 = _coupling_prob(np.array(SYM08), "union", "min")
+        c2 = _coupling_prob(np.array(SYM08), "diag", "max")
+        first = lp.solve(c1)
+        _assert_same_solution(first, reference_simplex(c1))
+        _assert_same_solution(lp.solve(c2), reference_simplex(c2))
+        _assert_same_solution(lp.solve(c1), first)
+
+    def test_same_matrix_other_rhs_misses(self):
+        p = _coupling_prob(np.array(TRIO), "diag", "max")
+        q = _coupling_prob(np.array(SYM08), "diag", "max")
+        assert p.eq_matrix.tobytes() == q.eq_matrix.tobytes()
+        _assert_matches_reference(p, exact=False)
+        _assert_matches_reference(q, exact=False)
+        assert lp._phase1[0] == _phase1_key(q)
+
+    def test_equal_bytes_other_shape_misses(self):
+        # Equal right-hand sides fix the row count, so only a matrix without
+        # rows has the bytes of another shape: here no bytes at all.
+        narrow = lp.LpProblem(np.array([1.0, 2.0]), np.zeros((0, 2)), np.zeros(0), "min")
+        wide = lp.LpProblem(np.array([1.0, 2.0, 3.0]), np.zeros((0, 3)), np.zeros(0), "min")
+        _assert_matches_reference(narrow, exact=False)
+        _assert_matches_reference(wide, exact=False)
+
+    def test_infeasible_raises_twice(self):
+        prob = lp.LpProblem(np.array([1.0]), np.array([[-1.0]]), np.array([1.0]), "min")
+        for _ in range(2):
+            with pytest.raises(InfeasibilityError, match=re.escape("LP infeasible (phase-1 objective 1.0)")):
+                lp.solve(prob)
+        assert lp._phase1[0] != _phase1_key(prob)
+        _assert_matches_reference(prob, exact=False)
+
+
+class TestDualMargin:
+    def test_signed_zero_margin(self):
+        """A zero dual-feasibility margin keeps the sign of the first minimal
+        reduced cost, as the builtin ``min`` does; both signed zeros occur
+        among the reduced costs of this program."""
+        mats = np.array([[2.0, 3.0, 1.0], [1.0, 2.0, 3.0]]) / 6.0
+        prob = _coupling_prob(mats, "diag", "max")
+        _assert_matches_reference(prob, exact=False)
+        assert lp.solve(prob).dual_feasibility_margin == 0.0
+
+
+class TestCouplingProgram:
+    def test_rows_match_per_symbol_masks(self):
+        """The broadcast build writes the rows of one mask per (i, y), the
+        last symbol of families 1..n-1 dropped."""
+        rng = np.random.default_rng(25)
+        for n, m in [(2, 2), (2, 5), (3, 3), (4, 2), (5, 3)]:
+            mats = np.stack([random_pmf(rng, m) for _ in range(n)])
+            coords = np.array(lp.coupling_tuples(n, m))
+            rows, rhs = [], []
+            for i in range(n):
+                for y in range(m) if i == 0 else range(m - 1):
+                    row = np.zeros(len(coords))
+                    row[coords[:, i] == y] = 1.0
+                    rows.append(row)
+                    rhs.append(mats[i, y])
+            prob = lp._coupling_program(mats, coords, np.zeros(len(coords)), "max")
+            assert prob.eq_matrix.tobytes() == np.array(rows).tobytes()
+            assert prob.eq_matrix.shape == (n * m - n + 1, m**n)
+            assert prob.eq_rhs.tobytes() == np.array(rhs).tobytes()
+
 
 # Decimal fractions such as 0.1 have denominators up to 2**55.
 _ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.1, -0.3, 0.5, 0.7, -2.5])
@@ -296,7 +386,7 @@ class TestEstimatorOracle:
         W1 = [[0.5, 0.5], [0.25, 0.75]]
         value, kernel = lp.estimator_opt(W1, "min")
         assert value == pytest.approx(0.375, abs=1e-12)
-        assert kernel.matrix.shape == (2, 2)
+        assert kernel.shape == (2, 2)
         value, _ = lp.estimator_opt(W1, "max")
         assert value == pytest.approx(0.625, abs=1e-12)
 
@@ -317,14 +407,14 @@ class TestEstimatorOracle:
             assert lo == pytest.approx(db.doeblin(W) / n, abs=1e-12)
             assert hi == pytest.approx(db.max_doeblin(W) / n, abs=1e-12)
             # The LP's kernels attain the values they come with.
-            assert np.trace(lo_kernel.matrix @ W) / n == pytest.approx(lo, abs=1e-12)
-            assert np.trace(hi_kernel.matrix @ W) / n == pytest.approx(hi, abs=1e-12)
+            assert np.trace(lo_kernel @ W) / n == pytest.approx(lo, abs=1e-12)
+            assert np.trace(hi_kernel @ W) / n == pytest.approx(hi, abs=1e-12)
 
     def test_exact_mode_attains_closed_form(self):
         W1 = [[0.5, 0.5], [0.25, 0.75]]
         value, kernel = lp.estimator_opt(W1, "min", exact=True)
         assert value == db.doeblin(W1) / 2
-        assert np.trace(kernel.matrix @ np.array(W1)) / 2 == value
+        assert np.trace(kernel @ np.array(W1)) / 2 == value
 
     def test_rejects_unknown_sense(self):
         with pytest.raises(db.ValidationError):
