@@ -12,7 +12,8 @@ product).
 
 A family of PMFs enters every module as the rows of a channel, through
 :func:`as_channel` alone: a :class:`Channel` passes through, and a 2-D array
-or a sequence of rows (Pmfs, lists or arrays, mixed) is validated once.
+or a sequence of rows (Pmfs, lists or arrays, mixed) is validated once.  Each
+row is normalized once, where it enters: a :class:`Pmf` row is taken as it is.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
@@ -117,9 +118,19 @@ class Channel:
     output_labels: tuple[str, ...] | None = None
 
     def __init__(self, rows, input_labels=None, output_labels=None):
-        mat = _as_prob_vector(_table(rows), what="channel")
-        if mat.ndim != 2:
-            raise ValidationError("channel must be a nonempty 2-D matrix")
+        # Rows of a Pmf or a Channel are taken as they are; the rest are
+        # validated and normalized in one pass.
+        table, normalized = _table(rows)
+        if normalized and len(normalized) == len(table):
+            mat = table
+        else:
+            mat = _as_prob_vector(table, what="channel")
+            if mat.ndim != 2:
+                raise ValidationError("channel must be a nonempty 2-D matrix")
+            if normalized:
+                mat = mat.copy()
+                mat[normalized] = table[normalized]
+        mat.setflags(write=False)
         if input_labels is not None:
             input_labels = tuple(str(s) for s in input_labels)
             if len(input_labels) != mat.shape[0]:
@@ -147,29 +158,12 @@ class Channel:
     @classmethod
     def from_json(cls, text: str) -> "Channel":
         """Parse ``{"rows": [[...], ...], "input_labels"?, "output_labels"?}``."""
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid channel JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "rows" not in obj:
-            raise ValidationError('channel JSON must be an object with a "rows" key')
-        return cls(_parsed_table(obj["rows"]), obj.get("input_labels"), obj.get("output_labels"))
+        return cls(*_json_fields(text))
 
     @classmethod
     def from_csv(cls, text: str) -> "Channel":
         """Parse one comma-separated row per line; an optional header is discarded."""
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        rows = []
-        for idx, line in enumerate(lines):
-            fields = [f.strip() for f in line.split(",")]
-            try:
-                row = [float(f) for f in fields]
-            except ValueError:
-                if idx == 0:
-                    continue  # header line
-                raise ValidationError(f"non-numeric CSV entry on line {idx + 1}")
-            rows.append(row)
-        return cls(_parsed_table(rows))
+        return cls(_csv_table(text))
 
     def to_dict(self) -> dict:
         out: dict = {"rows": [[float(v) for v in row] for row in self.matrix]}
@@ -178,6 +172,33 @@ class Channel:
         if self.output_labels is not None:
             out["output_labels"] = list(self.output_labels)
         return out
+
+
+def _json_fields(text: str) -> tuple:
+    """The parsed rows, input labels and output labels of a channel JSON object."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid channel JSON: {exc}") from exc
+    if not isinstance(obj, dict) or "rows" not in obj:
+        raise ValidationError('channel JSON must be an object with a "rows" key')
+    return _parsed_table(obj["rows"]), obj.get("input_labels"), obj.get("output_labels")
+
+
+def _csv_table(text: str) -> np.ndarray:
+    """The parsed rows of a channel CSV, one per line; a header line is discarded."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    rows = []
+    for idx, line in enumerate(lines):
+        fields = [f.strip() for f in line.split(",")]
+        try:
+            row = [float(f) for f in fields]
+        except ValueError:
+            if idx == 0:
+                continue  # header line
+            raise ValidationError(f"non-numeric CSV entry on line {idx + 1}")
+        rows.append(row)
+    return _parsed_table(rows)
 
 
 def _parsed_table(rows) -> np.ndarray:
@@ -190,16 +211,17 @@ def _parsed_table(rows) -> np.ndarray:
 
 def _table(rows):
     """A Channel's matrix, an array as it is, or a sequence of rows (Pmfs,
-    lists or arrays, mixed) stacked once their lengths agree."""
+    lists or arrays, mixed) stacked once their lengths agree; with it, the
+    indices of the rows normalized already (a Channel's or a Pmf's)."""
     if isinstance(rows, Channel):
-        return rows.matrix
+        return rows.matrix, list(range(rows.n))
     if not isinstance(rows, (list, tuple)) or not rows:
-        return rows
+        return rows, []
     vectors = [r.probs if isinstance(r, Pmf) else _as_float_array(r, f"channel row {i}")
                for i, r in enumerate(rows)]
     if any(v.shape != vectors[0].shape for v in vectors):
         raise AlphabetMismatchError("PMFs must share one alphabet")
-    return np.stack(vectors)
+    return np.stack(vectors), [i for i, r in enumerate(rows) if isinstance(r, Pmf)]
 
 
 def as_channel(obj) -> Channel:
@@ -259,10 +281,9 @@ def dobrushin_tv(channel) -> float:
 
 
 def tv_distance(p, q) -> float:
-    """Total variation distance between two PMFs (half the L1 distance)."""
-    pa = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=np.float64)
-    qa = q.probs if isinstance(q, Pmf) else np.asarray(q, dtype=np.float64)
-    return float(0.5 * np.abs(pa - qa).sum())
+    """Total variation distance between two PMFs (half the L1 distance),
+    validated as the two-row family ``[p, q]``."""
+    return dobrushin_tv([p, q])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from . import bayesnet as bn
 from . import coupling as cp
 from . import degroot as dg
 from . import lp
-from .channel import Channel, Pmf, _parsed_table, doeblin, max_doeblin, report
+from .channel import Channel, Pmf, _csv_table, _json_fields, _parsed_table, doeblin, max_doeblin, report
 from .exceptions import ExpansionCapError, InfeasibilityError, ValidationError
 from .fusion import fuse_min
 
@@ -82,36 +82,40 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_channel(text: str) -> Channel:
-    """A channel from JSON ({"rows": ...}) or CSV, by content sniffing."""
+def _channel_fields(text: str) -> tuple:
+    """The parsed rows and labels of a channel, JSON ({"rows": ...}) or CSV
+    by content sniffing, before validation."""
     if text.lstrip().startswith("{"):
-        return Channel.from_json(text)
-    return Channel.from_csv(text)
+        return _json_fields(text)
+    return _csv_table(text), None, None
 
 
 def load_channel(path: str) -> Channel:
     """Load a channel from JSON ({"rows": ...}) or CSV, by content sniffing."""
-    return _parse_channel(_read(path))
+    return Channel(*_channel_fields(_read(path)))
 
 
 def load_pmfs(paths) -> Channel:
     """The PMFs of every path, in order, as the rows of one channel.  Each
     path holds one JSON array, a JSON list of arrays, or a channel as
-    :func:`load_channel` reads it (JSON object or CSV, one PMF per line)."""
+    :func:`load_channel` reads it (JSON object or CSV, one PMF per line).
+    The rows are validated and normalized once, as one channel."""
     rows: list = []
     for path in paths:
         text = _read(path)
-        if not text.lstrip().startswith("["):
-            ch = _parse_channel(text)
-            if len(paths) == 1:
-                return ch
-            rows.extend(ch.matrix)
+        if text.lstrip().startswith("["):
+            try:
+                table = _parsed_table(json.loads(text))
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"invalid PMF JSON in {path}: {exc}") from exc
+            rows.extend(table if table.ndim > 1 else [table])
             continue
-        try:
-            table = _parsed_table(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid PMF JSON in {path}: {exc}") from exc
-        rows.extend(table if table.ndim > 1 else [table])
+        table, *labels = _channel_fields(text)
+        if len(paths) == 1:
+            return Channel(table, *labels)
+        if table.ndim != 2:
+            raise ValidationError(f"channel in {path} must be a nonempty 2-D matrix")
+        rows.extend(table)
     return Channel(rows)
 
 
@@ -131,6 +135,8 @@ def _cmd_coef(args) -> int:
 
 def _cmd_couple(args) -> int:
     if args.kind == "joint":
+        if len(args.inputs) != 1:
+            raise ValidationError(f"--kind joint reads one file of joints, got {len(args.inputs)}")
         try:
             obj = json.loads(_read(args.inputs[0]))
         except json.JSONDecodeError as exc:
@@ -209,7 +215,7 @@ def _cmd_degroot(args) -> int:
 
 def _cmd_bayesnet(args) -> int:
     net = bn.BayesNet.from_json(_read(args.net))
-    targets = sorted(net.index_of(name.strip()) for name in args.target.split(","))
+    targets = sorted({net.index_of(name.strip()) for name in args.target.split(",")})
     names = [net.nodes[i].name for i in targets]
     out: dict = {"target": names}
     try:

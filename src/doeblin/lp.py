@@ -32,7 +32,6 @@ must agree (strong duality), which serves as a built-in self-check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -340,26 +339,16 @@ def _solve_integer(problem: LpProblem, sign: float) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 
-def coupling_tuples(n: int, m: int) -> list[tuple[int, ...]]:
-    """All output n-tuples in row-major order (last coordinate fastest)."""
-    return list(itertools.product(range(m), repeat=n))
-
-
-def _coupling_program(mats: np.ndarray, coords: np.ndarray, objective: np.ndarray, sense: str) -> LpProblem:
-    """The coupling LP over the tuples ``coords`` (one row per variable)."""
+def _coupling_program(mats: np.ndarray, grid: np.ndarray, objective: np.ndarray, sense: str) -> LpProblem:
+    """The coupling LP over the tuples ``grid`` (one row per variable)."""
     n, m = mats.shape
-    # One equality family per coordinate; each family's constraints sum to the
-    # total-mass constraint, so beyond the first family the last symbol's row
-    # is redundant and dropped to keep the basis nonsingular.
+    # One equality family per coordinate; each sums to the total mass, so each
+    # after the first drops a redundant row, its last positive symbol's: a zero
+    # cell's implied mass would be a gap of two rounded totals, maybe negative.
     keep = np.ones((n, m), dtype=bool)
-    keep[1:, -1] = False
-    rows = (coords.T[:, None, :] == np.arange(m)[:, None])[keep]
-    return LpProblem(
-        objective=objective,
-        eq_matrix=rows.astype(np.float64),
-        eq_rhs=mats[keep],
-        sense=sense,
-    )
+    keep[np.arange(1, n), m - 1 - (mats[1:, ::-1] > 0).argmax(axis=1)] = False
+    rows = (grid.T[:, None, :] == np.arange(m)[:, None])[keep]
+    return LpProblem(objective, rows.astype(np.float64), mats[keep], sense)
 
 
 @dataclass(frozen=True)
@@ -374,40 +363,50 @@ class OracleResult:
     solution: LpSolution
 
 
-def coupling_opt(pmfs: Sequence, objective_of_tuple: Callable, sense: str, exact: bool = False) -> OracleResult:
-    """Optimize a per-tuple objective over all couplings of the given PMFs."""
+def coupling_opt(pmfs: Sequence, objective: Callable, sense: str, exact: bool = False) -> OracleResult:
+    """Optimize a per-tuple objective over all couplings of the given PMFs.
+
+    The variables are the ``m**n`` output tuples in row-major order (last
+    coordinate fastest, as ``itertools.product`` lists them), the rows of one
+    ``(m**n, n)`` integer grid; ``objective`` is called once, on that grid, and
+    returns one value per tuple.  The witness keeps that order.
+    """
     mats = _family(pmfs, "coupling problems need at least two marginals").matrix
     n, m = mats.shape
     if m**n > VARIABLE_CAP:
         raise ValidationError(f"coupling LP would need {m ** n} variables (cap {VARIABLE_CAP})")
-    tuples = coupling_tuples(n, m)
-    coords = np.array(tuples)  # nvars x n
-    objective = np.array([float(objective_of_tuple(t)) for t in tuples])
-    sol = solve(_coupling_program(mats, coords, objective, sense), exact=exact)
-    witness = {t: float(v) for t, v in zip(tuples, sol.x) if v > 1e-15}
-    worst = 0.0
-    for i in range(n):
-        for y in range(m):
-            worst = max(worst, abs(float(sol.x[coords[:, i] == y].sum()) - mats[i, y]))
+    grid = np.indices((m,) * n).reshape(n, -1).T
+    sol = solve(_coupling_program(mats, grid, objective(grid), sense), exact=exact)
+    support = np.flatnonzero(sol.x > 1e-15)
+    # Each (i, y) mass is its own row's ``sum``: a 2-D ``sum(axis=1)`` may round differently.
+    cube = sol.x.reshape((m,) * n)
+    pushed = [[row.sum() for row in np.moveaxis(cube, i, 0).reshape(m, -1)] for i in range(n)]
     return OracleResult(
         value=sol.value,
-        witness=witness,
-        max_marginal_residual=worst,
+        witness=dict(zip(map(tuple, grid[support].tolist()), sol.x[support].tolist())),
+        max_marginal_residual=float(np.abs(np.array(pushed) - mats).max()),
         min_mass=float(sol.x.min()),
         duality_gap=sol.duality_gap,
         solution=sol,
     )
 
 
+def _all_equal(grid: np.ndarray) -> np.ndarray:
+    return (grid == grid[:, :1]).all(axis=1).astype(np.float64)
+
+
+def _distinct_count(grid: np.ndarray) -> np.ndarray:
+    return 1 + (np.diff(np.sort(grid, axis=1), axis=1) != 0).sum(axis=1)
+
+
 def coupling_diag_opt(pmfs: Sequence, sense: str = "max", exact: bool = False) -> OracleResult:
     """Optimize the probability that all coordinates coincide."""
-    return coupling_opt(pmfs, lambda t: 1.0 if len(set(t)) == 1 else 0.0, sense, exact=exact)
+    return coupling_opt(pmfs, _all_equal, sense, exact=exact)
 
 
 def coupling_union_opt(pmfs: Sequence, sense: str = "min", exact: bool = False) -> OracleResult:
-    """Optimize the summed union mass; a tuple contributes one unit per
-    distinct symbol it contains."""
-    return coupling_opt(pmfs, lambda t: float(len(set(t))), sense, exact=exact)
+    """Optimize the summed union mass: one unit per distinct symbol of a tuple."""
+    return coupling_opt(pmfs, _distinct_count, sense, exact=exact)
 
 
 # ---------------------------------------------------------------------------

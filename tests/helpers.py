@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from doeblin import BayesNet, CouplingConditionError, InfeasibilityError, Node
+from doeblin import BayesNet, CouplingConditionError, InfeasibilityError, Node, ValidationError
 from doeblin.channel import _family
 from doeblin.coupling import _MARGINALS, _MAX2_LIMIT, _ZERO_WEIGHT, Coupling, _mixture
-from doeblin.lp import LpSolution
+from doeblin.lp import VARIABLE_CAP, LpSolution, OracleResult, _coupling_program, solve
 
 # ---------------------------------------------------------------------------
 # Random instances
@@ -587,4 +587,37 @@ def reference_simplex(problem, exact: bool = False):
         duality_gap=float(gap),
         dual_feasibility_margin=float(margin),
         iterations=iterations,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference coupling oracle (one tuple at a time)
+# ---------------------------------------------------------------------------
+
+
+def reference_coupling_opt(pmfs, objective_of_tuple, sense: str, exact: bool = False) -> OracleResult:
+    """``lp.coupling_opt`` one tuple at a time: the objective called on each
+    tuple of ``itertools.product``, the witness zipped tuple by tuple and each
+    marginal summed under its own boolean mask.  Kept as the oracle that the
+    grid version is held to bit for bit."""
+    mats = _family(pmfs, "coupling problems need at least two marginals").matrix
+    n, m = mats.shape
+    if m**n > VARIABLE_CAP:
+        raise ValidationError(f"coupling LP would need {m ** n} variables (cap {VARIABLE_CAP})")
+    tuples = list(itertools.product(range(m), repeat=n))
+    coords = np.array(tuples)  # nvars x n
+    objective = np.array([float(objective_of_tuple(t)) for t in tuples])
+    sol = solve(_coupling_program(mats, coords, objective, sense), exact=exact)
+    witness = {t: float(v) for t, v in zip(tuples, sol.x) if v > 1e-15}
+    worst = 0.0
+    for i in range(n):
+        for y in range(m):
+            worst = max(worst, abs(float(sol.x[coords[:, i] == y].sum()) - mats[i, y]))
+    return OracleResult(
+        value=sol.value,
+        witness=witness,
+        max_marginal_residual=worst,
+        min_mass=float(sol.x.min()),
+        duality_gap=sol.duality_gap,
+        solution=sol,
     )

@@ -106,6 +106,18 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"^channel row 2 {words}"):
             db.Channel([[0.5, 0.5], [0.25, 0.75], bad_row, [0.5, 0.6]])
 
+    @pytest.mark.parametrize(
+        "p, q, error",
+        [
+            ([1.0], [0.5, 0.5], db.AlphabetMismatchError),  # broadcast to 0.5 before
+            ([2.0, 0.0], [0.5, 0.5], ValidationError),  # read as distance 1.0 before
+            ([0.2, 0.3, 0.5], [0.5, 0.5], db.AlphabetMismatchError),
+        ],
+    )
+    def test_tv_distance_validates_its_pair(self, p, q, error):
+        with pytest.raises(error):
+            db.tv_distance(p, q)
+
     def test_normalization_matches_rowwise_reference(self):
         # Rows off by up to 1e-11 and entries a little below zero are
         # clamped and renormalized exactly as one row at a time, whatever

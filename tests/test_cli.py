@@ -58,6 +58,7 @@ CASES = {
     ),
     "verify_diag": (["verify", "--problem", "diag", _f("trio.json")], 0),
     "verify_diag_exact": (["verify", "--problem", "diag", "--exact", _f("trio.json")], 0),
+    "verify_diag_exact_zero_tail": (["verify", "--problem", "diag", "--exact", _f("zero_tail.json")], 0),
     "verify_union_witness": (["verify", "--problem", "union", "--witness", _f("sym08.json")], 0),
     "verify_union_open": (["verify", "--problem", "union", _f("quad.csv")], 0),
     "verify_union_max": (["verify", "--problem", "union", "--sense", "max", _f("trio.json")], 0),
@@ -68,6 +69,7 @@ CASES = {
     "unknown_flag": (["coef", "--bogus", _f("channel.json")], 1),
     "bayesnet_unknown_target": (["bayesnet", _f("net.json"), "--target", "Z"], 1),
     "min3_wrong_arity": (["couple", "--kind", "min3", _f("trio.json"), _f("channel.json")], 1),
+    "joint_two_files": (["couple", "--kind", "joint", _f("joints.json"), _f("joints.json")], 1),
     # Infeasible requests exit 2.
     "couple_min_supercritical": (["couple", "--kind", "min", _f("sym08.json")], 2),
     "fuse_no_consensus": (["fuse", _f("disjoint.json")], 2),
@@ -201,6 +203,17 @@ def test_each_input_validated_once(monkeypatch, capsys):
     # The prior once; the channel once and one estimator kernel per loss.
     assert _invoke(CASES["degroot"][0]) == 0
     assert sorted(seen) == ["channel", "channel", "channel", "pmf"]
+
+
+def test_joint_two_files_named_in_error(capsys):
+    assert _invoke(CASES["joint_two_files"][0]) == 1
+    assert "--kind joint reads one file of joints, got 2" in capsys.readouterr().err
+
+
+def test_bayesnet_repeated_target_counts_once(capsys):
+    # The bounds are computed for the target set, so T,T reports as T.
+    assert _invoke(["bayesnet", _f("net.json"), "--target", "T, T"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "bayesnet_all.out").read_text()
 
 
 def test_open_union_regime_notes(capsys):

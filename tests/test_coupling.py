@@ -351,10 +351,10 @@ class TestSandwichBounds:
         for _ in range(25):
             n, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
             pmfs = [random_pmf(rng, m) for _ in range(n)]
-            coeffs = {t: rng.normal() for t in lp.coupling_tuples(n, m)}
-            res = lp.coupling_opt(pmfs, lambda t: coeffs[t], "min")
+            coeffs = rng.normal(size=m**n)  # one per tuple of the grid
+            res = lp.coupling_opt(pmfs, lambda grid: coeffs, "min")
             x = res.solution.x
-            tuples = lp.coupling_tuples(n, m)
+            tuples = list(itertools.product(range(m), repeat=n))
             union = sum(float(v) * len(set(t)) for t, v in zip(tuples, x))
             diag = sum(float(v) for t, v in zip(tuples, x) if len(set(t)) == 1)
             assert union >= db.max_doeblin(pmfs) - 1e-9
@@ -365,9 +365,9 @@ class TestSandwichBounds:
         for _ in range(25):
             m = int(rng.integers(2, 5))
             pmfs = [random_pmf(rng, m) for _ in range(3)]
-            coeffs = {t: rng.normal() for t in lp.coupling_tuples(3, m)}
-            res = lp.coupling_opt(pmfs, lambda t: coeffs[t], "max")
-            tuples = lp.coupling_tuples(3, m)
+            coeffs = rng.normal(size=m**3)  # one per tuple of the grid
+            res = lp.coupling_opt(pmfs, lambda grid: coeffs, "max")
+            tuples = itertools.product(range(m), repeat=3)
             union = sum(float(v) * len(set(t)) for t, v in zip(tuples, res.solution.x))
             floor = db.max_doeblin(pmfs) + max(0.0, max2_of(np.stack(pmfs)) - 1.0)
             assert union >= floor - 1e-9
@@ -392,9 +392,8 @@ class TestSimultaneousJointCoupling:
             jc = db.simultaneous_joint_coupling(joints)
             flat = [j.reshape(-1) for j in joints]
             pair = lp.coupling_diag_opt(flat, "max")
-            xdiag = lp.coupling_opt(
-                flat, lambda t: 1.0 if len({s // 2 for s in t}) == 1 else 0.0, "max"
-            )
+            # Symbol s is the pair (s // 2, s % 2): all X coordinates equal.
+            xdiag = lp.coupling_opt(flat, lambda grid: (grid // 2 == grid[:, :1] // 2).all(axis=1), "max")
             assert jc.prob_all_equal() == pytest.approx(pair.value, abs=1e-9)
             assert jc.prob_x_equal() == pytest.approx(xdiag.value, abs=1e-9)
             for i, j in enumerate(joints):

@@ -1,5 +1,6 @@
 """Simplex solver unit tests and oracle cross-checks against closed forms."""
 
+import itertools
 import re
 
 import numpy as np
@@ -10,10 +11,26 @@ from hypothesis import strategies as st
 import doeblin as db
 from doeblin import InfeasibilityError, ValidationError, lp
 
-from helpers import random_pmf, reference_simplex, table_diag_mass, table_union_mass
+from helpers import (
+    random_pmf,
+    reference_coupling_opt,
+    reference_simplex,
+    table_diag_mass,
+    table_union_mass,
+)
 
 TRIO = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
 SYM08 = [[0.2, 0.4, 0.4], [0.4, 0.2, 0.4], [0.4, 0.4, 0.2]]
+# Zero last cells: dropping the last symbol's row of the second family made
+# the exact program infeasible by the gap between the two rows' totals.
+ZERO_TAIL = [[4 / 7, 0.0, 3 / 7, 0.0], [1 / 6, 2 / 3, 1 / 6, 0.0]]
+
+# The objectives of lp.coupling_diag_opt and lp.coupling_union_opt, one tuple
+# at a time: the independent reference for their grid forms.
+TUPLE_OBJECTIVES = {
+    "diag": lambda t: 1.0 if len(set(t)) == 1 else 0.0,
+    "union": lambda t: float(len(set(t))),
+}
 
 
 class TestSimplex:
@@ -145,12 +162,7 @@ class TestPivotsMatchReference:
     @given(integer_weight_rows(), st.sampled_from(["diag", "union"]), st.sampled_from(["min", "max"]))
     def test_coupling_programs(self, mats, kind, sense):
         n, m = mats.shape
-        tuples = lp.coupling_tuples(n, m)
-        if kind == "diag":
-            objective = np.array([1.0 if len(set(t)) == 1 else 0.0 for t in tuples])
-        else:
-            objective = np.array([float(len(set(t))) for t in tuples])
-        prob = lp._coupling_program(mats, np.array(tuples), objective, sense)
+        prob = _coupling_prob(mats, kind, sense)
         _assert_matches_reference(prob, exact=False)
         if m**n <= 81:
             _assert_matches_reference(prob, exact=True)
@@ -180,11 +192,8 @@ class TestPivotsMatchReference:
 
 def _coupling_prob(mats, kind, sense):
     n, m = mats.shape
-    tuples = lp.coupling_tuples(n, m)
-    if kind == "diag":
-        objective = np.array([1.0 if len(set(t)) == 1 else 0.0 for t in tuples])
-    else:
-        objective = np.array([float(len(set(t))) for t in tuples])
+    tuples = list(itertools.product(range(m), repeat=n))
+    objective = np.array([TUPLE_OBJECTIVES[kind](t) for t in tuples])
     return lp._coupling_program(mats, np.array(tuples), objective, sense)
 
 
@@ -248,25 +257,117 @@ class TestDualMargin:
         assert lp.solve(prob).dual_feasibility_margin == 0.0
 
 
+def _assert_rows_match_per_symbol_masks(mats):
+    """The broadcast build writes the rows of one mask per (i, y); each
+    family after the first drops the row of its last positive symbol."""
+    n, m = mats.shape
+    coords = np.array(list(itertools.product(range(m), repeat=n)))
+    rows, rhs = [], []
+    for i in range(n):
+        dropped = None if i == 0 else max(y for y in range(m) if mats[i, y] > 0)
+        for y in range(m):
+            if y == dropped:
+                continue
+            row = np.zeros(len(coords))
+            row[coords[:, i] == y] = 1.0
+            rows.append(row)
+            rhs.append(mats[i, y])
+    prob = lp._coupling_program(mats, coords, np.zeros(len(coords)), "max")
+    assert prob.eq_matrix.tobytes() == np.array(rows).tobytes()
+    assert prob.eq_matrix.shape == (n * m - n + 1, m**n)
+    assert prob.eq_rhs.tobytes() == np.array(rhs).tobytes()
+
+
 class TestCouplingProgram:
+    SHAPES = [(2, 2), (2, 5), (3, 3), (4, 2), (5, 3)]
+
     def test_rows_match_per_symbol_masks(self):
-        """The broadcast build writes the rows of one mask per (i, y), the
-        last symbol of families 1..n-1 dropped."""
         rng = np.random.default_rng(25)
-        for n, m in [(2, 2), (2, 5), (3, 3), (4, 2), (5, 3)]:
+        for n, m in self.SHAPES:
+            _assert_rows_match_per_symbol_masks(np.stack([random_pmf(rng, m) for _ in range(n)]))
+
+    def test_zero_last_cells_keep_their_rows(self):
+        # Rows 1, 3, ... end in zero cells; at m = 2 they become [1, 0].
+        rng = np.random.default_rng(26)
+        for n, m in self.SHAPES:
             mats = np.stack([random_pmf(rng, m) for _ in range(n)])
-            coords = np.array(lp.coupling_tuples(n, m))
-            rows, rhs = [], []
-            for i in range(n):
-                for y in range(m) if i == 0 else range(m - 1):
-                    row = np.zeros(len(coords))
-                    row[coords[:, i] == y] = 1.0
-                    rows.append(row)
-                    rhs.append(mats[i, y])
-            prob = lp._coupling_program(mats, coords, np.zeros(len(coords)), "max")
-            assert prob.eq_matrix.tobytes() == np.array(rows).tobytes()
-            assert prob.eq_matrix.shape == (n * m - n + 1, m**n)
-            assert prob.eq_rhs.tobytes() == np.array(rhs).tobytes()
+            mats[1::2, max(1, m - 2):] = 0.0
+            _assert_rows_match_per_symbol_masks(mats / mats.sum(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("kind", ["diag", "union"])
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_zero_tail_exact_is_feasible(self, kind, sense):
+        fn = lp.coupling_diag_opt if kind == "diag" else lp.coupling_union_opt
+        res = fn(ZERO_TAIL, sense, exact=True)
+        _assert_certified(res.solution)
+        assert res.value == pytest.approx(fn(ZERO_TAIL, sense).value, abs=1e-12)
+        if kind == "diag" and sense == "max":
+            assert res.value == pytest.approx(db.doeblin(ZERO_TAIL), abs=1e-12)
+
+
+def _assert_same_oracle(got, want):
+    """Bit-for-bit equality of two OracleResults, witness key order included."""
+    for field in ("value", "max_marginal_residual", "min_mass", "duality_gap"):
+        assert getattr(got, field).hex() == getattr(want, field).hex(), field
+    assert list(got.witness) == list(want.witness)
+    assert all(type(s) is int for key in got.witness for s in key)
+    assert all(type(v) is float for v in got.witness.values())
+    assert [v.hex() for v in got.witness.values()] == [v.hex() for v in want.witness.values()]
+    _assert_same_solution(got.solution, want.solution)
+
+
+@st.composite
+def oracle_cases(draw):
+    """``(family, exact)`` within 81 variables for exact mode and 1024 for
+    float: integer-weight rows (ties and zero cells) or Dirichlet rows."""
+    exact = draw(st.booleans())
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(2, max(k for k in range(2, 6) if k**n <= (81 if exact else 1024))))
+    if draw(st.booleans()):
+        return draw(integer_weight_rows(n, n, m, m)), exact
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(m), size=n), exact
+
+
+class TestGridOracle:
+    """``lp.coupling_opt`` builds its objective, witness and marginal
+    residual from one tuple grid; ``helpers.reference_coupling_opt`` does
+    it one tuple at a time, and every field must agree bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(TUPLE_OBJECTIVES))
+    def test_grid_objectives_match_tuple_formulas(self, kind):
+        objective = lp._all_equal if kind == "diag" else lp._distinct_count
+        for n in range(1, 6):
+            for m in range(1, 6):
+                grid = np.indices((m,) * n).reshape(n, -1).T
+                want = [TUPLE_OBJECTIVES[kind](t) for t in itertools.product(range(m), repeat=n)]
+                assert grid.tolist() == [list(t) for t in itertools.product(range(m), repeat=n)]
+                assert np.asarray(objective(grid), dtype=np.float64).tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_cases(), st.sampled_from(["diag", "union"]), st.sampled_from(["min", "max"]))
+    def test_fields_match_reference(self, case, kind, sense):
+        mats, exact = case
+        fn = lp.coupling_diag_opt if kind == "diag" else lp.coupling_union_opt
+        try:
+            want = reference_coupling_opt(mats, TUPLE_OBJECTIVES[kind], sense, exact=exact)
+        except InfeasibilityError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                fn(mats, sense, exact=exact)
+            return
+        _assert_same_oracle(fn(mats, sense, exact=exact), want)
+
+    def test_custom_objective_called_once_on_grid(self):
+        calls = []
+
+        def objective(grid):
+            calls.append(grid.copy())
+            return grid[:, 0] - grid[:, 1]
+
+        res = lp.coupling_opt(TRIO, objective, "max")
+        want = reference_coupling_opt(TRIO, lambda t: t[0] - t[1], "max")
+        _assert_same_oracle(res, want)
+        assert len(calls) == 1
+        assert calls[0].tolist() == [list(t) for t in itertools.product(range(3), repeat=3)]
 
 
 # Decimal fractions such as 0.1 have denominators up to 2**55.
