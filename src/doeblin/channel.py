@@ -118,19 +118,16 @@ class Channel:
     output_labels: tuple[str, ...] | None = None
 
     def __init__(self, rows, input_labels=None, output_labels=None):
-        # Rows of a Pmf or a Channel are taken as they are; the rest are
-        # validated and normalized in one pass.
+        # Every row is validated in one pass; rows of a Pmf or a Channel keep
+        # their bits, the rest are normalized here.
         table, normalized = _table(rows)
-        if normalized and len(normalized) == len(table):
-            mat = table
-        else:
-            mat = _as_prob_vector(table, what="channel")
-            if mat.ndim != 2:
-                raise ValidationError("channel must be a nonempty 2-D matrix")
-            if normalized:
-                mat = mat.copy()
-                mat[normalized] = table[normalized]
-        mat.setflags(write=False)
+        mat = _as_prob_vector(table, what="channel")
+        if mat.ndim != 2:
+            raise ValidationError("channel must be a nonempty 2-D matrix")
+        if normalized:
+            mat = mat.copy()
+            mat[normalized] = table[normalized]
+            mat.setflags(write=False)
         if input_labels is not None:
             input_labels = tuple(str(s) for s in input_labels)
             if len(input_labels) != mat.shape[0]:

@@ -348,7 +348,12 @@ def _coupling_program(mats: np.ndarray, grid: np.ndarray, objective: np.ndarray,
     keep = np.ones((n, m), dtype=bool)
     keep[np.arange(1, n), m - 1 - (mats[1:, ::-1] > 0).argmax(axis=1)] = False
     rows = (grid.T[:, None, :] == np.arange(m)[:, None])[keep]
-    return LpProblem(objective, rows.astype(np.float64), mats[keep], sense)
+    return LpProblem(
+        objective=objective,
+        eq_matrix=rows.astype(np.float64),
+        eq_rhs=mats[keep],
+        sense=sense,
+    )
 
 
 @dataclass(frozen=True)
@@ -376,6 +381,7 @@ def coupling_opt(pmfs: Sequence, objective: Callable, sense: str, exact: bool = 
     if m**n > VARIABLE_CAP:
         raise ValidationError(f"coupling LP would need {m ** n} variables (cap {VARIABLE_CAP})")
     grid = np.indices((m,) * n).reshape(n, -1).T
+    grid.setflags(write=False)  # the objective may not reorder the LP's variables
     sol = solve(_coupling_program(mats, grid, objective(grid), sense), exact=exact)
     support = np.flatnonzero(sol.x > 1e-15)
     # Each (i, y) mass is its own row's ``sum``: a 2-D ``sum(axis=1)`` may round differently.

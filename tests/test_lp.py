@@ -369,6 +369,19 @@ class TestGridOracle:
         assert len(calls) == 1
         assert calls[0].tolist() == [list(t) for t in itertools.product(range(3), repeat=3)]
 
+    @pytest.mark.parametrize("mutate", [
+        lambda grid: grid.__ifloordiv__(2),
+        lambda grid: grid.sort(axis=1),
+        lambda grid: grid.__setitem__((0, 0), 1),
+    ], ids=["floordiv", "sort", "setitem"])
+    def test_objective_cannot_write_grid(self, mutate):
+        def objective(grid):
+            mutate(grid)
+            return grid[:, 0] - grid[:, 1]
+
+        with pytest.raises(ValueError, match="read-only"):
+            lp.coupling_opt(TRIO, objective, "max")
+
 
 # Decimal fractions such as 0.1 have denominators up to 2**55.
 _ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.1, -0.3, 0.5, 0.7, -2.5])
