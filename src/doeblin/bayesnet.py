@@ -15,7 +15,10 @@ Doeblin coefficient to the per-node coefficients:
   random coordinate subsets drawn from the per-letter erasure rates.
 
 Each table is validated once, when the network is built (in code or from
-JSON); the network keeps it normalized, with its Doeblin coefficient.
+JSON); the network keeps it normalized, with its Doeblin coefficient.  Every
+node's parents precede it, so node index order is a topological order, and
+reachability is one pass over the nodes: forward for descendants, backward
+for ancestors.
 """
 
 from __future__ import annotations
@@ -102,25 +105,19 @@ class BayesNet:
         return tuple(i for i, node in enumerate(self.nodes) if u in node.parents)
 
     def descendants(self, u: int) -> frozenset[int]:
-        seen = set()
-        stack = [u]
-        while stack:
-            cur = stack.pop()
-            for c in self.children(cur):
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return frozenset(seen)
+        """Nodes with a directed path from u, in one forward pass."""
+        seen = set(_targets(self, [u]))
+        for i in range(u + 1, self.size):
+            if seen.intersection(self.nodes[i].parents):
+                seen.add(i)
+        return frozenset(seen - {u})
 
     def ancestors(self, targets: Iterable[int]) -> frozenset[int]:
-        seen = set(targets)
-        stack = list(seen)
-        while stack:
-            cur = stack.pop()
-            for p in self.nodes[cur].parents:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
+        """The targets and their ancestors, in one backward pass."""
+        seen = set(_targets(self, targets))
+        for i in reversed(range(self.size)):
+            if i in seen:
+                seen.update(self.nodes[i].parents)
         return frozenset(seen)
 
     # -- serialization ----------------------------------------------------
@@ -192,12 +189,12 @@ def node_tau(net: BayesNet, u: int) -> float:
     return net.taus[u]
 
 
-def _elimination_plan(scopes, sizes: dict, keep: tuple, cap: int) -> list[tuple[int, tuple]]:
+def _elimination_plan(scopes, sizes: dict, keep: tuple) -> list[tuple[int, tuple]]:
     """Greedy order for summing out every label not in ``keep``: each step
     removes the label whose merged factor (the union of the scopes holding
     it, minus the label) has the fewest entries.  Returns (label, merged
     scope) per step.  Raises ExpansionCapError when a merged factor or the
-    final factor over ``keep`` has more than ``cap`` entries."""
+    final factor over ``keep`` has more than COMPOSITE_STATE_CAP entries."""
 
     def volume(scope) -> int:
         return math.prod(sizes[lab] for lab in scope)
@@ -211,8 +208,8 @@ def _elimination_plan(scopes, sizes: dict, keep: tuple, cap: int) -> list[tuple[
         scopes = [s for s in scopes if v not in s] + [merged[v]]
         hidden.remove(v)
         plan.append((v, tuple(sorted(merged[v]))))
-    if max(volume(scope) for scope in [keep, *(scope for _, scope in plan)]) > cap:
-        raise ExpansionCapError(f"composite channel needs a factor of more than {cap} entries")
+    if max(volume(scope) for scope in [keep, *(scope for _, scope in plan)]) > COMPOSITE_STATE_CAP:
+        raise ExpansionCapError(f"composite channel needs a factor of more than {COMPOSITE_STATE_CAP} entries")
     return plan
 
 
@@ -227,7 +224,7 @@ def _contract(factors, out_labels) -> np.ndarray:
     return np.einsum(*args)
 
 
-def composite_channel(net: BayesNet, targets: Iterable[int], cap: int = COMPOSITE_STATE_CAP) -> Channel:
+def composite_channel(net: BayesNet, targets: Iterable[int]) -> Channel:
     """The channel from the source alphabet to the joint alphabet of the
     target set, by variable elimination over the targets' ancestors.
 
@@ -235,8 +232,8 @@ def composite_channel(net: BayesNet, targets: Iterable[int], cap: int = COMPOSIT
     vector of ones over the source gives every source letter its row.  The
     non-target ancestors are summed out one at a time, each by one einsum
     over the factors that hold it, in the greedy order of smallest merged
-    factor.  The whole order is planned first, and ``cap`` bounds every
-    factor it creates, the output included, so a request past the cap
+    factor.  The whole order is planned first, and COMPOSITE_STATE_CAP bounds
+    every factor it creates, the output included, so a request past the cap
     raises ExpansionCapError before anything is allocated.
 
     Columns are joint target states in row-major order over the targets
@@ -257,14 +254,14 @@ def composite_channel(net: BayesNet, targets: Iterable[int], cap: int = COMPOSIT
         sizes[net.size] = k_src
         factors.append((np.eye(k_src), (src, net.size)))
     out_labels = (src, *(net.size if v == src else v for v in V))
-    for v, scope in _elimination_plan([labels for _, labels in factors], sizes, out_labels, cap):
+    for v, scope in _elimination_plan([labels for _, labels in factors], sizes, out_labels):
         inside = [f for f in factors if v in f[1]]
         factors = [f for f in factors if v not in f[1]]
         factors.append((_contract(inside, scope), scope))
     return Channel(_contract(factors, out_labels).reshape(k_src, -1))
 
 
-def recursion_bound(net: BayesNet, targets: Iterable[int], u: int, cap: int = COMPOSITE_STATE_CAP) -> float:
+def recursion_bound(net: BayesNet, targets: Iterable[int], u: int) -> float:
     """One-step lower bound on tau of the composite channel to V union {u}:
     tau_u * tau(V | X) + (1 - tau_u) * tau(V union parents(u) | X).
 
@@ -274,11 +271,11 @@ def recursion_bound(net: BayesNet, targets: Iterable[int], u: int, cap: int = CO
     (u,) = _targets(net, [u])
     if u == net.source:
         raise ValidationError("u must not be the source")
-    if u in V or net.descendants(u) & set(V):
+    if u in net.ancestors(V):
         raise ValidationError("u must have no directed path into the target set")
     tau_u = net.taus[u]
-    tau_v = doeblin(composite_channel(net, V, cap))
-    tau_vpa = doeblin(composite_channel(net, set(V) | set(net.nodes[u].parents), cap))
+    tau_v = doeblin(composite_channel(net, V))
+    tau_vpa = doeblin(composite_channel(net, set(V) | set(net.nodes[u].parents)))
     return tau_u * tau_v + (1.0 - tau_u) * tau_vpa
 
 
@@ -295,13 +292,6 @@ class PercolationResult:
         if self.method == "monte_carlo":
             out.update(samples=self.samples, seed=self.seed, std_error=self.std_error)
         return out
-
-
-def _relevant_nodes(net: BayesNet, V: frozenset[int]) -> frozenset[int]:
-    """Non-source nodes lying on some directed source-to-target path."""
-    reach_src = net.descendants(net.source) | {net.source}
-    reach_v = net.ancestors(V)
-    return frozenset((reach_src & reach_v) - {net.source})
 
 
 def percolation(
@@ -327,8 +317,8 @@ def percolation(
     """
     V = frozenset(_targets(net, targets))
     src = net.source
-    relevant = _relevant_nodes(net, V)
-    reach_src = net.descendants(src) | {src}
+    reach_src = net.descendants(src)
+    relevant = reach_src & net.ancestors(V)  # non-source nodes on a source-to-target path
 
     if mode == "exact":
         if len(relevant) > EXACT_PERCOLATION_NODE_CAP:
@@ -387,9 +377,7 @@ def percolation(
     )
 
 
-def shortcut_free_bound(
-    net: BayesNet, targets: Iterable[int], path_cap: int = PATH_CAP
-) -> tuple[float, list[tuple[int, ...]]]:
+def shortcut_free_bound(net: BayesNet, targets: Iterable[int]) -> tuple[float, list[tuple[int, ...]]]:
     """Path-sum upper bound on 1 - tau of the composite channel.
 
     Sums the products of (1 - tau_u) over the non-source nodes of every
@@ -400,7 +388,7 @@ def shortcut_free_bound(
     path could skip along).  Both properties pass to every extension, so the
     depth-first search never extends a path across a chord or past a
     target, and visits only the paths it keeps, in order of node index at
-    each branch.  More than ``path_cap`` such paths raise ValidationError.
+    each branch.  More than PATH_CAP such paths raise ExpansionCapError.
     """
     V = frozenset(_targets(net, targets))
     src = net.source
@@ -420,8 +408,8 @@ def shortcut_free_bound(
             if c in V:
                 kept.append(new)
                 total += new_weight
-                if len(kept) > path_cap:
-                    raise ValidationError(f"more than {path_cap} shortcut-free source-to-target paths")
+                if len(kept) > PATH_CAP:
+                    raise ExpansionCapError(f"more than {PATH_CAP} shortcut-free source-to-target paths")
             else:
                 extend(new, before | {path[-1]}, new_weight)
 

@@ -380,30 +380,32 @@ class MinorizationSplit:
     degenerate: bool = False
 
 
+def _minorize(W: np.ndarray, epsilon: float, tau: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(mu, body)`` with ``W = epsilon * mu + (1 - epsilon) * body`` for
+    ``0 < epsilon <= tau = doeblin(W)``; body is None when its rows carry no
+    mass.  Each row subtracts ``(epsilon / tau) * colmin`` (exactly ``colmin``
+    at ``epsilon = tau``) and is divided by its own sum, not by ``1 - epsilon``,
+    which would magnify the subtraction's rounding as ``epsilon`` nears one."""
+    colmin = W.min(axis=0)
+    body = np.maximum(W - (epsilon / tau) * colmin[None, :], 0.0)
+    mass = body.sum(axis=1)
+    return colmin / tau, (body / mass[:, None] if float(mass.max()) > RECONSTRUCTION_TOL else None)
+
+
 def minorization_split(channel) -> MinorizationSplit:
     ch = as_channel(channel)
     W = ch.matrix
     n, m = W.shape
-    colmin = W.min(axis=0)
-    alpha = float(colmin.sum())
-    degenerate = False
+    alpha = doeblin(ch)
     if alpha <= 0.0:
-        mu = np.full(m, 1.0 / m)
-        degenerate = True
+        mu, residual = None, W / W.sum(axis=1)[:, None]
     else:
-        mu = colmin / alpha
-    raw = W - colmin[None, :]
-    shortfall = raw.sum(axis=1)  # each equals 1 - alpha exactly in real arithmetic
-    if float(shortfall.max()) <= RECONSTRUCTION_TOL:
-        residual = np.full((n, m), 1.0 / m)
-        degenerate = True
-    else:
-        residual = np.maximum(raw, 0.0) / shortfall[:, None]
+        mu, residual = _minorize(W, alpha, alpha)
     return MinorizationSplit(
         alpha=alpha,
-        mu=Pmf(mu),
-        residual=Channel(residual),
-        degenerate=degenerate,
+        mu=Pmf(np.full(m, 1.0 / m) if mu is None else mu),
+        residual=Channel(np.full((n, m), 1.0 / m) if residual is None else residual),
+        degenerate=mu is None or residual is None,
     )
 
 
@@ -439,12 +441,9 @@ def erasure_degradation(channel, epsilon: float) -> Channel:
     if epsilon == 0.0:
         rows = np.vstack([W, np.full((1, m), 1.0 / m)])
         return Channel(rows)
-    mu = W.min(axis=0) / tau
-    if 1.0 - epsilon <= RECONSTRUCTION_TOL:
-        # tau = epsilon = 1: all rows equal, the non-erased rows carry no mass.
+    mu, body = _minorize(W, epsilon, tau)
+    if body is None:  # tau = epsilon = 1: all rows equal, the non-erased rows carry no mass
         body = np.full((n, m), 1.0 / m)
-    else:
-        body = np.maximum(W - epsilon * mu[None, :], 0.0) / (1.0 - epsilon)
     return Channel(np.vstack([body, mu[None, :]]))
 
 

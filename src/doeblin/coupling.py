@@ -123,17 +123,18 @@ class Coupling:
         """Coordinate marginal: the weighted sum of that coordinate's factors."""
         return self.weights @ self.factors[:, coord]
 
-    def expand(self, cap: int = DEFAULT_EXPANSION_CAP) -> dict:
+    def expand(self) -> dict:
         """Materialize the sparse joint table (memoized), for export and tests.
 
         Each component visits only its support: the glued block's symbols,
         then each free coordinate's in order, in row-major positions of a
-        dense table of m**n cells."""
+        dense table of m**n cells.  More than DEFAULT_EXPANSION_CAP cells
+        raise ExpansionCapError."""
         if self.expanded is not None:
             return self.expanded
         n, m = self.arity, self.alphabet_size
-        if m**n > cap:
-            raise ExpansionCapError(f"expansion needs {m ** n} entries (cap {cap})")
+        if m**n > DEFAULT_EXPANSION_CAP:
+            raise ExpansionCapError(f"expansion needs {m ** n} entries (cap {DEFAULT_EXPANSION_CAP})")
         place = m ** np.arange(n - 1, -1, -1)
         dense = np.zeros(m**n)
         hit = np.zeros(m**n, dtype=bool)

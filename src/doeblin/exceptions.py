@@ -25,7 +25,8 @@ class AlphabetMismatchError(ValidationError):
 
 
 class ExpansionCapError(ValidationError):
-    """A joint table would exceed the configured expansion cap."""
+    """A request would pass one of the fixed size caps (table cells, factor
+    entries, relevant nodes, paths or LP variables)."""
 
 
 class NoConsensusError(InfeasibilityError):

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import _as_float_array, _family, as_channel
-from .exceptions import InfeasibilityError, ValidationError
+from .exceptions import ExpansionCapError, InfeasibilityError, ValidationError
 
 VARIABLE_CAP = 10**5
 _PIVOT_TOL = 1e-10
@@ -379,7 +379,7 @@ def coupling_opt(pmfs: Sequence, objective: Callable, sense: str, exact: bool = 
     mats = _family(pmfs, "coupling problems need at least two marginals").matrix
     n, m = mats.shape
     if m**n > VARIABLE_CAP:
-        raise ValidationError(f"coupling LP would need {m ** n} variables (cap {VARIABLE_CAP})")
+        raise ExpansionCapError(f"coupling LP would need {m ** n} variables (cap {VARIABLE_CAP})")
     grid = np.indices((m,) * n).reshape(n, -1).T
     grid.setflags(write=False)  # the objective may not reorder the LP's variables
     sol = solve(_coupling_program(mats, grid, objective(grid), sense), exact=exact)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from doeblin import BayesNet, CouplingConditionError, InfeasibilityError, Node, ValidationError
-from doeblin.channel import _family
+from doeblin.channel import RECONSTRUCTION_TOL, Channel, MinorizationSplit, Pmf, _family, as_channel
 from doeblin.coupling import _MARGINALS, _MAX2_LIMIT, _ZERO_WEIGHT, Coupling, _mixture
 from doeblin.lp import VARIABLE_CAP, LpSolution, OracleResult, _coupling_program, solve
 
@@ -319,6 +319,35 @@ def mutual_information_nats(joint: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Reference minorization split (one shared shortfall per row)
+# ---------------------------------------------------------------------------
+
+
+def reference_minorization_split(channel) -> MinorizationSplit:
+    """``W = alpha * mu + (1 - alpha) * residual`` with ``alpha`` the total
+    column-minimum mass: each row of ``W - colmin`` over its own sum, and
+    uniform fills where ``mu`` or the residual is undefined."""
+    W = as_channel(channel).matrix
+    n, m = W.shape
+    colmin = W.min(axis=0)
+    alpha = float(colmin.sum())
+    degenerate = False
+    if alpha <= 0.0:
+        mu = np.full(m, 1.0 / m)
+        degenerate = True
+    else:
+        mu = colmin / alpha
+    raw = W - colmin[None, :]
+    shortfall = raw.sum(axis=1)  # each equals 1 - alpha exactly in real arithmetic
+    if float(shortfall.max()) <= RECONSTRUCTION_TOL:
+        residual = np.full((n, m), 1.0 / m)
+        degenerate = True
+    else:
+        residual = np.maximum(raw, 0.0) / shortfall[:, None]
+    return MinorizationSplit(alpha=alpha, mu=Pmf(mu), residual=Channel(residual), degenerate=degenerate)
+
+
+# ---------------------------------------------------------------------------
 # Bayesian-network oracles
 # ---------------------------------------------------------------------------
 
@@ -399,6 +428,33 @@ def brute_force_percolation(net: BayesNet, targets, taus: dict) -> float:
         if hit:
             total += prob
     return total
+
+
+def reference_descendants(net: BayesNet, u: int) -> frozenset[int]:
+    """Nodes with a directed path from u, by a depth-first stack over children."""
+    seen = set()
+    stack = [u]
+    while stack:
+        cur = stack.pop()
+        for c in net.children(cur):
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return frozenset(seen)
+
+
+def reference_ancestors(net: BayesNet, targets) -> frozenset[int]:
+    """The targets and every node with a directed path into them, by a
+    depth-first stack over parents."""
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        cur = stack.pop()
+        for p in net.nodes[cur].parents:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return frozenset(seen)
 
 
 def table_tau(W: np.ndarray) -> float:

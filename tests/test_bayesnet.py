@@ -21,6 +21,8 @@ from helpers import (
     brute_force_percolation,
     random_channel,
     random_net,
+    reference_ancestors,
+    reference_descendants,
     subset_filter_paths,
     table_tau,
 )
@@ -195,17 +197,46 @@ def test_sixty_node_chain_exceeds_einsum_labels():
     assert np.abs(got - head[:, :, None] * tail[None, :, :]).max() <= TOL
 
 
+# -- reachability ------------------------------------------------------------
+
+
+def test_reachability_passes_match_depth_first_search():
+    rng = np.random.default_rng(8)
+    for case in _cases():
+        for net in (case["net"], _with_orphan(case["net"], rng)):
+            for u in range(net.size):
+                assert net.descendants(u) == reference_descendants(net, u)
+            for V in (case["V"], [net.size - 1], [], range(net.size)):
+                assert net.ancestors(V) == reference_ancestors(net, V)
+
+
+def test_recursion_bound_requires_no_path_into_targets():
+    # For every non-source u: raises exactly when u is a target or an ancestor of one.
+    for case in _cases():
+        net, V = case["net"], case["V"]
+        above = reference_ancestors(net, V)
+        for u in range(1, net.size):
+            if u in above:
+                with pytest.raises(db.ValidationError, match="no directed path"):
+                    bn.recursion_bound(net, V, u)
+            else:
+                assert bn.recursion_bound(net, V, u) <= table_tau(brute_force_composite(net, {*V, u})) + TOL
+
+
 # -- caps and input checks ----------------------------------------------------
 
 
-def test_composite_cap_raises_typed_error():
+def test_composite_cap_raises_typed_error(monkeypatch):
     # The cap bounds the largest factor, the output included: a joint target
     # alphabet past it raises, a long chain to one target does not.
     net = _chain(5)
+    monkeypatch.setattr(bn, "COMPOSITE_STATE_CAP", 16)
     with pytest.raises(ExpansionCapError):
-        bn.composite_channel(net, [1, 2, 3, 4], cap=16)  # output 2 x 2^4
-    assert bn.composite_channel(net, [1, 2, 3, 4], cap=32).matrix.shape == (2, 16)
-    assert bn.composite_channel(_chain(40), [39], cap=4).matrix.shape == (2, 2)
+        bn.composite_channel(net, [1, 2, 3, 4])  # output 2 x 2^4
+    monkeypatch.setattr(bn, "COMPOSITE_STATE_CAP", 32)
+    assert bn.composite_channel(net, [1, 2, 3, 4]).matrix.shape == (2, 16)
+    monkeypatch.setattr(bn, "COMPOSITE_STATE_CAP", 4)
+    assert bn.composite_channel(_chain(40), [39]).matrix.shape == (2, 2)
     # Five binary parents of one binary target: summing out any parent first
     # merges a factor over the source, the other four parents and the target.
     rng = np.random.default_rng(5)
@@ -213,9 +244,11 @@ def test_composite_cap_raises_typed_error():
     nodes += [db.Node(f"A{i}", 2, (0,), rng.dirichlet(np.ones(2), size=2)) for i in range(1, 6)]
     nodes.append(db.Node("T", 2, (1, 2, 3, 4, 5), rng.dirichlet(np.ones(2), size=32)))
     star = db.BayesNet(nodes=tuple(nodes), source=0)
+    monkeypatch.setattr(bn, "COMPOSITE_STATE_CAP", 63)
     with pytest.raises(ExpansionCapError):
-        bn.composite_channel(star, [6], cap=63)
-    assert bn.composite_channel(star, [6], cap=64).matrix.shape == (2, 2)
+        bn.composite_channel(star, [6])
+    monkeypatch.setattr(bn, "COMPOSITE_STATE_CAP", 64)
+    assert bn.composite_channel(star, [6]).matrix.shape == (2, 2)
 
 
 def test_composite_cap_raises_before_any_contraction(monkeypatch):
@@ -225,6 +258,20 @@ def test_composite_cap_raises_before_any_contraction(monkeypatch):
     monkeypatch.setattr(bn.np, "einsum", no_einsum)
     with pytest.raises(ExpansionCapError):
         bn.composite_channel(_chain(25), list(range(1, 25)))
+
+
+def test_path_cap_raises_typed_error(monkeypatch):
+    # Two shortcut-free paths X -> A -> T and X -> B -> T: one past a cap of one.
+    rng = np.random.default_rng(6)
+    nodes = [db.Node("X", 2, (), None)]
+    nodes += [db.Node(name, 2, (0,), rng.dirichlet(np.ones(2), size=2)) for name in "AB"]
+    nodes.append(db.Node("T", 2, (1, 2), rng.dirichlet(np.ones(2), size=4)))
+    diamond = db.BayesNet(nodes=tuple(nodes), source=0)
+    monkeypatch.setattr(bn, "PATH_CAP", 2)
+    assert len(bn.shortcut_free_bound(diamond, [3])[1]) == 2
+    monkeypatch.setattr(bn, "PATH_CAP", 1)
+    with pytest.raises(ExpansionCapError, match="more than 1 shortcut-free"):
+        bn.shortcut_free_bound(diamond, [3])
 
 
 def test_exact_percolation_cap_raises_typed_error():
@@ -245,6 +292,8 @@ def test_exact_percolation_cap_raises_typed_error():
         lambda net: bn.recursion_bound(net, [2], 1),
         lambda net: bn.recursion_bound(net, [], 7),
         lambda net: bn.composite_channel(net, [1.0]),
+        lambda net: net.ancestors([2]),
+        lambda net: net.descendants(-1),
     ],
 )
 def test_bad_target_indices_rejected(call):

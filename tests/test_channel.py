@@ -12,6 +12,7 @@ from helpers import (
     mutual_information_nats,
     random_channel,
     random_positive_channel,
+    reference_minorization_split,
     rowwise_normalized,
 )
 
@@ -284,6 +285,37 @@ class TestMinorization:
             rebuilt = s.alpha * s.mu.probs[None, :] + (1 - s.alpha) * s.residual.matrix
             assert np.abs(rebuilt - W).max() <= 1e-12
             assert np.all(W >= s.alpha * s.mu.probs[None, :] - 1e-12)
+
+    def test_split_bits_match_reference(self):
+        # Random channels, a fifth of them with all rows equal, plus the
+        # zero-overlap identity: every field keeps the reference's bits.
+        rng = np.random.default_rng(13)
+        cases = [np.eye(3)]
+        for _ in range(300):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            W = random_channel(rng, n, m)
+            cases.append(np.tile(W[0], (n, 1)) if rng.random() < 0.2 else W)
+        for W in cases:
+            got, want = db.minorization_split(W), reference_minorization_split(W)
+            assert got.alpha == want.alpha and got.degenerate == want.degenerate
+            assert got.mu.probs.tobytes() == want.mu.probs.tobytes()
+            assert got.residual.matrix.tobytes() == want.residual.matrix.tobytes()
+
+    def test_degradation_near_identical_rows_at_tau(self):
+        # At epsilon = tau near one, dividing by 1 - epsilon magnified the
+        # rounding of W - epsilon * mu past the row-sum tolerance.
+        W = [[0.5, 0.5], [0.5 + 1e-9, 0.5 - 1e-9]]
+        tau = db.doeblin(W)
+        deg = db.erasure_degradation(W, tau)
+        E = db.erasure_channel(2, tau)
+        assert np.abs(E.matrix @ deg.matrix - db.Channel(W).matrix).max() <= 1e-15
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            p, d = rng.dirichlet(np.ones(4)), rng.normal(0.0, 1e-10, 4)
+            W = db.Channel([p, p + (d - d.mean())])
+            eps = db.doeblin(W)
+            deg = db.erasure_degradation(W, eps)
+            assert np.abs(db.erasure_channel(2, eps).matrix @ deg.matrix - W.matrix).max() <= 1e-12
 
     def test_degradation_at_zero(self):
         deg = db.erasure_degradation(W1, 0.0)

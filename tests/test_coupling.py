@@ -55,16 +55,30 @@ def pmf_families(draw, min_n=2, max_n=4, min_m=2, max_m=4):
 
 @st.composite
 def supercritical_integer_trios(draw):
-    """Three PMFs from small integer weights, so ties and zeros occur.  Each
-    row is light on its own symbol, which mostly puts tau_max2 above one."""
+    """Three PMFs from small integer weights, so ties and zeros occur, with
+    tau_max2 above one by construction.
+
+    Every row totals sum(c) for a drawn base c.  Row i moves some units off
+    its own symbol onto the other symbols; rows 0 and 1 move at least one
+    unit each, and give one of them to symbol 2.  Each
+    column's second-largest weight is then at least c_y, and symbol 2's is at
+    least c_2 + 1, so tau_max2 >= 1 + 1 / sum(c).  A drawn permutation of the
+    symbols places the light and the shared columns anywhere."""
     m = draw(st.integers(3, 5))
+    c = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
+    c[0], c[1] = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(m)))
     fam = []
     for i in range(3):
-        w = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
-        w[i] = draw(st.integers(0, 2))
-        assume(sum(w) > 0)
-        fam.append([x / sum(w) for x in w])
-    assume(max2_of(db.Channel(fam).matrix) > 1.0 + 1e-12)
+        w = list(c)
+        moved = draw(st.integers(1 if i < 2 else 0, c[i]))
+        w[i] -= moved
+        if i < 2:
+            w[2] += 1
+            moved -= 1
+        for _ in range(moved):
+            w[draw(st.sampled_from([y for y in range(m) if y != i]))] += 1
+        fam.append([w[y] / sum(w) for y in perm])
     return fam
 
 
@@ -579,8 +593,6 @@ class TestVerifyCoupling:
         c = db.minimal_coupling_max(list(mats))
         with pytest.raises(ExpansionCapError):
             c.expand()
-        with pytest.raises(ExpansionCapError):
-            c.expand(cap=1000)
         rep = db.verify_coupling(c, list(mats))
         assert rep.max_marginal_residual <= 1e-12
         assert rep.weight_residual <= 1e-12

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import doeblin as db
-from doeblin import InfeasibilityError, ValidationError, lp
+from doeblin import ExpansionCapError, InfeasibilityError, ValidationError, lp
 
 from helpers import (
     random_pmf,
@@ -487,7 +487,7 @@ class TestCouplingOracle:
 
     def test_size_cap(self):
         pmfs = [np.full(10, 0.1)] * 6  # 10^6 variables
-        with pytest.raises(ValidationError):
+        with pytest.raises(ExpansionCapError, match="cap 100000"):
             lp.coupling_diag_opt(pmfs, "max")
 
     def test_single_marginal_rejected(self):
