@@ -181,6 +181,11 @@ def _targets(net: BayesNet, targets: Iterable[int]) -> tuple[int, ...]:
     return V
 
 
+def _is_int(x) -> bool:
+    """Whether x is a Python or numpy integer; bools are not counts."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def node_tau(net: BayesNet, u: int) -> float:
     """Doeblin coefficient of u's table, viewed as a channel from joint
     parent assignments to u's alphabet (computed when the network was built)."""
@@ -345,8 +350,15 @@ def percolation(
         raise ValidationError('mode must be "exact" or "mc"')
     if samples is None or seed is None:
         raise ValidationError("Monte Carlo percolation needs samples and seed")
+    if not (_is_int(samples) and _is_int(seed)):
+        raise ValidationError(
+            f"Monte Carlo samples and seed must be integers, got {samples!r} and {seed!r}"
+        )
+    samples, seed = int(samples), int(seed)
     if samples <= 0:
         raise ValidationError(f"Monte Carlo percolation needs a positive sample count, got {samples}")
+    if seed < 0:
+        raise ValidationError(f"Monte Carlo percolation needs a non-negative seed, got {seed}")
     order = sorted(relevant)
     col = {u: j for j, u in enumerate(order)}
     survive_prob = np.array([1.0 - net.taus[u] for u in order])
@@ -425,7 +437,10 @@ def samorodnitsky_bound(prior_channel, letter_sizes: Sequence[int], letter_taus:
     coefficient is one.
     """
     ch = as_channel(prior_channel)
-    sizes = tuple(int(s) for s in letter_sizes)
+    sizes = tuple(letter_sizes)
+    if not all(_is_int(s) and s > 0 for s in sizes):
+        raise ValidationError(f"letter sizes must be positive integers, got {sizes}")
+    sizes = tuple(int(s) for s in sizes)
     n = len(sizes)
     if int(np.prod(sizes)) != ch.m:
         raise ValidationError(

@@ -3,8 +3,15 @@
 Subcommands: coef, couple, degroot, bayesnet, fuse, verify.  Exit code 0 on
 success, 1 on parse/validation errors (the message names the failing
 invariant), 2 on infeasible requests (no consensus, coupling condition
-violated).  Output is byte-identical for identical inputs and seeds; every
-float is printed with 17 significant digits so values round-trip exactly.
+violated).  Output is byte-identical for identical inputs and seeds.
+
+Output layout: every float is printed as ``format(x, ".17g")`` (17
+significant digits, so values round-trip exactly); a non-finite float is
+refused.  Strings and dict keys are quoted as ``json.dumps`` quotes them,
+with non-ASCII text escaped.  A list goes on one line, ``[a, b, c]``, when
+it has at most 12 items and every item's text is under 20 characters with
+no newline; otherwise it prints one item per line.  A non-empty dict prints
+one key per line.  Nested lines indent by two spaces per level.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -30,35 +38,62 @@ from .fusion import fuse_min
 # ---------------------------------------------------------------------------
 
 
-def _format_float(x: float) -> str:
+_NON_FINITE = "refusing to emit a non-finite number"
+
+
+def _format_float(x) -> str:
     if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("refusing to emit a non-finite number")
+        raise ValueError(_NON_FINITE)
     return format(float(x), ".17g")
 
 
+def _texts(values, indent: int) -> list:
+    """The text of each value, at ``indent``.  Exact floats, strings and ints
+    are formatted here; containers and every other scalar go through
+    :func:`dumps`."""
+    out = []
+    append = out.append
+    for v in values:
+        t = type(v)
+        if t is float:
+            if v - v:  # nan for inf and nan, 0.0 for every finite float
+                raise ValueError(_NON_FINITE)
+            append(format(v, ".17g"))
+        elif t is str:
+            append(_quote(v))
+        elif t is int:
+            append(str(v))
+        else:
+            append(dumps(v, indent))
+    return out
+
+
 def dumps(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None or isinstance(obj, bool) or isinstance(obj, str):
+    """The JSON text of ``obj`` nested ``indent`` levels deep, laid out as
+    the module docstring states."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = _texts(obj, indent + 1)
+        if len(items) <= 12:
+            line = ", ".join(items)
+            if "\n" not in line and max(map(len, items)) < 20:
+                return "[" + line + "]"
+        inner = "\n" + "  " * (indent + 1)
+        return "[" + inner + ("," + inner).join(items) + "\n" + "  " * indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = _texts(obj.values(), indent + 1)
+        inner = "\n" + "  " * (indent + 1)
+        parts = [_quote(k if type(k) is str else str(k)) + ": " + it for k, it in zip(obj, items)]
+        return "{" + inner + ("," + inner).join(parts) + "\n" + "  " * indent + "}"
+    if obj is None or isinstance(obj, (bool, str)):
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [dumps(v, indent + 1) for v in obj]
-        if all("\n" not in it and len(it) < 20 for it in items) and len(items) <= 12:
-            return "[" + ", ".join(items) + "]"
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            json.dumps(str(k)) + ": " + dumps(v, indent + 1) for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -9,6 +9,7 @@ itself.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -677,3 +678,42 @@ def reference_coupling_opt(pmfs, objective_of_tuple, sense: str, exact: bool = F
         duality_gap=sol.duality_gap,
         solution=sol,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference JSON emitter (one recursive call per value)
+# ---------------------------------------------------------------------------
+
+
+def _reference_format_float(x: float) -> str:
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError("refusing to emit a non-finite number")
+    return format(float(x), ".17g")
+
+
+def reference_dumps(obj, indent: int = 0) -> str:
+    """The CLI's JSON text, one ``isinstance`` chain and one recursive call
+    per value, so a faster ``cli.dumps`` can be held to it byte for byte."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None or isinstance(obj, bool) or isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _reference_format_float(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [reference_dumps(v, indent + 1) for v in obj]
+        if all("\n" not in it and len(it) < 20 for it in items) and len(items) <= 12:
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [
+            json.dumps(str(k)) + ": " + reference_dumps(v, indent + 1) for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -308,6 +308,30 @@ def test_mc_rejects_nonpositive_samples(samples):
         bn.percolation(net, [1], mode="mc", samples=samples, seed=0)
 
 
+@pytest.mark.parametrize(
+    "samples, seed, message",
+    [
+        (10, -3, "non-negative seed"),
+        (10, 2.5, "must be integers"),
+        (10, True, "must be integers"),
+        (10, "7", "must be integers"),
+        (2.5, 0, "must be integers"),
+        (True, 0, "must be integers"),
+        (np.int64(10), np.float64(7.0), "must be integers"),
+    ],
+)
+def test_mc_rejects_malformed_samples_or_seed(samples, seed, message):
+    with pytest.raises(db.ValidationError, match=message):
+        bn.percolation(_chain(2), [1], mode="mc", samples=samples, seed=seed)
+
+
+def test_mc_numpy_integers_match_python_ints():
+    case = next(c for c in _cases() if 0.2 < c["percolation"] < 0.8)
+    want = bn.percolation(case["net"], case["V"], mode="mc", samples=300, seed=11)
+    got = bn.percolation(case["net"], case["V"], mode="mc", samples=np.int64(300), seed=np.uint32(11))
+    assert got == want and type(got.samples) is int and type(got.seed) is int
+
+
 def test_mc_accepts_one_sample():
     res = bn.percolation(_chain(2), [1], mode="mc", samples=1, seed=0)
     assert res.probability in (0.0, 1.0)
@@ -408,6 +432,11 @@ def test_samorodnitsky_extremes():
         ([2, 3], [0.5, 1.5]),
         ([2, 3], [-0.1, 0.5]),
         ([2, 3], [np.nan, 0.5]),
+        # Sizes that are not positive integers, though their product is 6.
+        ([-2, -3], [0.5, 0.5]),
+        ([6.9], [0.5]),
+        ([6.0], [0.5]),
+        ([True, 6], [0.5, 0.5]),
     ],
 )
 def test_samorodnitsky_rejects_bad_letters(sizes, taus):

@@ -9,14 +9,20 @@ the golden files again after a deliberate output change, run
 
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doeblin import ValidationError, channel, cli, lp
 from doeblin import bayesnet as bn
+from helpers import reference_dumps
 
 HERE = Path(__file__).resolve().parent
 FIX = HERE / "fixtures"
@@ -68,6 +74,10 @@ CASES = {
     "unknown_command": (["bogus"], 1),
     "unknown_flag": (["coef", "--bogus", _f("channel.json")], 1),
     "bayesnet_unknown_target": (["bayesnet", _f("net.json"), "--target", "Z"], 1),
+    "bayesnet_mc_negative_seed": (
+        ["bayesnet", _f("net.json"), "--target", "T", "--bound", "perc", "--mc", "10", "-3"],
+        1,
+    ),
     "min3_wrong_arity": (["couple", "--kind", "min3", _f("trio.json"), _f("channel.json")], 1),
     "joint_two_files": (["couple", "--kind", "joint", _f("joints.json"), _f("joints.json")], 1),
     # Infeasible requests exit 2.
@@ -261,6 +271,85 @@ def test_bayesnet_mc_nonpositive_samples_exit_1(samples, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "positive sample count" in captured.err
+
+
+def test_bayesnet_mc_negative_seed_names_seed(capsys):
+    assert _invoke(CASES["bayesnet_mc_negative_seed"][0]) == 1
+    assert "non-negative seed" in capsys.readouterr().err
+
+
+# -- the emitter against its one-call-per-value reference ----------------------
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+TRICKY_STRINGS = [
+    '"', "\\", 'a "quoted" \\path\\', "\n\t\r\x00\x1f\x7f", "caf\u00e9", "\u2603 \U0001f600", "\ud800",
+]
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 0.1, -1.5e-300, 123456789.0]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.text(max_size=24),
+    st.sampled_from(TRICKY_STRINGS),
+    st.text(max_size=8).map(_Str),
+)
+KEYS = st.one_of(st.text(max_size=12), st.sampled_from(TRICKY_STRINGS), st.integers(-(10**6), 10**6))
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=15),
+        st.lists(inner, max_size=15).map(tuple),
+        st.lists(inner, max_size=4).map(_List),
+        st.dictionaries(KEYS, inner, max_size=6),
+        st.dictionaries(KEYS, inner, max_size=3).map(OrderedDict),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+def test_dumps_matches_reference(payload):
+    assert cli.dumps(payload) == reference_dumps(payload)
+
+
+def test_dumps_matches_reference_on_twenty_marginals(monkeypatch):
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", emitted.append)
+    assert cli.run(["couple", "--kind", "min", _f("peaked20.json")]) == 0
+    (payload,) = emitted
+    text = cli.dumps(payload)
+    assert len(text) > 10**6
+    assert text == reference_dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), -float("inf"), np.float32("nan"), np.float64("-inf"), np.bool_(True), {1}],
+)
+@pytest.mark.parametrize(
+    "wrap", [lambda x: x, lambda x: [0.5, x], lambda x: {"a": [1, {"b": x}]}, lambda x: (x,)]
+)
+def test_dumps_refuses_as_reference_does(bad, wrap):
+    payload = wrap(bad)
+    with pytest.raises((TypeError, ValueError)) as want:
+        reference_dumps(payload)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        cli.dumps(payload)
 
 
 def test_expansion_cap_flag_rejected(capsys):
