@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import Channel, as_channel, doeblin
+from .channel import Channel, _as_float_array, _is_int, as_channel, doeblin
 from .exceptions import ExpansionCapError, ValidationError
 
 COMPOSITE_STATE_CAP = 10**7  # entries of the largest factor variable elimination creates
@@ -64,11 +64,15 @@ class BayesNet:
             raise ValidationError("source index out of range")
         nodes, taus = list(self.nodes), [None] * len(self.nodes)
         for idx, node in enumerate(self.nodes):
-            if node.alphabet < 1:
-                raise ValidationError(f"node {node.name}: alphabet must be positive")
-            if any(p >= idx for p in node.parents):
+            if not (_is_int(node.alphabet) and node.alphabet >= 1):
                 raise ValidationError(
-                    f"node {node.name}: parents must precede it (cycle or bad order)"
+                    f"node {node.name}: alphabet must be a positive integer, got {node.alphabet!r}"
+                )
+            parents = node.parents
+            if not (isinstance(parents, (tuple, list)) and all(_is_int(p) and 0 <= p < idx for p in parents)):
+                raise ValidationError(
+                    f"node {node.name}: parents must be indices of nodes that precede it "
+                    f"(cycle or bad order), got {parents!r}"
                 )
             if idx == self.source:
                 if node.cpt is not None:
@@ -179,11 +183,6 @@ def _targets(net: BayesNet, targets: Iterable[int]) -> tuple[int, ...]:
         if not 0 <= v < net.size:
             raise ValidationError(f"node index {v} is outside the network's {net.size} nodes")
     return V
-
-
-def _is_int(x) -> bool:
-    """Whether x is a Python or numpy integer; bools are not counts."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def node_tau(net: BayesNet, u: int) -> float:
@@ -406,8 +405,11 @@ def shortcut_free_bound(net: BayesNet, targets: Iterable[int]) -> tuple[float, l
     src = net.source
     if src in V:
         return 1.0, [(src,)]
-    towards_v = net.ancestors(V)  # nodes with a directed route into the targets
-    children = {u: [c for c in net.children(u) if c in towards_v] for u in towards_v | {src}}
+    towards_v = net.ancestors(V)  # nodes with a directed route into the targets, with their parents
+    children: dict[int, list[int]] = {u: [] for u in towards_v | {src}}
+    for c in sorted(towards_v):  # one pass in index order, the order of net.children
+        for u in set(net.nodes[c].parents):
+            children[u].append(c)
     kept: list[tuple[int, ...]] = []
     total = 0.0
 
@@ -446,9 +448,10 @@ def samorodnitsky_bound(prior_channel, letter_sizes: Sequence[int], letter_taus:
         raise ValidationError(
             f"output alphabet {ch.m} does not factorize into letters {sizes}"
         )
-    taus = [float(t) for t in letter_taus]
-    if len(taus) != n or any(not 0.0 <= t <= 1.0 for t in taus):
+    taus = _as_float_array(letter_taus, "letter coefficients")
+    if taus.shape != (n,) or not ((0.0 <= taus) & (taus <= 1.0)).all():
         raise ValidationError("need one letter coefficient in [0, 1] per letter")
+    taus = taus.tolist()
     tensorized = ch.matrix.reshape((ch.n, *sizes))
     total = 0.0
     for keep_mask in itertools.product((False, True), repeat=n):

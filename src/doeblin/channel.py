@@ -36,6 +36,11 @@ VALIDATION_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-12
 
 
+def _is_int(x) -> bool:
+    """Whether x is a Python or numpy integer; bools are not counts."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _as_float_array(values, what: str) -> np.ndarray:
     """Coerce to a float array; ragged, missing or non-numeric entries are invalid."""
     try:
@@ -409,11 +414,19 @@ def minorization_split(channel) -> MinorizationSplit:
     )
 
 
+def _check_erasure_rate(epsilon) -> None:
+    """An erasure probability is a real number in [0, 1]."""
+    real = isinstance(epsilon, (int, float, np.integer, np.floating)) and not isinstance(epsilon, bool)
+    if not (real and 0.0 <= epsilon <= 1.0):
+        raise ValidationError(f"erasure probability must be a number in [0, 1], got {epsilon!r}")
+
+
 def erasure_channel(r: int, epsilon: float) -> Channel:
     """The ``r``-input erasure channel: keep the input w.p. ``1 - epsilon``,
     emit the erasure symbol (last column) w.p. ``epsilon``."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError("erasure probability must lie in [0, 1]")
+    if not (_is_int(r) and r > 0):
+        raise ValidationError(f"an erasure channel needs a positive integer input count, got {r!r}")
+    _check_erasure_rate(epsilon)
     E = np.hstack([(1.0 - epsilon) * np.eye(r), np.full((r, 1), epsilon)])
     return Channel(E)
 
@@ -429,8 +442,7 @@ def erasure_degradation(channel, epsilon: float) -> Channel:
     ch = as_channel(channel)
     W = ch.matrix
     n, m = W.shape
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError("erasure probability must lie in [0, 1]")
+    _check_erasure_rate(epsilon)
     tau = doeblin(ch)
     if epsilon > tau + RECONSTRUCTION_TOL:
         raise DegradationError(

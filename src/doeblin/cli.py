@@ -276,11 +276,14 @@ def _cmd_bayesnet(args) -> int:
             except ExpansionCapError as exc:
                 bounds["percolation"] = {"note": str(exc)}
     if which in ("sfpaths", "all"):
-        value, paths = bn.shortcut_free_bound(net, targets)
-        bounds["shortcut_free"] = {
-            "bound": value,
-            "paths": [[net.nodes[u].name for u in p] for p in paths],
-        }
+        try:
+            value, paths = bn.shortcut_free_bound(net, targets)
+            bounds["shortcut_free"] = {
+                "bound": value,
+                "paths": [[net.nodes[u].name for u in p] for p in paths],
+            }
+        except ExpansionCapError as exc:
+            bounds["shortcut_free"] = {"note": str(exc)}
     out["bounds"] = bounds
     _emit(out)
     return 0

@@ -17,14 +17,14 @@ Four constructions live here:
   all-pairs-equal probability and the first-coordinate-equal probability are
   both maximal at once; it is a coupling over the product alphabet.
 
-Every coupling has one form: a weighted mixture of components, each gluing
-a block of coordinates on one shared factor and drawing every other
-coordinate from its own factor, stored as three arrays (:class:`Coupling`).
-The shared factor is read from the glued coordinates, so it is stored once.
-Every mass is read from those arrays in closed form at any size.  The
-sparse joint table is expanded, under a cap, only for export and as the
-test oracle.  Components with zero weight are dropped before their factors
-are normalized, so the 0/0 corner cases are never evaluated.
+Every coupling has one form (:class:`Coupling`): a weighted mixture of
+components, each gluing a block of coordinates on one shared factor and
+drawing every other coordinate from its own.  Each factor is one row of a
+pool; an integer index names every coordinate's row, and the glued ones of
+a component all name its shared row.  Every mass is read through the index
+in closed form; the sparse joint table is expanded, under a cap, only for
+export and as the test oracle.  Zero-weight components and the rows only
+they name are dropped before normalizing, so no 0/0 is ever evaluated.
 """
 
 from __future__ import annotations
@@ -71,22 +71,30 @@ class Coupling:
     """A joint distribution over n-tuples on m symbols, stored as a mixture of
     K components.  Component k draws its glued coordinates as one symbol from
     its shared factor and every other coordinate i independently from
-    ``factors[k, i]``.
+    ``pool[index[k, i]]``.
 
-    Arrays: ``weights`` (K,), ``factors`` (K, n, m; every glued coordinate
-    holds the shared factor) and the glue mask ``glued`` (K, n).
-    :attr:`shared` is derived from them.  ``expanded`` stays ``None`` until
-    :meth:`expand` fills it, and is not copied by ``dataclasses.replace``.
+    Arrays: ``weights`` (K,), the factor pool ``pool`` (F, m), the integer
+    ``index`` (K, n) into it and the glue mask ``glued`` (K, n).  The glued
+    coordinates of a component all name one row, its :attr:`shared` factor.
+    ``expanded`` stays ``None`` until :meth:`expand` fills it, and is not
+    copied by ``dataclasses.replace``.
     """
 
     weights: np.ndarray
-    factors: np.ndarray
+    pool: np.ndarray
+    index: np.ndarray
     glued: np.ndarray
     expanded: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.factors == self.shared[:, None, :])[self.glued].all():
-            raise ValidationError("glued coordinates of a component must hold one shared factor")
+        shape, index = self.glued.shape, self.index
+        if not (len(shape) == 2 and 0 not in shape and self.weights.shape == shape[:1] and index.shape == shape
+                and self.pool.ndim == 2 and self.glued.dtype == bool):
+            raise ValidationError("a coupling needs weights (K,), pool (F, m), index and boolean glued (K, n)")
+        if not (index.dtype.kind in "iu" and 0 <= index.min() and index.max() < len(self.pool)):
+            raise ValidationError(f"coupling index must hold integers in [0, {len(self.pool)})")
+        if not (index == self._shared_rows[:, None])[self.glued].all():
+            raise ValidationError("glued coordinates of a component must name one shared pool row")
 
     @property
     def arity(self) -> int:
@@ -94,34 +102,39 @@ class Coupling:
 
     @property
     def alphabet_size(self) -> int:
-        return self.factors.shape[2]
+        return self.pool.shape[1]
+
+    @cached_property
+    def _shared_rows(self) -> np.ndarray:  # (K,): each component's first glued row
+        return self.index[np.arange(len(self.glued)), self.glued.argmax(axis=1)]
 
     @cached_property
     def shared(self) -> np.ndarray:
-        """(K, m): each component's first glued factor, zero without glue."""
-        first_glued = self.factors[np.arange(len(self.glued)), self.glued.argmax(axis=1)]
-        return np.where(self.glued.any(axis=1)[:, None], first_glued, 0.0)
+        """(K, m): each component's shared pool row, zero without glue."""
+        return np.where(self.glued.any(axis=1)[:, None], self.pool[self._shared_rows], 0.0)
 
     @property
     def components(self) -> list[dict]:
-        """One record per component, as :meth:`to_dict` emits it."""
-        arrays = (self.weights, self.shared, self.factors, self.glued)
+        """One record per component, as :meth:`to_dict` emits it; no two share a list."""
+        rows = self.pool.tolist()
         return [
             {
                 "weight": w,
                 "glued": [i for i, gi in enumerate(g) if gi],
                 "shared_factor": s if any(g) else None,
-                "free_factors": {str(i): fi for i, (fi, gi) in enumerate(zip(f, g)) if not gi},
+                "free_factors": {str(i): list(rows[j]) for i, (j, gi) in enumerate(zip(f, g)) if not gi},
             }
-            for w, s, f, g in zip(*(a.tolist() for a in arrays))
+            for w, s, f, g in zip(*(a.tolist() for a in (self.weights, self.shared, self.index, self.glued)))
         ]
 
     def weight_sum(self) -> float:
         return float(self.weights.sum())
 
     def marginal(self, coord: int) -> np.ndarray:
-        """Coordinate marginal: the weighted sum of that coordinate's factors."""
-        return self.weights @ self.factors[:, coord]
+        """Coordinate marginal: the weighted sum of that coordinate's factors.  The rows
+        are read at a row stride of 2m: numpy's matmul rounds a contiguous (K, m) operand
+        differently from a strided one, such as a column of ``pool[index]``."""
+        return self.weights @ self.pool[self.index[:, coord]].repeat(2, axis=0)[::2]
 
     def expand(self) -> dict:
         """Materialize the sparse joint table (memoized), for export and tests.
@@ -138,15 +151,15 @@ class Coupling:
         place = m ** np.arange(n - 1, -1, -1)
         dense = np.zeros(m**n)
         hit = np.zeros(m**n, dtype=bool)
-        for w, s, f, g in zip(self.weights, self.shared, self.factors, self.glued):
+        for w, s, rows, g in zip(self.weights, self.shared, self.index, self.glued):
             cells, mass = np.zeros(1, dtype=np.int64), np.ones(1)
             if g.any():
                 ys = np.flatnonzero(s > 0.0)
                 cells, mass = ys * place[g].sum(), s[ys]
-            for i in np.flatnonzero(~g):
-                ys = np.flatnonzero(f[i] > 0.0)
-                cells = (cells[:, None] + ys * place[i]).ravel()
-                mass = (mass[:, None] * f[i, ys]).ravel()
+            for f, step in zip(self.pool[rows[~g]], place[~g]):
+                ys = np.flatnonzero(f > 0.0)
+                cells = (cells[:, None] + ys * step).ravel()
+                mass = (mass[:, None] * f[ys]).ravel()
             dense[cells] += w * mass
             hit[cells] = True
         cells = np.flatnonzero(hit)
@@ -161,7 +174,8 @@ class Coupling:
     def union_mass(self) -> float:
         """Summed over symbols y, the probability that some coordinate hits y.
         A component misses y with probability (1 - s(y)) prod_i (1 - f_i(y))."""
-        miss = (1.0 - self.shared) * np.where(self.glued[:, :, None], 1.0, 1.0 - self.factors).prod(axis=1)
+        free_miss = np.where(self.glued[:, :, None], 1.0, (1.0 - self.pool)[self.index])
+        miss = (1.0 - self.shared) * free_miss.prod(axis=1)
         return float(self.weights @ (self.alphabet_size - miss.sum(axis=1)))
 
     def intersection_mass(self, coords: Sequence[int]) -> float:
@@ -170,14 +184,15 @@ class Coupling:
         when no glued coordinate is among them."""
         coords = list(coords)
         in_glue = self.glued[:, coords]
-        prod = np.where(in_glue[:, :, None], 1.0, self.factors[:, coords]).prod(axis=1)
+        prod = np.where(in_glue[:, :, None], 1.0, self.pool[self.index[:, coords]]).prod(axis=1)
         head = np.where(in_glue.any(axis=1)[:, None], self.shared, 1.0)
         return float(self.weights @ (head * prod).sum(axis=1))
 
     def intersection_masses(self) -> dict[tuple[int, ...], float]:
         """:meth:`intersection_mass` of every subset of two or more coordinates,
-        built one coordinate at a time; row ``mask`` holds the subset of its bits."""
-        shared, factors, glued = self.shared, self.factors, self.glued
+        built one coordinate at a time; row ``mask`` holds the subset of its bits.
+        Raises ExpansionCapError when 2^n * K * m > DEFAULT_EXPANSION_CAP."""
+        shared, glued = self.shared, self.glued
         K, m = shared.shape
         rows = 1 << self.arity
         if rows * K * m > DEFAULT_EXPANSION_CAP:
@@ -185,10 +200,10 @@ class Coupling:
         prod = np.empty((rows, K, m))  # free factors' product over the subset
         hit = np.zeros((rows, K), dtype=bool)  # subset meets the glued block
         prod[0] = 1.0
+        free = np.where(glued[:, :, None], 1.0, self.pool[self.index])  # (K, n, m), under the cap too
         for i in range(self.arity):
             half = 1 << i
-            free_i = np.where(glued[:, i, None], 1.0, factors[:, i])
-            np.multiply(prod[:half], free_i, out=prod[half : 2 * half])
+            np.multiply(prod[:half], free[:, i], out=prod[half : 2 * half])
             hit[half : 2 * half] = hit[:half] | glued[:, i]
         sums = np.where(hit, np.einsum("km,skm->sk", shared, prod), prod.sum(axis=2))
         masses = sums @ self.weights
@@ -207,7 +222,7 @@ class Coupling:
         when they do not, and every coordinate free in both.
         """
         shared, glued = self.shared, self.glued
-        allowed = (self.factors > 0.0).astype(float)
+        allowed = (self.pool > 0.0)[self.index].astype(float)
         g = glued.astype(float)
         # Symbols a's glued block allows; every symbol when a has no glue.
         block = np.where(glued.any(axis=1)[:, None], shared > 0.0, True)
@@ -232,19 +247,17 @@ class Coupling:
         return out
 
 
-def _mixture(weights, shared, factors, glued) -> Coupling:
-    """A :class:`Coupling` from raw component arrays.  Components of weight at
-    most ``_ZERO_WEIGHT`` are dropped first; each glued coordinate takes the
-    unnormalized shared factor; then every factor is normalized and validated
-    in one pass."""
+def _mixture(weights, shared, free, glued) -> Coupling:
+    """A :class:`Coupling` pooling unnormalized ``shared`` (K, m) and ``free`` (n, m) or (K, n, m)
+    rows; glued coordinates name their shared row.  Components of weight at most ``_ZERO_WEIGHT``
+    are dropped first, with the rows only they name; each row left is normalized and validated once."""
+    (K, m), n = shared.shape, glued.shape[1]
+    raw = np.concatenate([shared, free.reshape(-1, m)])
     keep = weights > _ZERO_WEIGHT
-    raw = np.where(glued[keep][:, :, None], shared[keep][:, None, :], factors[keep])
-    return Coupling(weights[keep], _as_prob_vector(_normalized(raw), what="coupling factor"), glued[keep])
-
-
-# ---------------------------------------------------------------------------
-# Constructions
-# ---------------------------------------------------------------------------
+    index = np.where(glued, np.arange(K)[:, None], np.arange(K, len(raw)).reshape(-1, n))[keep]
+    used = np.bincount(index.ravel(), minlength=len(raw)) > 0
+    pool = _as_prob_vector(_normalized(raw[used]), what="coupling factor")
+    return Coupling(weights[keep], pool, (used.cumsum() - 1)[index], glued[keep])
 
 
 def maximal_coupling(pmfs: Sequence) -> Coupling:
@@ -257,11 +270,10 @@ def maximal_coupling(pmfs: Sequence) -> Coupling:
     n, m = mats.shape
     colmin = mats.min(axis=0)
     c = float(colmin.sum())
-    leftovers = np.maximum(mats - colmin, 0.0)
     return _mixture(
         weights=np.array([c, 1.0 - c]),
         shared=np.stack([colmin, np.zeros(m)]),
-        factors=np.stack([leftovers, leftovers]),
+        free=np.maximum(mats - colmin, 0.0),
         glued=np.repeat([[True], [False]], n, axis=1),
     )
 
@@ -311,7 +323,7 @@ def minimal_coupling_max(pmfs: Sequence) -> Coupling:
     leaves_idle = (~glued & ~excess.any(axis=1)).any(axis=1)
     weights[leaves_idle] = 0.0
     weights[-1] = 0.0 if leaves_idle[-1] else 1.0 - weights[weights > _ZERO_WEIGHT].sum()
-    return _mixture(weights, shared, np.broadcast_to(excess, (len(glued), n, m)), glued)
+    return _mixture(weights, shared, excess, glued)
 
 
 def minimal_coupling_max_n3(pmfs: Sequence) -> Coupling:
@@ -349,7 +361,7 @@ def minimal_coupling_max_n3(pmfs: Sequence) -> Coupling:
     return _mixture(
         weights=np.concatenate([[pmin.sum()], raw.sum(axis=1)]),
         shared=np.vstack([pmin, pair_excess]),
-        factors=np.concatenate([mats[None], np.repeat(raw[:, None], 3, axis=1)]),
+        free=raw,
         glued=~np.eye(4, 3, k=-1, dtype=bool),
     )
 
@@ -365,11 +377,6 @@ def minimal_union_mass(pmfs: Sequence) -> float | None:
     if ch.n == 3:
         return tmax + (tmax2 - 1.0)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Simultaneously maximal coupling of bivariate distributions
-# ---------------------------------------------------------------------------
 
 
 @dataclass(eq=False)
@@ -409,11 +416,8 @@ class JointCoupling:
         mixture pushed forward to X, which keeps the glue and sums each
         factor over y."""
         c = self.coupling
-
-        def over_y(a):
-            return a.reshape(*a.shape[:-1], self.x_size, self.y_size).sum(axis=-1)
-
-        return Coupling(c.weights, over_y(c.factors), c.glued).diagonal_mass()
+        x_pool = c.pool.reshape(-1, self.x_size, self.y_size).sum(axis=-1)
+        return Coupling(c.weights, x_pool, c.index, c.glued).diagonal_mass()
 
     def to_dict(self, include_table: bool = True) -> dict:
         """The expanded table, or with ``include_table=False`` the mixture's
@@ -474,20 +478,13 @@ def simultaneous_joint_coupling(joints: Sequence) -> JointCoupling:
     free = (x_marg - x_min)[:, :, None] * cond
     shared = np.zeros((xs + 2, xs * ys))
     shared[0] = pmin.ravel()
-    glued = np.zeros((xs + 2, n), dtype=bool)
-    glued[0] = True
     coupling = _mixture(
         weights=np.concatenate([[pmin.sum()], x_min - s, [1.0 - x_min.sum()]]),
         shared=shared,
-        factors=np.concatenate([np.zeros((1, n, xs * ys)), per_x.reshape(xs, n, -1), free.reshape(1, n, -1)]),
-        glued=glued,
+        free=np.concatenate([np.zeros((1, n, xs * ys)), per_x.reshape(xs, n, -1), free.reshape(1, n, -1)]),
+        glued=np.repeat([[True]] + [[False]] * (xs + 1), n, axis=1),
     )
     return JointCoupling(xs, ys, coupling)
-
-
-# ---------------------------------------------------------------------------
-# Verification
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -520,15 +517,18 @@ class VerificationReport:
 
 def verify_coupling(coupling: Coupling, targets: Sequence) -> VerificationReport:
     """Report marginal residuals, diagonal/union/intersection masses, and
-    component orthogonality, all read from the mixture without expansion."""
+    component orthogonality, all read from the mixture without expansion.
+    Raises ExpansionCapError when 2^n * K * m > DEFAULT_EXPANSION_CAP (the subset table)."""
     mats = _family(targets, _MARGINALS).matrix
     n, m = mats.shape
     if n != coupling.arity or m != coupling.alphabet_size:
         raise AlphabetMismatchError("targets do not match the coupling's shape")
     intersections = coupling.intersection_masses()
+    factors = coupling.pool[coupling.index]  # one gather under the subset-table cap, strided as marginal() reads
+    residuals = [np.abs(coupling.weights @ factors[:, i] - mats[i]).max() for i in range(n)]
     return VerificationReport(
         weight_residual=abs(coupling.weight_sum() - 1.0),
-        marginal_residuals=tuple(float(np.abs(coupling.marginal(i) - mats[i]).max()) for i in range(n)),
+        marginal_residuals=tuple(map(float, residuals)),
         diagonal_mass=intersections[tuple(range(n))],
         union_mass=coupling.union_mass(),
         intersection_masses=intersections,

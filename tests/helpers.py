@@ -11,13 +11,24 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from doeblin import BayesNet, CouplingConditionError, InfeasibilityError, Node, ValidationError
-from doeblin.channel import RECONSTRUCTION_TOL, Channel, MinorizationSplit, Pmf, _family, as_channel
-from doeblin.coupling import _MARGINALS, _MAX2_LIMIT, _ZERO_WEIGHT, Coupling, _mixture
+from doeblin import BayesNet, CouplingConditionError, ExpansionCapError, InfeasibilityError, Node, ValidationError
+from doeblin.channel import (
+    RECONSTRUCTION_TOL,
+    Channel,
+    MinorizationSplit,
+    Pmf,
+    _as_prob_vector,
+    _family,
+    as_channel,
+)
+from doeblin.coupling import _MARGINALS, _MAX2_LIMIT, _ZERO_WEIGHT, DEFAULT_EXPANSION_CAP, Coupling
 from doeblin.lp import VARIABLE_CAP, LpSolution, OracleResult, _coupling_program, solve
 
 # ---------------------------------------------------------------------------
@@ -142,7 +153,7 @@ def minimal_n3_components(mats: np.ndarray):
     return np.array(weights), np.array(shared), np.array(factors), glued
 
 
-def reference_minimal_coupling_max(pmfs) -> Coupling:
+def reference_minimal_coupling_max(pmfs) -> "DenseCoupling":
     """The union-minimal coupling built over every glue set, one component per
     subset of coordinates left free, most of them of zero weight.  Kept as
     the oracle that the column-gap construction of
@@ -191,12 +202,176 @@ def reference_minimal_coupling_max(pmfs) -> Coupling:
     leaves_idle = (~glued & ~excess.any(axis=1)).any(axis=1)
     weights[leaves_idle[:-1]] = 0.0
     residual = 0.0 if leaves_idle[-1] else 1.0 - weights[weights > _ZERO_WEIGHT].sum()
-    return _mixture(
+    return reference_mixture(
         weights=np.append(weights, residual),
         shared=np.vstack([shared, np.zeros(m)]),
         factors=np.broadcast_to(excess, (len(glued), n, m)),
         glued=glued,
     )
+
+
+# ---------------------------------------------------------------------------
+# Dense coupling reference
+# ---------------------------------------------------------------------------
+
+
+def dense_view(c: Coupling) -> np.ndarray:
+    """The (K, n, m) factor array of a pooled coupling: every glued
+    coordinate holds the component's shared factor, every free one its own."""
+    return np.where(c.glued[..., None], c.shared[:, None], c.pool[c.index])
+
+
+def reference_mixture(weights, shared, factors, glued) -> "DenseCoupling":
+    """The dense mixture from raw component arrays.  Components of weight at
+    most ``_ZERO_WEIGHT`` are dropped first; each glued coordinate takes the
+    unnormalized shared factor; then every factor is normalized and validated
+    in one pass."""
+    keep = weights > _ZERO_WEIGHT
+    raw = np.where(glued[keep][:, :, None], shared[keep][:, None, :], factors[keep])
+    totals = raw.sum(axis=-1, keepdims=True)
+    if not (totals > 0.0).all():
+        raise ValidationError("cannot normalize an all-zero factor")
+    return DenseCoupling(weights[keep], _as_prob_vector(raw / totals, what="coupling factor"), glued[keep])
+
+
+@dataclass(eq=False)
+class DenseCoupling:
+    """A mixture stored densely: ``weights`` (K,), ``factors`` (K, n, m; every
+    glued coordinate holds the shared factor) and the glue mask ``glued``
+    (K, n).  The mass bodies are the dense implementation's, unchanged, so
+    that the pooled :class:`Coupling` is held to them bit for bit."""
+
+    weights: np.ndarray
+    factors: np.ndarray
+    glued: np.ndarray
+    expanded: dict | None = field(default=None, init=False, repr=False)
+
+    @property
+    def arity(self) -> int:
+        return self.glued.shape[1]
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.factors.shape[2]
+
+    @cached_property
+    def shared(self) -> np.ndarray:
+        """(K, m): each component's first glued factor, zero without glue."""
+        first_glued = self.factors[np.arange(len(self.glued)), self.glued.argmax(axis=1)]
+        return np.where(self.glued.any(axis=1)[:, None], first_glued, 0.0)
+
+    @property
+    def components(self) -> list[dict]:
+        """One record per component, as :meth:`to_dict` emits it."""
+        arrays = (self.weights, self.shared, self.factors, self.glued)
+        return [
+            {
+                "weight": w,
+                "glued": [i for i, gi in enumerate(g) if gi],
+                "shared_factor": s if any(g) else None,
+                "free_factors": {str(i): fi for i, (fi, gi) in enumerate(zip(f, g)) if not gi},
+            }
+            for w, s, f, g in zip(*(a.tolist() for a in arrays))
+        ]
+
+    def marginal(self, coord: int) -> np.ndarray:
+        """Coordinate marginal: the weighted sum of that coordinate's factors."""
+        return self.weights @ self.factors[:, coord]
+
+    def expand(self) -> dict:
+        """Materialize the sparse joint table (memoized), for export and tests.
+
+        Each component visits only its support: the glued block's symbols,
+        then each free coordinate's in order, in row-major positions of a
+        dense table of m**n cells.  More than DEFAULT_EXPANSION_CAP cells
+        raise ExpansionCapError."""
+        if self.expanded is not None:
+            return self.expanded
+        n, m = self.arity, self.alphabet_size
+        if m**n > DEFAULT_EXPANSION_CAP:
+            raise ExpansionCapError(f"expansion needs {m ** n} entries (cap {DEFAULT_EXPANSION_CAP})")
+        place = m ** np.arange(n - 1, -1, -1)
+        dense = np.zeros(m**n)
+        hit = np.zeros(m**n, dtype=bool)
+        for w, s, f, g in zip(self.weights, self.shared, self.factors, self.glued):
+            cells, mass = np.zeros(1, dtype=np.int64), np.ones(1)
+            if g.any():
+                ys = np.flatnonzero(s > 0.0)
+                cells, mass = ys * place[g].sum(), s[ys]
+            for i in np.flatnonzero(~g):
+                ys = np.flatnonzero(f[i] > 0.0)
+                cells = (cells[:, None] + ys * place[i]).ravel()
+                mass = (mass[:, None] * f[i, ys]).ravel()
+            dense[cells] += w * mass
+            hit[cells] = True
+        cells = np.flatnonzero(hit)
+        keys = np.stack(np.unravel_index(cells, (m,) * n), axis=1).tolist()
+        self.expanded = {tuple(key): float(v) for key, v in zip(keys, dense[cells])}
+        return self.expanded
+
+    def union_mass(self) -> float:
+        """Summed over symbols y, the probability that some coordinate hits y.
+        A component misses y with probability (1 - s(y)) prod_i (1 - f_i(y))."""
+        miss = (1.0 - self.shared) * np.where(self.glued[:, :, None], 1.0, 1.0 - self.factors).prod(axis=1)
+        return float(self.weights @ (self.alphabet_size - miss.sum(axis=1)))
+
+    def intersection_mass(self, coords: Sequence[int]) -> float:
+        """Summed over y, the probability that all the given coordinates hit y:
+        per component sum_y s(y) prod_{free i in coords} f_i(y), with s = 1
+        when no glued coordinate is among them."""
+        coords = list(coords)
+        in_glue = self.glued[:, coords]
+        prod = np.where(in_glue[:, :, None], 1.0, self.factors[:, coords]).prod(axis=1)
+        head = np.where(in_glue.any(axis=1)[:, None], self.shared, 1.0)
+        return float(self.weights @ (head * prod).sum(axis=1))
+
+    def intersection_masses(self) -> dict[tuple[int, ...], float]:
+        """:meth:`intersection_mass` of every subset of two or more coordinates,
+        built one coordinate at a time; row ``mask`` holds the subset of its bits."""
+        shared, factors, glued = self.shared, self.factors, self.glued
+        K, m = shared.shape
+        rows = 1 << self.arity
+        if rows * K * m > DEFAULT_EXPANSION_CAP:
+            raise ExpansionCapError(f"subset table needs {rows * K * m} entries (cap {DEFAULT_EXPANSION_CAP})")
+        prod = np.empty((rows, K, m))  # free factors' product over the subset
+        hit = np.zeros((rows, K), dtype=bool)  # subset meets the glued block
+        prod[0] = 1.0
+        for i in range(self.arity):
+            half = 1 << i
+            free_i = np.where(glued[:, i, None], 1.0, factors[:, i])
+            np.multiply(prod[:half], free_i, out=prod[half : 2 * half])
+            hit[half : 2 * half] = hit[:half] | glued[:, i]
+        sums = np.where(hit, np.einsum("km,skm->sk", shared, prod), prod.sum(axis=2))
+        masses = sums @ self.weights
+        return {
+            coords: float(masses[sum(1 << i for i in coords)])
+            for size in range(2, self.arity + 1)
+            for coords in itertools.combinations(range(self.arity), size)
+        }
+
+    def orthogonal_components(self) -> bool:
+        """Whether no two components share a tuple of positive mass.
+
+        Components a and b share one iff every block of coordinates forced
+        equal has a symbol all factors of a and b on it allow.  The blocks
+        are the union of the two glued sets when they meet, each glued set
+        when they do not, and every coordinate free in both.
+        """
+        shared, glued = self.shared, self.glued
+        allowed = (self.factors > 0.0).astype(float)
+        g = glued.astype(float)
+        # Symbols a's glued block allows; every symbol when a has no glue.
+        block = np.where(glued.any(axis=1)[:, None], shared > 0.0, True)
+        # covers[a, b, y]: b allows y on every glued coordinate of a.
+        covers = np.tensordot(g, 1.0 - allowed, axes=([1], [1])) == 0.0
+        own = block[:, None, :] & covers  # a's block, allowed by a and b
+        other = own.transpose(1, 0, 2)  # b's block, allowed by b and a
+        meet = (g @ g.T) > 0.0
+        glued_ok = np.where(meet, (own & other).any(axis=2), own.any(axis=2) & other.any(axis=2))
+        # A coordinate free in both needs one symbol both factors allow.
+        common = np.matmul(allowed.transpose(1, 0, 2), allowed.transpose(1, 2, 0))  # (n, K, K)
+        lone_fail = ((common == 0.0) & ~glued.T[:, :, None] & ~glued.T[:, None, :]).any(axis=0)
+        return not np.triu(glued_ok & ~lone_fail, 1).any()
 
 
 # ---------------------------------------------------------------------------

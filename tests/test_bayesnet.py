@@ -387,6 +387,33 @@ def test_from_json_rejects_string_parents():
         db.BayesNet.from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize(
+    "parents, alphabet",
+    [
+        ((-1,), 2),  # read by Python as the last node
+        ((2,), 2),  # the node itself
+        ((3,), 2),  # past the network
+        (("X",), 2),  # a name, not an index
+        ((0.0,), 2),
+        ((True,), 2),
+        (0, 2),  # not a sequence
+        ((0,), 2.0),
+        ((0,), True),
+        ((0,), 0),
+        ((0,), "2"),
+    ],
+)
+def test_construction_rejects_bad_parents_and_alphabets(parents, alphabet):
+    def net(parents, alphabet):
+        table = [[0.5, 0.5], [0.25, 0.75]]
+        nodes = (db.Node("X", 2, (), None), db.Node("Y", 2, (0,), table), db.Node("Z", alphabet, parents, table))
+        return db.BayesNet(nodes=nodes, source=0)
+
+    assert net((1,), 2).ancestors([2]) == {0, 1, 2}
+    with pytest.raises(db.ValidationError, match="node Z"):
+        net(parents, alphabet)
+
+
 # -- memoryless-stage bound ---------------------------------------------------
 
 
@@ -437,6 +464,10 @@ def test_samorodnitsky_extremes():
         ([6.9], [0.5]),
         ([6.0], [0.5]),
         ([True, 6], [0.5, 0.5]),
+        # Coefficients that are not numbers.
+        ([6], ["x"]),
+        ([6], [None]),
+        ([2, 3], ["0.5", 0.5]),
     ],
 )
 def test_samorodnitsky_rejects_bad_letters(sizes, taus):

@@ -343,6 +343,23 @@ class TestMinorization:
         with pytest.raises(ValidationError):
             db.erasure_degradation(W1, -0.1)
 
+    @pytest.mark.parametrize("r", [-1, 0, 2.5, True, "2", None])
+    def test_erasure_channel_needs_a_positive_integer_input_count(self, r):
+        with pytest.raises(ValidationError, match="positive integer input count"):
+            db.erasure_channel(r, 0.5)
+
+    @pytest.mark.parametrize("epsilon", ["0.1", None, True, [0.1], -0.1, 1.5, np.nan])
+    def test_erasure_rate_must_be_a_number_in_the_unit_interval(self, epsilon):
+        with pytest.raises(ValidationError, match="erasure probability"):
+            db.erasure_channel(2, epsilon)
+        with pytest.raises(ValidationError, match="erasure probability"):
+            db.erasure_degradation(W1, epsilon)
+
+    def test_numpy_scalars_are_accepted(self):
+        assert db.erasure_channel(np.int64(2), np.float64(0.25)).matrix.tobytes() == (
+            db.erasure_channel(2, 0.25).matrix.tobytes()
+        )
+
 
 # ---------------------------------------------------------------------------
 # Channel algebra

@@ -252,6 +252,24 @@ def test_bayesnet_exact_percolation_past_cap_notes(capsys):
     assert set(out["bounds"]) == {"recursion", "percolation", "shortcut_free"}
 
 
+def test_bayesnet_path_cap_keeps_the_other_bounds(monkeypatch, capsys):
+    # 265 shortcut-free paths reach N19 or N20 on the ladder; past the path
+    # cap the path sum becomes a note and every other field stays as it was.
+    argv = ["bayesnet", _f("ladder60.json"), "--target", "N19,N20"]
+    assert _invoke(argv) == 0
+    uncapped = json.loads(capsys.readouterr().out)
+    assert len(uncapped["bounds"]["shortcut_free"]["paths"]) > 100
+    monkeypatch.setattr(bn, "PATH_CAP", 100)
+    assert _invoke(argv) == 0
+    capped = json.loads(capsys.readouterr().out)
+    assert capped["bounds"]["shortcut_free"] == {"note": "more than 100 shortcut-free source-to-target paths"}
+    assert capped["bounds"]["percolation"]["method"] == "exact"
+    for key in ("target", "tau", "gamma"):
+        assert capped[key] == uncapped[key]
+    for key in ("recursion", "percolation"):
+        assert capped["bounds"][key] == uncapped["bounds"][key]
+
+
 def test_bayesnet_other_errors_exit_1(monkeypatch, capsys):
     # Only the state cap is reported as a note; any other invalid input fails.
     def broken(net, targets):

@@ -1,8 +1,10 @@
 """Coupling-engine tests: constructions, their optimality, and verification."""
 
+import copy
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import doeblin as db
-from doeblin import CouplingConditionError, ExpansionCapError, coupling, lp
+from doeblin import CouplingConditionError, ExpansionCapError, lp
 from doeblin.coupling import DEFAULT_EXPANSION_CAP, minimal_union_mass
 
 from helpers import (
+    DenseCoupling,
+    dense_view,
     dobrushin_table,
     feasible_minimal_instance,
     joint_coupling_table,
@@ -22,6 +26,7 @@ from helpers import (
     minimal_n3_components,
     random_pmf,
     reference_minimal_coupling_max,
+    reference_mixture,
     supercritical_trio,
     table_diag_mass,
     table_from_components,
@@ -237,12 +242,7 @@ class TestMinimalCoupling:
     @given(subcritical_integer_families())
     @example(BOUNDARY)
     def test_arrays_match_glue_set_reference(self, fam):
-        built = db.minimal_coupling_max(fam)
-        ref = reference_minimal_coupling_max(fam)
-        for name in ("weights", "factors", "glued"):
-            got, want = getattr(built, name), getattr(ref, name)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), name
+        _assert_same_arrays(db.minimal_coupling_max(fam), reference_minimal_coupling_max(fam))
 
     @settings(max_examples=100, deadline=None)
     @given(subcritical_integer_families())
@@ -323,12 +323,8 @@ class TestMinimalCouplingN3:
     @settings(max_examples=60, deadline=None)
     @given(supercritical_integer_trios())
     def test_arrays_match_pairwise_reference(self, fam):
-        built = db.minimal_coupling_max_n3(fam)
-        ref = coupling._mixture(*minimal_n3_components(db.Channel(fam).matrix))
-        for name in ("weights", "factors", "glued"):
-            got, want = getattr(built, name), getattr(ref, name)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), name
+        ref = reference_mixture(*minimal_n3_components(db.Channel(fam).matrix))
+        _assert_same_arrays(db.minimal_coupling_max_n3(fam), ref)
 
     @pytest.mark.parametrize("excess, above", [(5e-13, False), (2e-12, True)])
     def test_regime_agrees_at_validity_threshold(self, excess, above):
@@ -528,18 +524,20 @@ def _joint_coupling():
 )
 def test_shared_is_every_glued_factor(build):
     c = build()
-    for shared, factors, glued in zip(c.shared, c.factors, c.glued):
+    assert np.issubdtype(c.index.dtype, np.integer) and c.index.shape == c.glued.shape
+    for shared, rows, glued in zip(c.shared, c.index, c.glued):
         if glued.any():
-            assert (factors[glued] == shared).all()
+            assert len(set(rows[glued].tolist())) == 1
+            assert (c.pool[rows[glued]] == shared).all()
         else:
             assert not shared.any()
 
 
 def test_glued_coordinates_with_different_factors_rejected():
-    # Otherwise marginal(1) reads [0, 1] while expand() and diagonal_mass()
-    # read the first glued row alone and put all the mass on (0, 0).
-    with pytest.raises(db.ValidationError):
-        db.Coupling(np.array([1.0]), np.array([[[1.0, 0.0], [0.0, 1.0]]]), np.array([[True, True]]))
+    # Otherwise marginal(1) would read [0, 1] while expand() and
+    # diagonal_mass() read the first glued row alone.
+    with pytest.raises(db.ValidationError, match="one shared pool row"):
+        db.Coupling(np.array([1.0]), np.eye(2), np.array([[0, 1]]), np.array([[True, True]]))
 
 
 def test_replace_recomputes_expansion():
@@ -547,7 +545,7 @@ def test_replace_recomputes_expansion():
     # expands its own table.
     c = db.maximal_coupling([[0.5, 0.5], [0.2, 0.8]])
     c.expand()
-    swapped = dataclasses.replace(c, factors=c.factors[:, :, ::-1])
+    swapped = dataclasses.replace(c, pool=c.pool[:, ::-1])
     assert swapped.expanded is None
     assert swapped.expand() == table_from_components(swapped.to_dict())
     assert swapped.expand() != c.expand()
@@ -570,9 +568,9 @@ class TestVerifyCoupling:
         # on every glued coordinate: the weights still sum to one, only the
         # marginals are off.
         shift = np.array([3e-3, -3e-3, 0.0])
-        factors = c.factors.copy()
-        factors[0, c.glued[0]] = db.Pmf(c.shared[0] + shift).probs
-        corrupted = dataclasses.replace(c, factors=factors)
+        pool = c.pool.copy()
+        pool[c.index[0, 0]] = db.Pmf(c.shared[0] + shift).probs
+        corrupted = dataclasses.replace(c, pool=pool)
         rep = db.verify_coupling(corrupted, pmfs)
         assert rep.weight_residual < 1e-12
         assert rep.max_marginal_residual >= 5e-4
@@ -662,17 +660,19 @@ def _random_factor(rng, m):
 
 
 def _hand_built(rng, n, m, glue_sets):
-    """The three arrays written directly: every coordinate gets its own factor,
-    then the glued ones are overwritten with the component's shared factor."""
+    """The four arrays written directly: every coordinate gets its own pool
+    row, then the glued ones are pointed at one new row, the shared factor."""
     K = len(glue_sets)
     weights = rng.dirichlet(np.ones(K))
-    factors = np.array([[_random_factor(rng, m) for _ in range(n)] for _ in range(K)])
+    pool = [_random_factor(rng, m) for _ in range(K * n)]
+    index = np.arange(K * n).reshape(K, n)
     glued = np.zeros((K, n), dtype=bool)
     for k, block in enumerate(glue_sets):
         if block:
             glued[k, list(block)] = True
-            factors[k, list(block)] = _random_factor(rng, m)
-    return db.Coupling(weights, factors, glued)
+            index[k, list(block)] = len(pool)
+            pool.append(_random_factor(rng, m))
+    return db.Coupling(weights, np.array(pool), index, glued)
 
 
 class TestStructuredMasses:
@@ -750,3 +750,134 @@ class TestMinimalUnionMass:
         quad = np.vstack([supercritical_trio(rng, 3), random_pmf(rng, 3)])
         assert max2_of(quad) > 1
         assert minimal_union_mass(list(quad)) is None
+
+
+# ---------------------------------------------------------------------------
+# The factor pool against the dense reference
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_arrays(built: db.Coupling, ref: DenseCoupling):
+    """Weights, glue and the dense view of the pool equal the reference's
+    arrays byte for byte."""
+    for got, want in [(built.weights, ref.weights), (dense_view(built), ref.factors), (built.glued, ref.glued)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _outcome(method):
+    """The repr of a method's result, or of the cap error it raises."""
+    try:
+        return repr(method())
+    except ExpansionCapError as exc:
+        return repr(exc)
+
+
+def _assert_bit_identical(c: db.Coupling):
+    """Every mass read through the pool index equals the dense reference's
+    over the same factors, bit for bit."""
+    ref = DenseCoupling(c.weights, dense_view(c), c.glued)
+    n = c.arity
+    for i in range(n):
+        assert c.marginal(i).tobytes() == ref.marginal(i).tobytes()
+    for size in range(1, n + 1):
+        for coords in itertools.combinations(range(n), size):
+            assert repr(c.intersection_mass(coords)) == repr(ref.intersection_mass(coords))
+    assert repr(c.diagonal_mass()) == repr(ref.intersection_mass(range(n)))
+    for name in ("union_mass", "intersection_masses", "orthogonal_components", "expand"):
+        assert _outcome(getattr(c, name)) == _outcome(getattr(ref, name)), name
+    assert repr(c.components) == repr(ref.components)
+    # The report reads every marginal from one gather; its residuals match too.
+    targets = [ref.marginal(i) for i in range(n)]
+    mats = db.Channel(targets).matrix
+    residuals = tuple(float(np.abs(ref.marginal(i) - mats[i]).max()) for i in range(n))
+    assert repr(db.verify_coupling(c, targets).marginal_residuals) == repr(residuals)
+
+
+class TestBitIdenticalToDense:
+    @settings(max_examples=40, deadline=None)
+    @given(pmf_families(max_n=5))
+    def test_maximal(self, fam):
+        _assert_bit_identical(db.maximal_coupling(fam))
+
+    @settings(max_examples=60, deadline=None)
+    @given(subcritical_integer_families())
+    @example(BOUNDARY)
+    def test_minimal(self, fam):
+        _assert_bit_identical(db.minimal_coupling_max(fam))
+
+    @settings(max_examples=40, deadline=None)
+    @given(supercritical_integer_trios())
+    def test_minimal_n3_supercritical(self, fam):
+        _assert_bit_identical(db.minimal_coupling_max_n3(fam))
+
+    @settings(max_examples=40, deadline=None)
+    @given(pmf_families(min_n=3, max_n=3, min_m=3, max_m=5))
+    def test_minimal_n3(self, fam):
+        _assert_bit_identical(db.minimal_coupling_max_n3(fam))
+
+    @settings(max_examples=40, deadline=None)
+    @given(joint_families())
+    def test_joint(self, joints):
+        jc = db.simultaneous_joint_coupling(joints)
+        _assert_bit_identical(jc.coupling)
+        c, (xs, ys) = jc.coupling, joints[0].shape
+        dense = dense_view(c)
+        over_y = DenseCoupling(c.weights, dense.reshape(*dense.shape[:-1], xs, ys).sum(axis=-1), c.glued)
+        assert repr(jc.prob_x_equal()) == repr(over_y.intersection_mass(range(c.arity)))
+
+    @pytest.mark.parametrize("glue_sets", [[(0, 1), (1, 2, 3)], [(), ()], [(0, 1, 2, 3), (), (0, 2)], [(1,), (3,)]])
+    def test_hand_built(self, glue_sets):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            _assert_bit_identical(_hand_built(rng, 4, int(rng.integers(2, 4)), glue_sets))
+
+
+@pytest.mark.parametrize(
+    "weights, pool, index, glued",
+    [
+        ([1.0], np.eye(2), [[0, 1]], [[True, True]]),  # glued coordinates on two rows
+        ([1.0], np.eye(2), [[0, 2]], [[False, False]]),  # index past the pool
+        ([1.0], np.eye(2), [[-1, 0]], [[False, False]]),  # negative index
+        ([1.0], np.eye(2), [[0.0, 1.0]], [[False, False]]),  # float index
+        ([1.0], np.eye(2), [[0, 1, 0]], [[False, False]]),  # index and glue disagree
+        ([0.5, 0.5], np.eye(2), [[0, 1]], [[False, False]]),  # two weights, one component
+        ([1.0], [0.5, 0.5], [[0, 0]], [[False, False]]),  # pool is not 2-D
+        ([1.0], np.eye(2), [[0, 1]], [[0, 0]]),  # glue mask is not boolean
+        ([1.0], np.eye(2), [0, 1], [False, False]),  # index and glue are not 2-D
+        ([1.0], np.eye(2), np.zeros((1, 0), dtype=int), np.zeros((1, 0), dtype=bool)),  # no coordinates
+    ],
+)
+def test_invalid_hand_built_coupling_rejected(weights, pool, index, glued):
+    with pytest.raises(db.ValidationError):
+        db.Coupling(np.array(weights), np.array(pool), np.array(index), np.array(glued))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: db.maximal_coupling(TRIO), lambda: db.minimal_coupling_max(TRIO), _joint_coupling],
+    ids=["maximal", "minimal", "joint"],
+)
+def test_component_records_share_no_list(build):
+    records = build().components
+    lists = [r["glued"] for r in records] + [r["shared_factor"] for r in records if r["shared_factor"]]
+    lists += [f for r in records for f in r["free_factors"].values()]
+    assert len({id(x) for x in lists}) == len(lists)
+    before = copy.deepcopy(records)
+    for factor in [records[0]["shared_factor"] or [], *records[0]["free_factors"].values()]:
+        factor[0] = -1.0
+    assert records[1:] == before[1:]
+
+
+def test_forty_marginal_pool_stays_small():
+    # A dense (K, n, m) factor array would take 43 MB here, and its copies on
+    # the way several times that.
+    mats = feasible_minimal_instance(np.random.default_rng(43), 40, 60)
+    tracemalloc.start()
+    try:
+        c = db.minimal_coupling_max(list(mats))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert len(c.pool) <= c.arity + len(c.weights)
