@@ -131,10 +131,13 @@ class Coupling:
         return float(self.weights.sum())
 
     def marginal(self, coord: int) -> np.ndarray:
-        """Coordinate marginal: the weighted sum of that coordinate's factors.  The rows
-        are read at a row stride of 2m: numpy's matmul rounds a contiguous (K, m) operand
-        differently from a strided one, such as a column of ``pool[index]``."""
-        return self.weights @ self.pool[self.index[:, coord]].repeat(2, axis=0)[::2]
+        """Coordinate marginal: the weighted sum of that coordinate's factors.  For n > 1
+        the rows are read at a row stride of 2m, like a column of the (K, n, m) factor
+        view: BLAS rounds a contiguous operand differently in the last bit."""
+        rows = self.pool[self.index[:, coord]]
+        if self.arity > 1:
+            rows = rows.repeat(2, axis=0)[::2]
+        return self.weights @ rows
 
     def expand(self) -> dict:
         """Materialize the sparse joint table (memoized), for export and tests.
@@ -200,10 +203,10 @@ class Coupling:
         prod = np.empty((rows, K, m))  # free factors' product over the subset
         hit = np.zeros((rows, K), dtype=bool)  # subset meets the glued block
         prod[0] = 1.0
-        free = np.where(glued[:, :, None], 1.0, self.pool[self.index])  # (K, n, m), under the cap too
         for i in range(self.arity):
             half = 1 << i
-            np.multiply(prod[:half], free[:, i], out=prod[half : 2 * half])
+            free_i = np.where(glued[:, i, None], 1.0, self.pool[self.index[:, i]])
+            np.multiply(prod[:half], free_i, out=prod[half : 2 * half])
             hit[half : 2 * half] = hit[:half] | glued[:, i]
         sums = np.where(hit, np.einsum("km,skm->sk", shared, prod), prod.sum(axis=2))
         masses = sums @ self.weights
@@ -258,6 +261,11 @@ def _mixture(weights, shared, free, glued) -> Coupling:
     used = np.bincount(index.ravel(), minlength=len(raw)) > 0
     pool = _as_prob_vector(_normalized(raw[used]), what="coupling factor")
     return Coupling(weights[keep], pool, (used.cumsum() - 1)[index], glued[keep])
+
+
+# ---------------------------------------------------------------------------
+# Constructions
+# ---------------------------------------------------------------------------
 
 
 def maximal_coupling(pmfs: Sequence) -> Coupling:
@@ -379,6 +387,11 @@ def minimal_union_mass(pmfs: Sequence) -> float | None:
     return None
 
 
+# ---------------------------------------------------------------------------
+# Simultaneously maximal coupling of bivariate distributions
+# ---------------------------------------------------------------------------
+
+
 @dataclass(eq=False)
 class JointCoupling:
     """Coupling of n bivariate (X, Y) distributions: a :class:`Coupling` over
@@ -487,6 +500,11 @@ def simultaneous_joint_coupling(joints: Sequence) -> JointCoupling:
     return JointCoupling(xs, ys, coupling)
 
 
+# ---------------------------------------------------------------------------
+# Verification
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Residuals and structural checks for a coupling against its targets."""
@@ -524,11 +542,9 @@ def verify_coupling(coupling: Coupling, targets: Sequence) -> VerificationReport
     if n != coupling.arity or m != coupling.alphabet_size:
         raise AlphabetMismatchError("targets do not match the coupling's shape")
     intersections = coupling.intersection_masses()
-    factors = coupling.pool[coupling.index]  # one gather under the subset-table cap, strided as marginal() reads
-    residuals = [np.abs(coupling.weights @ factors[:, i] - mats[i]).max() for i in range(n)]
     return VerificationReport(
         weight_residual=abs(coupling.weight_sum() - 1.0),
-        marginal_residuals=tuple(map(float, residuals)),
+        marginal_residuals=tuple(float(np.abs(coupling.marginal(i) - mats[i]).max()) for i in range(n)),
         diagonal_mass=intersections[tuple(range(n))],
         union_mass=coupling.union_mass(),
         intersection_masses=intersections,
