@@ -74,6 +74,8 @@ class BayesNet:
                     f"node {node.name}: parents must be indices of nodes that precede it "
                     f"(cycle or bad order), got {parents!r}"
                 )
+            if len(set(parents)) != len(parents):
+                raise ValidationError(f"node {node.name}: parents must be distinct, got {parents!r}")
             if idx == self.source:
                 if node.cpt is not None:
                     raise ValidationError(f"source node {node.name} must not carry a cpt")
@@ -198,21 +200,36 @@ def _elimination_plan(scopes, sizes: dict, keep: tuple) -> list[tuple[int, tuple
     removes the label whose merged factor (the union of the scopes holding
     it, minus the label) has the fewest entries.  Returns (label, merged
     scope) per step.  Raises ExpansionCapError when a merged factor or the
-    final factor over ``keep`` has more than COMPOSITE_STATE_CAP entries."""
+    final factor over ``keep`` has more than COMPOSITE_STATE_CAP entries.
+
+    Planned on the interaction graph: a label's neighbours are its merged
+    scope, and summing out v joins v's neighbours to one another and changes
+    no other label's, so a step costs in v's neighbours only."""
 
     def volume(scope) -> int:
-        return math.prod(sizes[lab] for lab in scope)
+        return math.prod(map(sizes.__getitem__, scope))
 
-    scopes = [frozenset(s) for s in scopes]
-    hidden = set().union(*scopes) - set(keep)
-    plan = []
-    while hidden:
-        merged = {v: frozenset().union(*(s for s in scopes if v in s)) - {v} for v in hidden}
-        v = min(hidden, key=lambda lab: (volume(merged[lab]), lab))
-        scopes = [s for s in scopes if v not in s] + [merged[v]]
-        hidden.remove(v)
-        plan.append((v, tuple(sorted(merged[v]))))
-    if max(volume(scope) for scope in [keep, *(scope for _, scope in plan)]) > COMPOSITE_STATE_CAP:
+    nbrs: dict = {}
+    for scope in scopes:
+        for lab in scope:
+            nbrs.setdefault(lab, set()).update(scope)
+    for lab, around in nbrs.items():
+        around.discard(lab)
+    key = {v: (volume(nbrs[v]), v) for v in nbrs.keys() - set(keep)}
+    largest, plan = volume(keep), []
+    while key:
+        size, v = min(key.values())
+        del key[v]
+        merged = nbrs.pop(v)
+        for lab in merged:
+            around = nbrs[lab]
+            around |= merged
+            around -= {lab, v}
+            if lab in key:
+                key[lab] = (volume(around), lab)
+        largest = max(largest, size)
+        plan.append((v, tuple(sorted(merged))))
+    if largest > COMPOSITE_STATE_CAP:
         raise ExpansionCapError(f"composite channel needs a factor of more than {COMPOSITE_STATE_CAP} entries")
     return plan
 
@@ -236,9 +253,11 @@ def composite_channel(net: BayesNet, targets: Iterable[int]) -> Channel:
     vector of ones over the source gives every source letter its row.  The
     non-target ancestors are summed out one at a time, each by one einsum
     over the factors that hold it, in the greedy order of smallest merged
-    factor.  The whole order is planned first, and COMPOSITE_STATE_CAP bounds
-    every factor it creates, the output included, so a request past the cap
-    raises ExpansionCapError before anything is allocated.
+    factor.  The whole order is planned first, on the interaction graph of
+    the factors, where a step costs in the eliminated label's neighbours.
+    COMPOSITE_STATE_CAP bounds every factor the plan creates, the output
+    included, so a request past the cap raises ExpansionCapError before
+    anything is allocated.
 
     Columns are joint target states in row-major order over the targets
     sorted by node index (last target fastest).  An empty target set gives
@@ -408,7 +427,7 @@ def shortcut_free_bound(net: BayesNet, targets: Iterable[int]) -> tuple[float, l
     towards_v = net.ancestors(V)  # nodes with a directed route into the targets, with their parents
     children: dict[int, list[int]] = {u: [] for u in towards_v | {src}}
     for c in sorted(towards_v):  # one pass in index order, the order of net.children
-        for u in set(net.nodes[c].parents):
+        for u in net.nodes[c].parents:
             children[u].append(c)
     kept: list[tuple[int, ...]] = []
     total = 0.0

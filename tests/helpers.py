@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from doeblin import BayesNet, CouplingConditionError, ExpansionCapError, InfeasibilityError, Node, ValidationError
+from doeblin import bayesnet
 from doeblin.channel import (
     RECONSTRUCTION_TOL,
     Channel,
@@ -631,6 +632,35 @@ def reference_ancestors(net: BayesNet, targets) -> frozenset[int]:
                 seen.add(p)
                 stack.append(p)
     return frozenset(seen)
+
+
+def reference_elimination_plan(scopes, sizes: dict, keep: tuple) -> list[tuple[int, tuple]]:
+    """The greedy elimination planner that rescans every scope at each step,
+    kept verbatim as the oracle for ``bayesnet._elimination_plan``; the cap
+    is read from the module at call time, so a monkeypatched cap applies.
+
+    Greedy order for summing out every label not in ``keep``: each step
+    removes the label whose merged factor (the union of the scopes holding
+    it, minus the label) has the fewest entries.  Returns (label, merged
+    scope) per step.  Raises ExpansionCapError when a merged factor or the
+    final factor over ``keep`` has more than COMPOSITE_STATE_CAP entries."""
+
+    def volume(scope) -> int:
+        return math.prod(sizes[lab] for lab in scope)
+
+    scopes = [frozenset(s) for s in scopes]
+    hidden = set().union(*scopes) - set(keep)
+    plan = []
+    while hidden:
+        merged = {v: frozenset().union(*(s for s in scopes if v in s)) - {v} for v in hidden}
+        v = min(hidden, key=lambda lab: (volume(merged[lab]), lab))
+        scopes = [s for s in scopes if v not in s] + [merged[v]]
+        hidden.remove(v)
+        plan.append((v, tuple(sorted(merged[v]))))
+    cap = bayesnet.COMPOSITE_STATE_CAP
+    if max(volume(scope) for scope in [keep, *(scope for _, scope in plan)]) > cap:
+        raise ExpansionCapError(f"composite channel needs a factor of more than {cap} entries")
+    return plan
 
 
 def table_tau(W: np.ndarray) -> float:

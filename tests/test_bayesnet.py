@@ -3,15 +3,19 @@
 The oracles in ``tests/helpers.py`` sum the full factored joint over every
 node, sum over every survival configuration, and filter every
 source-to-target path by strict node-set inclusion; per-node coefficients
-are column-minimum sums of the tables.
+are column-minimum sums of the tables.  The elimination planner is held to
+the planner that rescans every scope at each step.
 """
 
 import json
+import math
 from functools import cache, reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import doeblin as db
 from doeblin import ExpansionCapError, bayesnet as bn
@@ -23,6 +27,7 @@ from helpers import (
     random_net,
     reference_ancestors,
     reference_descendants,
+    reference_elimination_plan,
     subset_filter_paths,
     table_tau,
 )
@@ -30,6 +35,7 @@ from helpers import (
 N_NETS = 300
 TOL = 1e-12
 NET_JSON = Path(__file__).resolve().parent / "fixtures" / "net.json"
+DAG200_JSON = Path(__file__).resolve().parent / "fixtures" / "dag200.json"
 
 
 def _chain(length: int, tables=None) -> db.BayesNet:
@@ -195,6 +201,106 @@ def test_sixty_node_chain_exceeds_einsum_labels():
     head, tail = reduce(np.matmul, tables[:30]), reduce(np.matmul, tables[30:])
     got = bn.composite_channel(net, [30, 59]).matrix.reshape(k0, sizes[30], k59)
     assert np.abs(got - head[:, :, None] * tail[None, :, :]).max() <= TOL
+
+
+# -- the elimination planner against the full-rescan reference ----------------
+
+
+def _composite_target_sets():
+    """(net, targets) for the composite_channel calls of the oracle tests
+    above: each case's targets, with the source and the source alone, the
+    orphan variant's four target sets, and both target sets of the
+    recursion bound at the case's last target."""
+    rng = np.random.default_rng(7)
+    for case in _cases():
+        net, V = case["net"], case["V"]
+        u = max(V)
+        rest = [v for v in V if v != u]
+        yield from ((net, V), (net, [net.source, *V]), (net, [net.source]))
+        yield from ((net, rest), (net, {*rest, *net.nodes[u].parents}))
+        orphan = _with_orphan(net, rng)
+        w, c = orphan.size - 2, orphan.size - 1
+        for W in ([w], [w, c], [net.source, w], [net.source, *V, w, c]):
+            yield orphan, W
+
+
+def test_planner_matches_reference_on_recorded_calls(monkeypatch):
+    planner, calls = bn._elimination_plan, []
+
+    def recording(scopes, sizes, keep):
+        calls.append((list(scopes), dict(sizes), keep))
+        return planner(scopes, sizes, keep)
+
+    requests = list(_composite_target_sets())
+    monkeypatch.setattr(bn, "_elimination_plan", recording)
+    fast = [bn.composite_channel(net, V).matrix.tobytes() for net, V in requests]
+    assert len(calls) == len(requests)
+    for scopes, sizes, keep in calls:
+        assert planner(scopes, sizes, keep) == reference_elimination_plan(scopes, sizes, keep)
+    monkeypatch.setattr(bn, "_elimination_plan", reference_elimination_plan)
+    assert [bn.composite_channel(net, V).matrix.tobytes() for net, V in requests] == fast
+
+
+@st.composite
+def _scope_families(draw):
+    """1-12 scopes over labels 0-15 (repeats inside a scope and empty scopes
+    allowed), a size of 1-4 per label, and kept labels that may lie in no scope."""
+    labels = st.integers(0, 15)
+    scopes = draw(st.lists(st.lists(labels, max_size=6).map(tuple), min_size=1, max_size=12))
+    sizes = dict(enumerate(draw(st.lists(st.integers(1, 4), min_size=16, max_size=16))))
+    keep = tuple(draw(st.lists(labels, max_size=4, unique=True)))
+    return scopes, sizes, keep
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scope_families())
+def test_planner_matches_reference_on_drawn_scopes(family):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bn, "COMPOSITE_STATE_CAP", 4**16)  # past every factor a draw can need
+        plan = bn._elimination_plan(*family)
+        assert plan == reference_elimination_plan(*family)
+        scopes, sizes, keep = family
+        largest = max(math.prod(sizes[lab] for lab in scope) for scope in [keep, *(s for _, s in plan)])
+        for cap, raises in ((largest, False), (largest - 1, True)):
+            mp.setattr(bn, "COMPOSITE_STATE_CAP", cap)
+            for planner in (bn._elimination_plan, reference_elimination_plan):
+                try:
+                    planner(*family)
+                except ExpansionCapError:
+                    assert raises
+                else:
+                    assert not raises
+
+
+def _dag_spec(n_nodes: int, seed: int) -> dict:
+    """Network JSON for a random DAG of binary nodes N0 (the source) to
+    N{n_nodes - 1}: node i draws 1-3 distinct parents from the four nodes
+    before it, and each table row is a Dirichlet(1) draw.  The committed
+    ``fixtures/dag200.json`` is ``json.dumps(_dag_spec(200, 200), indent=1)``
+    and a newline."""
+    rng = np.random.default_rng(seed)
+    nodes: list[dict] = [{"name": "N0", "alphabet": 2}]
+    for i in range(1, n_nodes):
+        window = np.arange(max(0, i - 4), i)
+        k = int(rng.integers(1, min(3, len(window)) + 1))
+        parents = sorted(int(p) for p in rng.choice(window, size=k, replace=False))
+        cpt = rng.dirichlet(np.ones(2), size=2**k).tolist()
+        nodes.append({"name": f"N{i}", "alphabet": 2, "parents": [f"N{p}" for p in parents], "cpt": cpt})
+    return {"source": "N0", "nodes": nodes}
+
+
+def test_dag200_fixture_is_the_seeded_draw():
+    assert DAG200_JSON.read_text() == json.dumps(_dag_spec(200, 200), indent=1) + "\n"
+
+
+def test_dag200_composite_matches_reference_planner(monkeypatch):
+    # The last two nodes, and the recursion bound's two target sets for them.
+    net = db.BayesNet.from_json(DAG200_JSON.read_text())
+    u = net.size - 1
+    target_sets = ([u - 1, u], [u - 1], [u - 1, *net.nodes[u].parents])
+    fast = [bn.composite_channel(net, V).matrix.tobytes() for V in target_sets]
+    monkeypatch.setattr(bn, "_elimination_plan", reference_elimination_plan)
+    assert [bn.composite_channel(net, V).matrix.tobytes() for V in target_sets] == fast
 
 
 # -- reachability ------------------------------------------------------------
@@ -412,6 +518,15 @@ def test_construction_rejects_bad_parents_and_alphabets(parents, alphabet):
     assert net((1,), 2).ancestors([2]) == {0, 1, 2}
     with pytest.raises(db.ValidationError, match="node Z"):
         net(parents, alphabet)
+
+
+def test_construction_rejects_repeated_parents():
+    # Four rows over parents (X, X) match the shape, but the composite would
+    # read only the rows (x, x) while the node's coefficient reads all four.
+    cpt = [[0.9, 0.1], [0.0, 1.0], [1.0, 0.0], [0.2, 0.8]]
+    nodes = (db.Node("X", 2, (), None), db.Node("A", 2, (0, 0), cpt))
+    with pytest.raises(db.ValidationError, match="node A: parents must be distinct"):
+        db.BayesNet(nodes=nodes, source=0)
 
 
 # -- memoryless-stage bound ---------------------------------------------------

@@ -92,6 +92,13 @@ def _net_without_alphabet() -> str:
     return json.dumps(net)
 
 
+def _net_with_repeated_parent() -> str:
+    net = json.loads((FIX / "net.json").read_text())
+    net["nodes"][1]["parents"] = ["X", "X"]
+    net["nodes"][1]["cpt"] = [[0.9, 0.1], [0.0, 1.0], [1.0, 0.0], [0.2, 0.8]]
+    return json.dumps(net)
+
+
 JOINT = "[[0.25, 0.25], [0.25, 0.25]]"
 
 # Malformed input text: case name -> (argv with INPUT for the file, file text).
@@ -114,6 +121,7 @@ MALFORMED = {
     "joint_nan": (["couple", "--kind", "joint", "INPUT"], '{"joints": [[[0.5, NaN], [0.25, 0.25]], %s]}' % JOINT),
     "joint_not_a_list": (["couple", "--kind", "joint", "INPUT"], '{"joints": 3}'),
     "bayesnet_no_alphabet": (["bayesnet", "INPUT", "--target", "T"], _net_without_alphabet()),
+    "bayesnet_repeated_parent": (["bayesnet", "INPUT", "--target", "A"], _net_with_repeated_parent()),
 }
 
 
@@ -280,6 +288,14 @@ def test_bayesnet_other_errors_exit_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "broken table" in captured.err
+
+
+def test_bayesnet_repeated_parent_names_the_node(tmp_path, capsys):
+    argv, text = MALFORMED["bayesnet_repeated_parent"]
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    assert _invoke([str(path) if a == "INPUT" else a for a in argv]) == 1
+    assert "node A: parents must be distinct" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
