@@ -24,7 +24,6 @@ for ancestors.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -33,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import Channel, _as_float_array, _is_int, as_channel, doeblin
+from .channel import Channel, _as_float_array, _is_int, _json, as_channel, doeblin
 from .exceptions import ExpansionCapError, ValidationError
 
 COMPOSITE_STATE_CAP = 10**7  # entries of the largest factor variable elimination creates
@@ -130,18 +129,15 @@ class BayesNet:
 
     @classmethod
     def from_json(cls, text: str) -> "BayesNet":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid network JSON: {exc}") from exc
+        obj = _json(text, "network")
         if not isinstance(obj, dict) or not isinstance(obj.get("nodes"), list) or "source" not in obj:
             raise ValidationError('network JSON needs a "nodes" list and a "source"')
         name_to_idx: dict[str, int] = {}
         nodes: list[Node] = []
         for k, spec in enumerate(obj["nodes"]):
-            if not (isinstance(spec, dict) and "name" in spec and type(spec.get("alphabet")) is int):
-                raise ValidationError(f"node spec {k} must be an object with a name and an integer alphabet")
-            name = str(spec["name"])
+            if not (isinstance(spec, dict) and type(spec.get("name")) is str and type(spec.get("alphabet")) is int):
+                raise ValidationError(f"node spec {k} needs a string name and an integer alphabet")
+            name = spec["name"]
             parents = spec.get("parents", [])
             if not isinstance(parents, list):
                 raise ValidationError(f"node {name!r}: parents must be a list of node names")
@@ -155,8 +151,8 @@ class BayesNet:
                 parent_idx.append(name_to_idx[pname])
             name_to_idx[name] = len(nodes)
             nodes.append(Node(name, spec["alphabet"], tuple(parent_idx), spec.get("cpt")))
-        source_name = str(obj["source"])
-        if source_name not in name_to_idx:
+        source_name = obj["source"]
+        if type(source_name) is not str or source_name not in name_to_idx:
             raise ValidationError(f"source {source_name!r} is not a declared node")
         return cls(nodes=tuple(nodes), source=name_to_idx[source_name])
 

@@ -42,14 +42,32 @@ def _is_int(x) -> bool:
 
 
 def _as_float_array(values, what: str) -> np.ndarray:
-    """Coerce to a float array; ragged, missing or non-numeric entries are invalid."""
+    """Coerce to a float array; ragged, missing, non-numeric or huge entries are invalid."""
     try:
         arr = np.asarray(values)
         if arr.dtype.kind in "US":
             raise TypeError(f"non-numeric entries of type {arr.dtype}")
         return arr.astype(np.float64, order="C", copy=False)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} is not a numeric table: {exc}") from exc
+
+
+def _json(text: str, what: str):
+    """The value of the JSON ``text``; ``what`` names it when it does not parse."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _labels(labels, count: int, what: str) -> tuple[str, ...] | None:
+    """None, or the list or tuple ``labels`` of ``count`` labels as a tuple
+    of their ``str``; any other value is invalid."""
+    if labels is None:
+        return None
+    if not isinstance(labels, (list, tuple)) or len(labels) != count:
+        raise ValidationError(f"{what} must be a list or tuple of {count} labels")
+    return tuple(str(s) for s in labels)
 
 
 def _as_prob_vector(values, *, what: str = "pmf") -> np.ndarray:
@@ -86,7 +104,8 @@ class Pmf:
     """A probability vector on a finite alphabet of size ``m``.
 
     Entries are nonnegative and sum to one; the constructor renormalizes
-    exactly after checking the sum is within ``1e-9`` of one.
+    exactly after checking the sum is within ``1e-9`` of one.  ``labels``
+    is None or a list or tuple of one label per entry (each kept as its str).
     """
 
     probs: np.ndarray
@@ -96,12 +115,8 @@ class Pmf:
         arr = _as_prob_vector(probs)
         if arr.ndim != 1:
             raise ValidationError("pmf must be a nonempty 1-D sequence")
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != arr.size:
-                raise ValidationError("labels length does not match alphabet size")
         object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _labels(labels, arr.size, "labels"))
 
     @property
     def size(self) -> int:
@@ -116,7 +131,8 @@ class Pmf:
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """An ``n x m`` row-stochastic matrix; rows are conditional PMFs."""
+    """An ``n x m`` row-stochastic matrix; rows are conditional PMFs.  Each
+    label set is None or a list or tuple of n (input) or m (output) labels."""
 
     matrix: np.ndarray
     input_labels: tuple[str, ...] | None = None
@@ -133,17 +149,9 @@ class Channel:
             mat = mat.copy()
             mat[normalized] = table[normalized]
             mat.setflags(write=False)
-        if input_labels is not None:
-            input_labels = tuple(str(s) for s in input_labels)
-            if len(input_labels) != mat.shape[0]:
-                raise ValidationError("input_labels length does not match input count")
-        if output_labels is not None:
-            output_labels = tuple(str(s) for s in output_labels)
-            if len(output_labels) != mat.shape[1]:
-                raise ValidationError("output_labels length does not match alphabet size")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "input_labels", input_labels)
-        object.__setattr__(self, "output_labels", output_labels)
+        object.__setattr__(self, "input_labels", _labels(input_labels, mat.shape[0], "input_labels"))
+        object.__setattr__(self, "output_labels", _labels(output_labels, mat.shape[1], "output_labels"))
 
     @property
     def n(self) -> int:
@@ -178,10 +186,7 @@ class Channel:
 
 def _json_fields(text: str) -> tuple:
     """The parsed rows, input labels and output labels of a channel JSON object."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid channel JSON: {exc}") from exc
+    obj = _json(text, "channel")
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ValidationError('channel JSON must be an object with a "rows" key')
     return _parsed_table(obj["rows"]), obj.get("input_labels"), obj.get("output_labels")

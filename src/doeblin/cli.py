@@ -5,6 +5,10 @@ success, 1 on parse/validation errors (the message names the failing
 invariant), 2 on infeasible requests (no consensus, coupling condition
 violated).  Output is byte-identical for identical inputs and seeds.
 
+Inputs: every subcommand that reads PMFs reads them one way, through
+:func:`load_pmfs` (a JSON object, a JSON array or CSV, told apart by
+content).  A bound whose computation passes its cap becomes a ``note``.
+
 Output layout: every float is printed as ``format(x, ".17g")`` (17
 significant digits, so values round-trip exactly); a non-finite float is
 refused.  Strings and dict keys are quoted as ``json.dumps`` quotes them,
@@ -28,7 +32,7 @@ from . import bayesnet as bn
 from . import coupling as cp
 from . import degroot as dg
 from . import lp
-from .channel import Channel, Pmf, _csv_table, _json_fields, _parsed_table, doeblin, max_doeblin, report
+from .channel import Channel, Pmf, _csv_table, _json, _json_fields, _parsed_table, doeblin, max_doeblin, report
 from .exceptions import ExpansionCapError, InfeasibilityError, ValidationError
 from .fusion import fuse_min
 
@@ -117,35 +121,22 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _channel_fields(text: str) -> tuple:
-    """The parsed rows and labels of a channel, JSON ({"rows": ...}) or CSV
-    by content sniffing, before validation."""
-    if text.lstrip().startswith("{"):
-        return _json_fields(text)
-    return _csv_table(text), None, None
-
-
-def load_channel(path: str) -> Channel:
-    """Load a channel from JSON ({"rows": ...}) or CSV, by content sniffing."""
-    return Channel(*_channel_fields(_read(path)))
-
-
 def load_pmfs(paths) -> Channel:
     """The PMFs of every path, in order, as the rows of one channel.  Each
-    path holds one JSON array, a JSON list of arrays, or a channel as
-    :func:`load_channel` reads it (JSON object or CSV, one PMF per line).
+    path holds, by content, a JSON object ``{"rows": ..., "input_labels"?,
+    "output_labels"?}``, a JSON array of PMFs or one PMF, or CSV with one PMF
+    per line and an optional header.  Labels are kept when one path is read.
     The rows are validated and normalized once, as one channel."""
     rows: list = []
     for path in paths:
         text = _read(path)
-        if text.lstrip().startswith("["):
-            try:
-                table = _parsed_table(json.loads(text))
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"invalid PMF JSON in {path}: {exc}") from exc
-            rows.extend(table if table.ndim > 1 else [table])
-            continue
-        table, *labels = _channel_fields(text)
+        head = text.lstrip()[:1]
+        if head == "{":
+            table, *labels = _json_fields(text)
+        elif head == "[":
+            table, labels = np.atleast_2d(_parsed_table(_json(text, f"PMF file {path}"))), ()
+        else:
+            table, labels = _csv_table(text), ()
         if len(paths) == 1:
             return Channel(table, *labels)
         if table.ndim != 2:
@@ -155,31 +146,24 @@ def load_pmfs(paths) -> Channel:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies
+# Subcommand bodies: each returns the payload that run() emits
 # ---------------------------------------------------------------------------
 
 
-def _cmd_coef(args) -> int:
-    ch = load_channel(args.channel)
-    rep = report(ch)
-    out = {"n": ch.n, "m": ch.m}
-    out.update(rep.to_dict())
-    _emit(out)
-    return 0
+def _cmd_coef(args) -> dict:
+    ch = load_pmfs([args.channel])
+    return {"n": ch.n, "m": ch.m, **report(ch).to_dict()}
 
 
-def _cmd_couple(args) -> int:
+def _cmd_couple(args) -> dict:
     if args.kind == "joint":
         if len(args.inputs) != 1:
             raise ValidationError(f"--kind joint reads one file of joints, got {len(args.inputs)}")
-        try:
-            obj = json.loads(_read(args.inputs[0]))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid joint JSON: {exc}") from exc
+        obj = _json(_read(args.inputs[0]), "joints file")
         if not isinstance(obj, dict) or not isinstance(obj.get("joints"), list):
             raise ValidationError('joint coupling input must be {"joints": [...]}')
         jc = cp.simultaneous_joint_coupling(obj["joints"])
-        out = {
+        return {
             "kind": "joint",
             "arity": jc.arity,
             "achieved": {
@@ -188,8 +172,6 @@ def _cmd_couple(args) -> int:
             },
             "coupling": _expanded_if_under_cap(jc.to_dict, True),
         }
-        _emit(out)
-        return 0
 
     ch = load_pmfs(args.inputs)
     if args.kind == "max":
@@ -198,15 +180,13 @@ def _cmd_couple(args) -> int:
     else:  # min or min3
         built = cp.minimal_coupling_max(ch) if args.kind == "min" else cp.minimal_coupling_max_n3(ch)
         achieved = {"union_mass": cp.minimal_union_mass(ch)}
-    out = {
+    return {
         "kind": args.kind,
         "arity": built.arity,
         "alphabet": built.alphabet_size,
         "achieved": achieved,
         "coupling": _expanded_if_under_cap(built.to_dict, args.expand),
     }
-    _emit(out)
-    return 0
 
 
 def _expanded_if_under_cap(to_dict, expand: bool) -> dict:
@@ -219,12 +199,9 @@ def _expanded_if_under_cap(to_dict, expand: bool) -> dict:
         return to_dict(False)
 
 
-def _cmd_degroot(args) -> int:
-    ch = load_channel(args.channel)
-    try:
-        prior = Pmf(json.loads(args.prior))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"--prior must be a JSON array: {exc}") from exc
+def _cmd_degroot(args) -> dict:
+    ch = load_pmfs([args.channel])
+    prior = Pmf(_json(args.prior, "--prior"))
     out = {
         "min_degroot": dg.min_degroot(prior, ch),
         "max_degroot": dg.max_degroot(prior, ch),
@@ -244,11 +221,10 @@ def _cmd_degroot(args) -> int:
             }
         )
     out["risks"] = risks
-    _emit(out)
-    return 0
+    return out
 
 
-def _cmd_bayesnet(args) -> int:
+def _cmd_bayesnet(args) -> dict:
     net = bn.BayesNet.from_json(_read(args.net))
     targets = sorted({net.index_of(name.strip()) for name in args.target.split(",")})
     names = [net.nodes[i].name for i in targets]
@@ -261,32 +237,22 @@ def _cmd_bayesnet(args) -> int:
         out["tau"] = None
         out["gamma"] = None
         _note("composite channel exceeds the enumeration cap; bounds only")
-    bounds: dict = {}
-    which = args.bound
-    if which in ("recursion", "all"):
-        bounds["recursion"] = _recursion_report(net, targets)
-    if which in ("perc", "all"):
-        if args.mc is not None:
-            samples, seed = args.mc
-            res = bn.percolation(net, targets, mode="mc", samples=samples, seed=seed)
-            bounds["percolation"] = res.to_dict()
-        else:
-            try:
-                bounds["percolation"] = bn.percolation(net, targets, mode="exact").to_dict()
-            except ExpansionCapError as exc:
-                bounds["percolation"] = {"note": str(exc)}
-    if which in ("sfpaths", "all"):
-        try:
-            value, paths = bn.shortcut_free_bound(net, targets)
-            bounds["shortcut_free"] = {
-                "bound": value,
-                "paths": [[net.nodes[u].name for u in p] for p in paths],
-            }
-        except ExpansionCapError as exc:
-            bounds["shortcut_free"] = {"note": str(exc)}
-    out["bounds"] = bounds
-    _emit(out)
-    return 0
+    bounds = out["bounds"] = {}
+    if args.bound in ("recursion", "all"):
+        bounds["recursion"] = _noted(_recursion_report, net, targets)
+    if args.bound in ("perc", "all"):
+        bounds["percolation"] = _noted(_percolation_report, net, targets, args.mc)
+    if args.bound in ("sfpaths", "all"):
+        bounds["shortcut_free"] = _noted(_shortcut_free_report, net, targets)
+    return out
+
+
+def _noted(report, *args) -> dict:
+    """``report(*args)``; past a cap, a note naming the cap in its place."""
+    try:
+        return report(*args)
+    except ExpansionCapError as exc:
+        return {"note": str(exc)}
 
 
 def _recursion_report(net, targets) -> dict:
@@ -295,11 +261,7 @@ def _recursion_report(net, targets) -> dict:
     if not candidates:
         return {"note": "no non-source target to recurse on"}
     u = max(candidates)
-    rest = [v for v in targets if v != u]
-    try:
-        value = bn.recursion_bound(net, rest, u)
-    except ExpansionCapError as exc:
-        return {"note": str(exc)}
+    value = bn.recursion_bound(net, [v for v in targets if v != u], u)
     return {
         "u": net.nodes[u].name,
         "tau_u": bn.node_tau(net, u),
@@ -307,60 +269,59 @@ def _recursion_report(net, targets) -> dict:
     }
 
 
-def _cmd_fuse(args) -> int:
+def _percolation_report(net, targets, mc) -> dict:
+    """Exact percolation, or Monte Carlo with ``mc = (samples, seed)``."""
+    samples, seed = mc or (None, None)
+    return bn.percolation(net, targets, "exact" if mc is None else "mc", samples, seed).to_dict()
+
+
+def _shortcut_free_report(net, targets) -> dict:
+    value, paths = bn.shortcut_free_bound(net, targets)
+    return {"bound": value, "paths": [[net.nodes[u].name for u in p] for p in paths]}
+
+
+def _cmd_fuse(args) -> dict:
     result = fuse_min(load_pmfs(args.pmfs))
-    _emit({"fused": result.fused.to_list(), "agreement": result.agreement})
-    return 0
+    return {"fused": result.fused.to_list(), "agreement": result.agreement}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     ch = load_pmfs(args.inputs)
+    sense = args.sense or ("max" if args.problem == "diag" else "min")
+    res = None
     if args.problem == "estimator":
-        sense = args.sense or "min"
         value, kernel = lp.estimator_opt(ch, sense, exact=args.exact)
-        closed = doeblin(ch) / ch.n if sense == "min" else max_doeblin(ch) / ch.n
-        out = {
-            "problem": "estimator",
-            "sense": sense,
-            "value": value,
-            "closed_form": closed,
-            "gap": abs(value - closed),
-            "paper_backed": True,
-        }
-        if args.witness:
-            out["witness"] = Channel(kernel).to_dict()
-        _emit(out)
-        return 0
-
-    if args.problem == "diag":
-        sense = args.sense or "max"
+        closed = (doeblin(ch) if sense == "min" else max_doeblin(ch)) / ch.n
+    elif args.problem == "diag":
         res = lp.coupling_diag_opt(ch, sense, exact=args.exact)
         closed = doeblin(ch) if sense == "max" else None
     else:  # union; argparse admits no other problem
-        sense = args.sense or "min"
         res = lp.coupling_union_opt(ch, sense, exact=args.exact)
         closed = cp.minimal_union_mass(ch) if sense == "min" else None
         if sense == "min" and closed is None:
             _note("no closed form is known for this regime; the reported value is the LP optimum only")
+    if res is not None:
+        value = res.value
     out = {
         "problem": args.problem,
         "sense": sense,
-        "value": res.value,
+        "value": value,
         "closed_form": closed,
-        "gap": None if closed is None else abs(res.value - closed),
+        "gap": None if closed is None else abs(value - closed),
         "paper_backed": closed is not None,
-        "residuals": {
+    }
+    if res is not None:  # the coupling LPs report their residuals
+        out["residuals"] = {
             "max_marginal": res.max_marginal_residual,
             "min_mass": res.min_mass,
             "duality_gap": res.duality_gap,
-        },
-    }
+        }
     if args.witness:
-        out["witness"] = [
-            {"tuple": list(t), "mass": mass} for t, mass in sorted(res.witness.items())
-        ]
-    _emit(out)
-    return 0
+        out["witness"] = (
+            Channel(kernel).to_dict() if res is None
+            else [{"tuple": list(t), "mass": mass} for t, mass in sorted(res.witness.items())]
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
     except InfeasibilityError as exc:
         _note(f"infeasible: {exc}")
         return 2
     except ValidationError as exc:
         _note(f"invalid input: {exc}")
         return 1
+    _emit(out)
+    return 0
 
 
 def main() -> None:

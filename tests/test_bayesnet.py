@@ -476,12 +476,32 @@ def test_construction_keeps_normalized_tables_and_taus():
         lambda nodes: nodes[1].__setitem__("alphabet", True),
         lambda nodes: nodes[1]["cpt"].__setitem__(1, [1.0]),
         lambda nodes: nodes[1]["cpt"].__setitem__(1, [0.5, None]),
+        lambda nodes: nodes[3].__setitem__("name", None),
+        lambda nodes: nodes[3].__setitem__("name", [1]),
     ],
 )
 def test_from_json_rejects_malformed_node_specs(mutate):
     obj = json.loads(NET_JSON.read_text())
     mutate(obj["nodes"])
     with pytest.raises(db.ValidationError):
+        db.BayesNet.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("name", [None, 1, ["T"]])
+def test_from_json_names_the_spec_of_a_non_string_name(name):
+    # A name is not read as its str: null is not a node called "None".
+    obj = json.loads(NET_JSON.read_text())
+    obj["nodes"][3]["name"] = name
+    with pytest.raises(db.ValidationError, match="node spec 3 needs a string name"):
+        db.BayesNet.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("source", [None, 0, ["X"], {"X": 1}])
+def test_from_json_rejects_a_source_that_is_not_a_string(source):
+    # The source node is named str(source), so only the type of "source" is wrong.
+    obj = json.loads(NET_JSON.read_text().replace('"X"', json.dumps(str(source))))
+    obj["source"] = source
+    with pytest.raises(db.ValidationError, match="is not a declared node"):
         db.BayesNet.from_json(json.dumps(obj))
 
 

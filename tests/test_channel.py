@@ -76,6 +76,21 @@ class TestValidation:
         assert np.allclose(again.matrix, ch.matrix)
         assert again.input_labels == ("a", "b")
 
+    @pytest.mark.parametrize("labels", [3, "ab", ["a"], ("a", "b", "c")])
+    def test_labels_must_be_a_list_of_the_right_length(self, labels):
+        # A string is not split into characters; a scalar is not a label set.
+        with pytest.raises(ValidationError, match="list or tuple of 2 labels"):
+            db.Pmf([0.5, 0.5], labels=labels)
+        with pytest.raises(ValidationError, match="^input_labels must"):
+            db.Channel(W1, input_labels=labels)
+        with pytest.raises(ValidationError, match="^output_labels must"):
+            db.Channel(W1, output_labels=labels)
+
+    def test_labels_kept_as_strings(self):
+        ch = db.Channel(W1, input_labels=(0, 1), output_labels=["y0", None])
+        assert ch.input_labels == ("0", "1") and ch.output_labels == ("y0", "None")
+        assert db.Pmf([0.5, 0.5], labels=["a", "b"]).labels == ("a", "b")
+
     def test_json_rejects_negative(self):
         with pytest.raises(ValidationError):
             db.Channel.from_json('{"rows": [[1.2, -0.2], [0.5, 0.5]]}')

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doeblin import ValidationError, channel, cli, lp
@@ -92,6 +92,12 @@ def _net_without_alphabet() -> str:
     return json.dumps(net)
 
 
+def _net_with_null_name() -> str:
+    net = json.loads((FIX / "net.json").read_text())
+    net["nodes"][3]["name"] = None
+    return json.dumps(net)
+
+
 def _net_with_repeated_parent() -> str:
     net = json.loads((FIX / "net.json").read_text())
     net["nodes"][1]["parents"] = ["X", "X"]
@@ -113,7 +119,11 @@ MALFORMED = {
     "coef_nan_entry": (["coef", "INPUT"], '{"rows": [[0.5, NaN], [0.5, 0.5]]}'),
     "coef_tiny_negative": (["coef", "INPUT"], '{"rows": [[1.0, -1e-13], [0.5, 0.5]]}'),
     "coef_csv_ragged": (["coef", "INPUT"], "0.5,0.5\n1.0\n"),
+    "coef_scalar_labels": (["coef", "INPUT"], '{"rows": [[0.5, 0.5], [0.2, 0.8]], "output_labels": 3}'),
+    "coef_string_labels": (["coef", "INPUT"], '{"rows": [[0.5, 0.5], [0.2, 0.8]], "input_labels": "ab"}'),
+    "fuse_deep_nesting": (["fuse", "INPUT"], "[" * 100_000),
     "fuse_string_entry": (["fuse", "INPUT"], '[[0.5, 0.5], [0.5, "a"]]'),
+    "fuse_huge_integer": (["fuse", "INPUT"], "[[1%s, 0], [0, 1]]" % ("0" * 400)),
     "fuse_tiny_negative": (["fuse", "INPUT"], '[[1.0, -1e-13], [0.5, 0.5]]'),
     "couple_string_entry": (["couple", "--kind", "max", "INPUT"], '[[0.5, 0.5], ["a", 0.5]]'),
     "verify_string_entry": (["verify", "--problem", "diag", "INPUT"], '[[0.5, 0.5], [0.5, "a"]]'),
@@ -122,6 +132,7 @@ MALFORMED = {
     "joint_not_a_list": (["couple", "--kind", "joint", "INPUT"], '{"joints": 3}'),
     "bayesnet_no_alphabet": (["bayesnet", "INPUT", "--target", "T"], _net_without_alphabet()),
     "bayesnet_repeated_parent": (["bayesnet", "INPUT", "--target", "A"], _net_with_repeated_parent()),
+    "bayesnet_null_name": (["bayesnet", "INPUT", "--target", "None"], _net_with_null_name()),
 }
 
 
@@ -201,6 +212,16 @@ def test_couple_rows_across_files_match_one_file(tmp_path, capsys):
     split = capsys.readouterr().out
     assert _invoke(CASES["couple_max"][0]) == 0
     assert split == capsys.readouterr().out
+
+
+def test_coef_and_degroot_read_a_json_array(tmp_path, capsys):
+    # One reader: channel.json's rows as a bare JSON array print the same bytes.
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps(json.loads((FIX / "channel.json").read_text())["rows"]))
+    for name in ("coef", "degroot"):
+        argv = [str(rows) if a == _f("channel.json") else a for a in CASES[name][0]]
+        assert _invoke(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
 
 
 def test_each_input_validated_once(monkeypatch, capsys):
@@ -310,6 +331,75 @@ def test_bayesnet_mc_nonpositive_samples_exit_1(samples, capsys):
 def test_bayesnet_mc_negative_seed_names_seed(capsys):
     assert _invoke(CASES["bayesnet_mc_negative_seed"][0]) == 1
     assert "non-negative seed" in capsys.readouterr().err
+
+
+# -- no raw exception escapes the CLI ------------------------------------------
+
+FIELDS = ["rows", "input_labels", "output_labels", "joints", "nodes", "source", "name", "alphabet", "parents", "cpt"]
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(), st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.sampled_from(FIELDS), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+# Valid tables, so that the fields beside them are reached.
+ROWS = st.one_of(st.sampled_from([[[0.5, 0.5], [0.2, 0.8]], [[1, 0], [0, 1]], [[1], [1]]]), JSON_VALUES)
+JOINTS = st.one_of(st.sampled_from([[[[0.5, 0], [0, 0.5]], [[0.25, 0.25], [0.25, 0.25]]]]), JSON_VALUES)
+# Every subcommand that reads PMFs.  --exact, and bayesnet's --mc below, are
+# left out: their run time grows with the drawn table or sample count.
+PMF_COMMANDS = [
+    ["coef"],
+    ["degroot", "--prior", "[0.5, 0.5]"],
+    ["couple", "--kind", "max", "--expand"],
+    ["couple", "--kind", "min"],
+    ["couple", "--kind", "min3"],
+    ["verify", "--problem", "diag", "--witness"],
+    ["verify", "--problem", "union", "--sense", "max"],
+    ["verify", "--problem", "estimator", "--witness"],
+    ["fuse"],
+]
+NET_FIELDS = [("source",), ("nodes",)] + [
+    ("nodes", k, *key) for k in range(4) for key in [(), ("name",), ("alphabet",), ("parents",), ("cpt",)]
+]
+
+
+@st.composite
+def cli_inputs(draw):
+    """(argv with INPUT for the file, file text) with a drawn value in one input slot."""
+    slot = draw(st.sampled_from(["channel", "pmfs", "joints", "prior", "net"]))
+    if slot in ("channel", "pmfs"):
+        command = draw(st.sampled_from(PMF_COMMANDS))
+        if slot == "channel":
+            labels = dict.fromkeys(["input_labels", "output_labels"], st.one_of(LEAVES, JSON_VALUES))
+            value = draw(st.one_of(st.fixed_dictionaries({"rows": ROWS}, optional=labels), JSON_VALUES))
+        else:
+            value = draw(st.one_of(ROWS, st.lists(JSON_VALUES, max_size=4)))
+        files = ["INPUT"] if command[0] in ("coef", "degroot") else ["INPUT", _f("channel.json")]
+        return command + files[: draw(st.integers(1, len(files)))], json.dumps(value)
+    if slot == "joints":
+        value = draw(st.one_of(JSON_VALUES, st.fixed_dictionaries({"joints": JOINTS})))
+        return ["couple", "--kind", "joint", "INPUT"], json.dumps(value)
+    if slot == "prior":
+        return ["degroot", f"--prior={json.dumps(draw(JSON_VALUES))}", "INPUT"], (FIX / "channel.json").read_text()
+    net = json.loads((FIX / "net.json").read_text())
+    *path, last = draw(st.sampled_from(NET_FIELDS))
+    parent = net
+    for key in path:
+        parent = parent[key]
+    parent[last] = draw(JSON_VALUES)
+    return ["bayesnet", "INPUT", "--target", "T"], json.dumps(net)
+
+
+@settings(max_examples=200, deadline=None)
+@example((["coef", "INPUT"], '{"rows": [[0.5, 0.5], [0.2, 0.8]], "output_labels": 3}'))
+@given(cli_inputs())
+def test_no_raw_exception_escapes(tmp_path_factory, case):
+    argv, text = case
+    path = tmp_path_factory.getbasetemp() / "fuzz_input.json"
+    path.write_text(text)
+    assert cli.run([str(path) if a == "INPUT" else a for a in argv]) in (0, 1, 2)
 
 
 # -- the emitter against its one-call-per-value reference ----------------------
