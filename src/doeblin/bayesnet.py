@@ -427,22 +427,22 @@ def shortcut_free_bound(net: BayesNet, targets: Iterable[int]) -> tuple[float, l
             children[u].append(c)
     kept: list[tuple[int, ...]] = []
     total = 0.0
-
-    def extend(path: tuple[int, ...], before: frozenset, weight: float) -> None:
-        nonlocal total
-        for c in children[path[-1]]:
-            if before.intersection(net.nodes[c].parents):
-                continue
-            new, new_weight = path + (c,), weight * (1.0 - net.taus[c])
-            if c in V:
-                kept.append(new)
-                total += new_weight
-                if len(kept) > PATH_CAP:
-                    raise ExpansionCapError(f"more than {PATH_CAP} shortcut-free source-to-target paths")
-            else:
-                extend(new, before | {path[-1]}, new_weight)
-
-    extend((src,), frozenset(), 1.0)
+    # Paths still to visit, each with the nodes before its last and its weight;
+    # children go on in reverse, so the top of the stack is the next path in order.
+    stack = [((src,), frozenset(), 1.0)]
+    while stack:
+        path, before, weight = stack.pop()
+        u = path[-1]
+        if u in V:
+            kept.append(path)
+            total += weight
+            if len(kept) > PATH_CAP:
+                raise ExpansionCapError(f"more than {PATH_CAP} shortcut-free source-to-target paths")
+            continue
+        after = before | {u}
+        for c in reversed(children[u]):
+            if not before.intersection(net.nodes[c].parents):
+                stack.append((path + (c,), after, weight * (1.0 - net.taus[c])))
     return total, kept
 
 

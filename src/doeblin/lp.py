@@ -8,23 +8,15 @@ scratch with a two-phase tableau simplex using Bland's rule, which cannot
 cycle, so termination is guaranteed.  Problems are desk-scale (at most 1e5
 variables), so no external solver is needed.
 
-Float mode pivots on one float tableau that holds the constraint rows, the
-right-hand side as its last column and the reduced costs as its last row:
-each pivot costs one rank-1 update of the rows that are nonzero in the pivot
-column (the coupling tableaus are sparse, so most rows are skipped), so the
-reduced costs are carried through the pivots rather than recomputed from the
-basis.  Phase 1 reads only the constraints, so the tableau after phase 1 of
-the last program solved is kept, and a program with the same constraints
-(another objective over the same coupling polytope) starts at phase 2; the
-pivot count still covers the whole path, phase 1 included.  Exact mode, for
-when float pivoting is in doubt, runs the same pivot rule without rounding
-on an integer tableau with one shared denominator: every float input is a
-dyadic rational, so scaling the columns by powers of two makes the tableau
-integral, and fraction-free (Edmonds-Bareiss) pivots keep it integral with
-exact divisions and no gcd.  Column scaling changes neither the sign of a
-reduced cost nor the order of the ratios, so both modes take the pivots of
-the rational tableau; ``tests/helpers.reference_simplex`` is the row-loop
-``Fraction`` tableau that holds them to that, bit for bit.
+One driver, :func:`solve`, runs the simplex in float or in exact (integer)
+arithmetic.  The mode is chosen once per call and fixes the tableau's
+entries, the pivot update, the leaving-row comparison and the conversion of
+the certificates to floats, and nothing else: both modes take the pivots of
+the rational tableau, and ``tests/helpers.reference_simplex`` is the row-loop
+tableau that holds them to that, bit for bit.  Phase 1 reads only the
+constraints, so the tableau after phase 1 of the last program solved is kept
+with its mode, and a program with the same constraints in the same mode
+(another objective over the same coupling polytope) starts at phase 2.
 
 The solver reports the dual vector alongside the primal optimum; the two
 must agree (strong duality), which serves as a built-in self-check.
@@ -32,6 +24,7 @@ must agree (strong duality), which serves as a built-in self-check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,8 +34,6 @@ from .channel import _as_float_array, _family, as_channel
 from .exceptions import ExpansionCapError, InfeasibilityError, ValidationError
 
 VARIABLE_CAP = 10**5
-_PIVOT_TOL = 1e-10
-_FEAS_TOL = 1e-8
 _MAX_ITER = 200_000
 _phase1: tuple = (None, None)  # (key, state) of the last phase 1 solved; see solve
 
@@ -82,6 +73,71 @@ class LpSolution:
     iterations: int
 
 
+class _Float:
+    """Float arithmetic: the entries are the values (``d`` stays 1) and round."""
+
+    tol, feas_tol = 1e-10, 1e-8
+    numerators = staticmethod(lambda values: (values, 1))
+    to_float = staticmethod(lambda num, den: num)
+
+    @staticmethod
+    def pivot(T: np.ndarray, d: int, r: int, j: int) -> tuple[np.ndarray, int]:
+        T[r] /= T[r, j]
+        # Rows already zero in the pivot column are left alone; the rest take
+        # one rank-1 update.
+        rows = (T[:, j] != 0.0).nonzero()[0]
+        rows = rows[rows != r]
+        T[rows] -= T[rows, j, None] * T[r]
+        return T, d
+
+    @staticmethod
+    def leaving(T: np.ndarray, rows: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
+        ratios = T[rows, -1] / col[rows]
+        tied = rows[ratios == ratios.min()]
+        return tied[basis[tied].argmin()]
+
+
+class _Exact:
+    """Exact arithmetic: integer numerators over ``d``, no rounding anywhere."""
+
+    tol = feas_tol = 0
+    # Integer division is correctly rounded, as ``float(Fraction)`` rounds.
+    to_float = staticmethod(operator.truediv)
+
+    @staticmethod
+    def numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
+        """Integer numerators of ``values`` over their common denominator.
+
+        Every float is a dyadic rational, so the common denominator is the
+        largest of the power-of-two denominators of the entries (1 when there
+        are none).
+        """
+        ratios = [v.as_integer_ratio() for v in values.ravel().tolist()]
+        den = max((q for _, q in ratios), default=1)
+        nums = np.empty(len(ratios), dtype=object)
+        nums[:] = [p * (den // q) for p, q in ratios]
+        return nums.reshape(values.shape), den
+
+    @staticmethod
+    def pivot(T: np.ndarray, d: int, r: int, j: int) -> tuple[np.ndarray, int]:
+        # Edmonds-Bareiss: T stays adj(B) T0 and d stays det(B), up to one
+        # sign that is flipped to keep d > 0, so every division is exact.
+        p = T[r, j]
+        nxt = (T * p - np.outer(T[:, j], T[r])) // d
+        nxt[r] = T[r]
+        return (-nxt, -p) if p < 0 else (nxt, p)
+
+    @staticmethod
+    def leaving(T: np.ndarray, rows: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
+        # Ratios compared by cross-multiplication over positive entries.
+        best = rows[0]
+        for i in rows[1:]:
+            lhs, rhs = T[i, -1] * col[best], T[best, -1] * col[i]
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                best = i
+        return best
+
+
 def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     """Two-phase dense simplex with Bland's anti-cycling rule.
 
@@ -91,44 +147,55 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     whose reduced cost is below ``-tol`` among the nonbasic columns, and the
     leaving row attains the minimum ratio ``rhs / column`` over the column's
     entries above ``tol``, ties going to the smallest basic variable index.
-    The reduced costs are the last row of the tableau and the right-hand
-    side its last column; the reduced costs are computed from the basis once
-    per phase and then updated by each pivot, and a pivot touches only the
-    rows whose entry in the pivot column is nonzero.  ``tol`` is ``1e-10``.
+    The tableau is the constraint rows (sign-corrected so that ``b >= 0``),
+    then the reduced costs as the last row, with the right-hand side as the
+    last column; every entry is a numerator over one shared denominator
+    ``d``.  The last row is computed from the basis once per phase and then
+    updated by each pivot.  The mode fixes four things:
 
-    The state after phase 1 and the drive-out is kept for the last ``(A, b)``
-    solved (one entry; a phase 1 that raises is not kept); a program with the
-    same ``A`` and ``b`` resumes from a copy.  ``iterations`` (the traced
-    pivot count) still counts the whole path, phase 1 included.
+    - The entries.  Float mode (``tol`` ``1e-10``) keeps ``d = 1``.  Exact
+      mode (``tol`` zero) starts from ``[Da*A | I | Db*b]`` over ``d = 1``,
+      ``Da`` and ``Db`` (and ``Dc`` for the objective) being the powers of
+      two that clear the float denominators.  Scaling a column by a positive
+      constant scales its reduced cost by that constant and every ratio of
+      the minimum-ratio test by one common factor, so signs, ratios and ties
+      are those of the rational tableau.
+    - The pivot on ``(r, j)``: in float mode a rank-1 update of the rows
+      nonzero in column ``j``; in exact mode ``(T[i]*p - T[i, j]*T[r]) // d``
+      for every other row, with ``p = T[r, j]``, then ``d = p`` (Edmonds;
+      Bareiss), tableau and ``d`` negated together when ``p < 0``.
+    - The leaving-row comparison: float division, or integer
+      cross-multiplication.
+    - The certificates: read off the float tableau, or each integer numerator
+      over its known denominator converted to a float once, as
+      ``float(Fraction)`` rounds.
 
-    ``exact=True`` takes the same pivots with ``tol`` zero on an integer
-    tableau and no rounding anywhere; see :func:`_solve_integer`.
+    The state after phase 1 and the drive-out is kept for the last
+    ``(mode, A, b)`` solved (one entry; a phase 1 that raises is not kept);
+    a program with the same mode, ``A`` and ``b`` resumes from a copy.
+    ``iterations`` (the traced pivot count) still counts the whole path,
+    phase 1 included.
 
     Raises :class:`InfeasibilityError` when the program is infeasible or
     unbounded, or past ``_MAX_ITER`` pivots.
     """
-    sign = 1.0 if problem.sense == "min" else -1.0
-    if exact:
-        return _solve_integer(problem, sign)
-    c = sign * problem.objective
-    A = problem.eq_matrix
-    b = problem.eq_rhs
-    key = (A.shape, A.tobytes(), b.tobytes())
+    sign = 1 if problem.sense == "min" else -1
+    arith = _Exact if exact else _Float
+    A, Da = arith.numerators(problem.eq_matrix)
+    b, Db = arith.numerators(problem.eq_rhs)
+    c, Dc = arith.numerators(problem.objective)
+    key = (exact, A.shape, problem.eq_matrix.tobytes(), problem.eq_rhs.tobytes())
 
     k, nv = A.shape
     # Standard form wants a nonnegative right-hand side.
-    row_signs = np.where(b < 0.0, -1.0, 1.0)
+    row_signs = np.where(b < 0, -1, 1)
     A = A * row_signs[:, None]
     b = b * row_signs
+    c = c * sign
 
     def pivot(r: int, j: int) -> None:
-        nonlocal iterations
-        T[r] /= T[r, j]
-        # Rows already zero in the pivot column (the reduced-cost row among
-        # them) are left alone; the rest take one rank-1 update.
-        rows = (T[:, j] != 0.0).nonzero()[0]
-        rows = rows[rows != r]
-        T[rows] -= T[rows, j, None] * T[r]
+        nonlocal T, d, iterations
+        T, d = arith.pivot(T, d, r, j)
         in_basis[basis[r]] = False
         in_basis[j] = True
         basis[r] = j
@@ -136,200 +203,79 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
 
     def run_phase(cost: np.ndarray, allow: int) -> None:
         """Drive reduced costs nonnegative over the first ``allow`` columns."""
-        T[k, :-1] = cost - cost[basis] @ T[:k, :-1]
+        T[k, :-1] = d * cost - cost[basis] @ T[:k, :-1]
+        T[k, -1] = -(cost[basis] @ T[:k, -1])  # -d * objective: exact pivots divide it exactly
         while True:
             if iterations > _MAX_ITER:
                 raise InfeasibilityError("simplex iteration cap exceeded")
             # Bland: the smallest eligible index enters ...
-            eligible = ((T[k, :allow] < -_PIVOT_TOL) & ~in_basis[:allow]).nonzero()[0]
+            eligible = ((T[k, :allow] < -arith.tol) & ~in_basis[:allow]).nonzero()[0]
             if not eligible.size:
                 return
             entering = eligible[0]
             col = T[:k, entering]
-            rows = (col > _PIVOT_TOL).nonzero()[0]
+            rows = (col > arith.tol).nonzero()[0]
             if not rows.size:
                 raise InfeasibilityError("LP is unbounded")
             # ... and the minimum-ratio row leaves, ties to the smallest basic index.
-            ratios = T[rows, -1] / col[rows]
-            tied = rows[ratios == ratios.min()]
-            pivot(tied[basis[tied].argmin()], entering)
+            pivot(arith.leaving(T, rows, col, basis), entering)
 
     global _phase1
     memo_key, state = _phase1
     if memo_key == key:
         T, basis, in_basis = (a.copy() for a in state[:3])
-        iterations = state[3]
+        d, iterations = state[3:]
     else:
         # Rows: k constraints, then the reduced costs.  Columns: nv structural
         # variables, k artificials, then the right-hand side.
-        T = np.zeros((k + 1, nv + k + 1))
-        T[:k] = np.concatenate([A, np.eye(k), b[:, None]], axis=1)
+        T = np.zeros((k + 1, nv + k + 1), dtype=A.dtype)
+        T[:k] = np.concatenate([A, np.eye(k, dtype=A.dtype), b[:, None]], axis=1)
+        d = 1
         basis = np.arange(nv, nv + k)
         in_basis = np.zeros(nv + k, dtype=bool)
         in_basis[nv:] = True
         iterations = 0
-        phase1_cost = np.concatenate([np.zeros(nv), np.ones(k)])
+        phase1_cost = np.concatenate([np.zeros(nv, dtype=A.dtype), np.ones(k, dtype=A.dtype)])
         run_phase(phase1_cost, nv + k)
         infeas = phase1_cost[basis] @ T[:k, -1].copy()  # a strided dot may sum in another order
-        if infeas > _FEAS_TOL:
-            raise InfeasibilityError(f"LP infeasible (phase-1 objective {float(infeas)!r})")
+        if infeas > arith.feas_tol:
+            infeas = float(arith.to_float(infeas, d * Db))
+            raise InfeasibilityError(f"LP infeasible (phase-1 objective {infeas!r})")
         # Swap any artificial still in the basis for a structural column when
         # its row has one; an all-zero row is a redundant constraint and stays inert.
         for r in np.flatnonzero(basis >= nv):
-            candidates = np.flatnonzero((abs(T[r, :nv]) > _PIVOT_TOL) & ~in_basis[:nv])
+            candidates = np.flatnonzero((abs(T[r, :nv]) > arith.tol) & ~in_basis[:nv])
             if candidates.size:
                 pivot(r, candidates[0])
-        _phase1 = (key, (T.copy(), basis.copy(), in_basis.copy(), iterations))
+        _phase1 = (key, (T.copy(), basis.copy(), in_basis.copy(), d, iterations))
 
-    cost = np.concatenate([c, np.zeros(k)])
+    cost = np.concatenate([c, np.zeros(k, dtype=A.dtype)])
     run_phase(cost, nv)
 
-    x = np.zeros(nv)
+    # Numerators of the row-signed minimization: x is Da*x/(d*Db), a dual
+    # Da*y/(d*Dc) and the value Da*v/(d*Db*Dc); every scale is 1 in float mode.
+    x = np.zeros(nv, dtype=A.dtype)
     structural = basis < nv
     x[basis[structural]] = T[:k, -1][structural]
     duals = cost[basis] @ T[:k, nv:-1]
     value_min = cost[:nv] @ x
     # ``argmin`` keeps the first of equal entries, as the builtin ``min`` does,
     # so a zero margin keeps its sign; ``.min()`` may pick a later signed zero.
-    reduced = cost[:nv] - duals @ A
-    margin = reduced[reduced.argmin()] if nv else 0.0
-    gap = abs(value_min - duals @ b)
-    residual = abs(A @ x - b).max() if k else 0.0
+    reduced = d * cost[:nv] - duals @ A
+    margin = reduced[reduced.argmin()] if nv else 0
+    gap = abs(value_min - duals @ b) * Da
+    residual = abs(A @ x - d * b).max() if k else 0
 
-    duals_out = duals * row_signs * sign  # report against the original rows/sense
+    # Report against the original rows and sense; signed zeros follow
+    # ``Fraction * float``, as in the reference tableau.
+    to_float = arith.to_float
     return LpSolution(
-        value=float(sign * value_min),
-        x=x,
-        duals=duals_out,
-        max_residual=float(residual),
-        duality_gap=float(gap),
-        dual_feasibility_margin=float(margin),
-        iterations=iterations,
-    )
-
-
-def _dyadic(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Integer numerators of ``values`` over their common denominator.
-
-    Every float is a dyadic rational, so the common denominator is the largest
-    of the power-of-two denominators of the entries (1 when there are none).
-    """
-    ratios = [v.as_integer_ratio() for v in values.ravel().tolist()]
-    den = max((q for _, q in ratios), default=1)
-    nums = np.empty(len(ratios), dtype=object)
-    nums[:] = [p * (den // q) for p, q in ratios]
-    return nums.reshape(values.shape), den
-
-
-def _solve_integer(problem: LpProblem, sign: float) -> LpSolution:
-    """Exact mode of :func:`solve`: fraction-free pivoting on Python integers.
-
-    With ``Da``, ``Db`` and ``Dc`` the powers of two that clear the
-    denominators of the matrix, the right-hand side and the objective, the
-    tableau starts as ``M = [Da*A | I | Db*b]`` (rows sign-corrected so that
-    ``b >= 0``) with the shared denominator ``d = 1``.  Scaling a column by a
-    positive constant scales its reduced cost by the same constant and every
-    ratio of the minimum-ratio test by one common factor, so signs, ratios and
-    ties are those of the rational tableau and Bland's rule takes the same
-    pivots.  A pivot on ``(r, j)`` with ``p = M[r, j]`` replaces every other
-    row by ``(M[i]*p - M[i, j]*M[r]) // d`` and then sets ``d = p`` (Edmonds;
-    Bareiss): ``M`` stays ``adj(B) M0`` and ``d`` stays ``det(B)`` for the
-    basis ``B``, so each division is exact and no gcd is ever taken.  When an
-    artificial leaves on a negative pivot, ``M``, the reduced costs and ``d``
-    change sign together, which keeps ``d > 0``.  The reduced-cost row takes
-    the same update and is ``d`` times the reduced costs of the scaled
-    program.  The certificates are integer numerators over known
-    denominators, each converted to a float once, by correctly rounded
-    integer division, as ``float(Fraction)`` rounds.
-    """
-    a_num, Da = _dyadic(problem.eq_matrix)
-    b_num, Db = _dyadic(problem.eq_rhs)
-    c_num, Dc = _dyadic(problem.objective)
-    k, nv = a_num.shape
-    row_signs = np.array([-1 if v < 0 else 1 for v in b_num], dtype=object)
-    A = a_num * row_signs[:, None]
-    b = b_num * row_signs
-    c = c_num * int(sign)
-
-    M = np.concatenate([A, np.eye(k, dtype=object), b[:, None]], axis=1)
-    width = nv + k  # the reduced costs span every column but the rhs
-    d = 1
-    basis = np.arange(nv, nv + k)
-    in_basis = np.zeros(width, dtype=bool)
-    in_basis[nv:] = True
-    red = np.zeros(width, dtype=object)
-    iterations = 0
-
-    def pivot(r: int, j: int) -> None:
-        nonlocal M, d, iterations
-        p = M[r, j]
-        prow = M[r]
-        M_next = (M * p - np.outer(M[:, j], prow)) // d
-        M_next[r] = prow
-        red[:] = (red * p - red[j] * prow[:width]) // d
-        if p < 0:
-            M_next = -M_next
-            red[:] = -red
-        M, d = M_next, abs(p)
-        in_basis[basis[r]] = False
-        in_basis[j] = True
-        basis[r] = j
-        iterations += 1
-
-    def run_phase(cost: np.ndarray, allow: int) -> None:
-        """Drive reduced costs nonnegative over the first ``allow`` columns."""
-        red[:] = d * cost - cost[basis] @ M[:, :width]
-        while True:
-            if iterations > _MAX_ITER:
-                raise InfeasibilityError("simplex iteration cap exceeded")
-            eligible = np.flatnonzero((red[:allow] < 0) & ~in_basis[:allow])
-            if not eligible.size:
-                return
-            entering = eligible[0]
-            col = M[:, entering]
-            rows = np.flatnonzero(col > 0)
-            if not rows.size:
-                raise InfeasibilityError("LP is unbounded")
-            # Ratios compared by cross-multiplication over positive entries.
-            best = rows[0]
-            for i in rows[1:]:
-                lhs, rhs = M[i, -1] * col[best], M[best, -1] * col[i]
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
-                    best = i
-            pivot(best, entering)
-
-    phase1_cost = np.array([0] * nv + [1] * k, dtype=object)
-    run_phase(phase1_cost, width)
-    infeas = sum(M[basis >= nv, -1])
-    if infeas > 0:
-        raise InfeasibilityError(f"LP infeasible (phase-1 objective {infeas / (d * Db)!r})")
-
-    for r in np.flatnonzero(basis >= nv):
-        candidates = np.flatnonzero((M[r, :nv] != 0) & ~in_basis[:nv])
-        if candidates.size:
-            pivot(r, candidates[0])
-
-    run_phase(np.concatenate([c, np.zeros(k, dtype=object)]), nv)
-
-    # x = Da*xn/(d*Db), duals = Da*yn/(d*Dc), the min-form value Da*vn/(d*Db*Dc).
-    structural = basis < nv
-    xn = np.zeros(nv, dtype=object)
-    xn[basis[structural]] = M[structural, -1]
-    yn = c[basis[structural]] @ M[structural, nv:width]
-    vn = c @ xn
-    margin = min(d * c - yn @ A) if nv else 0
-    gap = abs(vn - yn @ b) * Da
-    residual = max(abs(A @ xn - d * b)) if k else 0
-    # Signed zeros follow ``Fraction * float``, as in the reference tableau:
-    # the value is sign * float(value_min), a dual float(y * row_sign) * sign.
-    duals = [Da * y * s / (d * Dc) * sign for y, s in zip(yn, row_signs)]
-    return LpSolution(
-        value=sign * (Da * vn / (d * Db * Dc)),
-        x=np.array([Da * v / (d * Db) for v in xn], dtype=np.float64),
-        duals=np.array(duals, dtype=np.float64),
-        max_residual=residual / (d * Db),
-        duality_gap=gap / (d * Db * Dc),
-        dual_feasibility_margin=margin / (d * Dc),
+        value=float(sign * to_float(Da * value_min, d * Db * Dc)),
+        x=np.asarray(to_float(Da * x, d * Db), dtype=np.float64),
+        duals=np.asarray(to_float(Da * duals * row_signs, d * Dc) * sign, dtype=np.float64),
+        max_residual=float(to_float(residual, d * Db)),
+        duality_gap=float(to_float(gap, d * Db * Dc)),
+        dual_feasibility_margin=float(to_float(margin, d * Dc)),
         iterations=iterations,
     )
 
@@ -431,9 +377,12 @@ def estimator_opt(channel, sense: str, exact: bool = False) -> tuple[float, np.n
     so that it can check them.  ``exact`` pivots in rational arithmetic, as
     in :func:`solve`.  Returns the value and an optimal ``m x n`` kernel P as
     an array; wrap it in :class:`~doeblin.channel.Channel` to validate it.
+    More than ``VARIABLE_CAP`` variables raise ExpansionCapError.
     """
     W = as_channel(channel).matrix
     n, m = W.shape
+    if n * m > VARIABLE_CAP:
+        raise ExpansionCapError(f"estimator LP would need {n * m} variables (cap {VARIABLE_CAP})")
     problem = LpProblem(
         objective=W.T.reshape(-1),
         eq_matrix=np.kron(np.eye(m), np.ones(n)),

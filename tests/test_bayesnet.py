@@ -380,6 +380,13 @@ def test_path_cap_raises_typed_error(monkeypatch):
         bn.shortcut_free_bound(diamond, [3])
 
 
+def test_path_search_is_not_bounded_by_the_recursion_limit():
+    net = _chain(1500)
+    bound, kept = bn.shortcut_free_bound(net, [1499])
+    assert kept == [tuple(range(1500))]
+    assert bound == math.prod(1.0 - net.taus[u] for u in range(1, 1500))
+
+
 def test_exact_percolation_cap_raises_typed_error():
     net = _chain(bn.EXACT_PERCOLATION_NODE_CAP + 2)
     with pytest.raises(ExpansionCapError, match="exact percolation"):

@@ -133,6 +133,11 @@ MALFORMED = {
     "bayesnet_no_alphabet": (["bayesnet", "INPUT", "--target", "T"], _net_without_alphabet()),
     "bayesnet_repeated_parent": (["bayesnet", "INPUT", "--target", "A"], _net_with_repeated_parent()),
     "bayesnet_null_name": (["bayesnet", "INPUT", "--target", "None"], _net_with_null_name()),
+    # 400 x 300: 120,000 estimator variables, past the LP cap.
+    "verify_estimator_past_cap": (
+        ["verify", "--problem", "estimator", "INPUT"],
+        json.dumps([[1.0] + [0.0] * 299] * 400),
+    ),
 }
 
 
@@ -481,20 +486,40 @@ def test_expansion_cap_flag_rejected(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_subprocess_matches_golden():
+def _run_cli(argv):
+    """Run the CLI in a fresh interpreter, as ``python -m doeblin.cli``."""
     env = dict(os.environ)
     src = str(HERE.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    argv, code = CASES["coef"]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "doeblin.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_subprocess_matches_golden():
+    argv, code = CASES["coef"]
+    proc = _run_cli(argv)
     assert proc.returncode == code
     assert proc.stdout == (GOLDEN / "coef.out").read_text()
+
+
+def test_long_chain_path_bound_runs(tmp_path):
+    # 1,500 nodes: a recursive path search would pass the recursion limit.
+    nodes = [{"name": "N0", "alphabet": 2}] + [
+        {"name": f"N{i}", "alphabet": 2, "parents": [f"N{i - 1}"], "cpt": [[0.9, 0.1], [0.2, 0.8]]}
+        for i in range(1, 1500)
+    ]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"source": "N0", "nodes": nodes}))
+    proc = _run_cli(["bayesnet", str(path), "--target", "N1499", "--bound", "sfpaths"])
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    paths = json.loads(proc.stdout)["bounds"]["shortcut_free"]["paths"]
+    assert paths == [[f"N{i}" for i in range(1500)]]
 
 
 def _record() -> None:

@@ -197,14 +197,15 @@ def _coupling_prob(mats, kind, sense):
     return lp._coupling_program(mats, np.array(tuples), objective, sense)
 
 
-def _phase1_key(prob):
-    return (prob.eq_matrix.shape, prob.eq_matrix.tobytes(), prob.eq_rhs.tobytes())
+def _phase1_key(prob, exact=False):
+    return (exact, prob.eq_matrix.shape, prob.eq_matrix.tobytes(), prob.eq_rhs.tobytes())
 
 
 class TestPhaseOneMemo:
-    """Float ``lp.solve`` keeps the last phase 1 it solved and reuses it for
-    the next program with the same constraints; every solve still matches
-    ``helpers.reference_simplex`` bit for bit."""
+    """``lp.solve`` keeps the last phase 1 it solved, with its mode, and
+    reuses it for the next program with the same constraints in the same
+    mode; every solve still matches ``helpers.reference_simplex`` bit for
+    bit."""
 
     def test_diag_then_union_reuses_phase_one(self):
         diag = _coupling_prob(np.array(TRIO), "diag", "max")
@@ -212,6 +213,20 @@ class TestPhaseOneMemo:
         _assert_matches_reference(diag, exact=False)
         assert lp._phase1[0] == _phase1_key(union)  # the union solve is a hit
         _assert_matches_reference(union, exact=False)
+
+    def test_exact_diag_then_union_reuses_phase_one(self):
+        diag = _coupling_prob(np.array(TRIO), "diag", "max")
+        union = _coupling_prob(np.array(TRIO), "union", "min")
+        _assert_matches_reference(diag, exact=True)
+        assert lp._phase1[0] == _phase1_key(union, exact=True)  # the union solve is a hit
+        _assert_matches_reference(union, exact=True)
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_modes_never_share_phase_one(self, first):
+        prob = _coupling_prob(np.array(TRIO), "union", "min")
+        _assert_matches_reference(prob, exact=first)
+        _assert_matches_reference(prob, exact=not first)
+        assert lp._phase1[0] == _phase1_key(prob, exact=not first)
 
     def test_no_state_leaks_between_objectives(self):
         c1 = _coupling_prob(np.array(SYM08), "union", "min")
@@ -529,6 +544,12 @@ class TestEstimatorOracle:
         value, kernel = lp.estimator_opt(W1, "min", exact=True)
         assert value == db.doeblin(W1) / 2
         assert np.trace(kernel @ np.array(W1)) / 2 == value
+
+    def test_size_cap(self):
+        W = np.zeros((400, 300))
+        W[:, 0] = 1.0  # 120,000 variables
+        with pytest.raises(ExpansionCapError, match="estimator LP would need 120000 variables"):
+            lp.estimator_opt(W, "min")
 
     def test_rejects_unknown_sense(self):
         with pytest.raises(db.ValidationError):
