@@ -165,7 +165,7 @@ class BayesNet:
                 "parents": [self.nodes[p].name for p in node.parents],
             }
             if node.cpt is not None:
-                spec["cpt"] = [[float(v) for v in row] for row in node.cpt]
+                spec["cpt"] = node.cpt.tolist()
             out_nodes.append(spec)
         return {"nodes": out_nodes, "source": self.nodes[self.source].name}
 
@@ -186,6 +186,7 @@ def _targets(net: BayesNet, targets: Iterable[int]) -> tuple[int, ...]:
 def node_tau(net: BayesNet, u: int) -> float:
     """Doeblin coefficient of u's table, viewed as a channel from joint
     parent assignments to u's alphabet (computed when the network was built)."""
+    (u,) = _targets(net, [u])
     if u == net.source:
         raise ValidationError("the source node has no conditional table")
     return net.taus[u]
@@ -307,10 +308,8 @@ class PercolationResult:
     std_error: float | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {"probability": self.probability, "method": self.method}
-        if self.method == "monte_carlo":
-            out.update(samples=self.samples, seed=self.seed, std_error=self.std_error)
-        return out
+        """The fields that are set; the Monte Carlo ones are None on exact results."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def percolation(
@@ -418,8 +417,6 @@ def shortcut_free_bound(net: BayesNet, targets: Iterable[int]) -> tuple[float, l
     """
     V = frozenset(_targets(net, targets))
     src = net.source
-    if src in V:
-        return 1.0, [(src,)]
     towards_v = net.ancestors(V)  # nodes with a directed route into the targets, with their parents
     children: dict[int, list[int]] = {u: [] for u in towards_v | {src}}
     for c in sorted(towards_v):  # one pass in index order, the order of net.children
@@ -476,7 +473,6 @@ def samorodnitsky_bound(prior_channel, letter_sizes: Sequence[int], letter_taus:
         if weight == 0.0:
             continue
         drop_axes = tuple(i + 1 for i, keep in enumerate(keep_mask) if not keep)
-        marg = tensorized.sum(axis=drop_axes) if drop_axes else tensorized
-        marg = marg.reshape((ch.n, -1))
+        marg = tensorized.sum(axis=drop_axes).reshape((ch.n, -1))
         total += weight * float(marg.min(axis=0).sum())
     return total

@@ -126,7 +126,7 @@ class Pmf:
         return self.size
 
     def to_list(self) -> list[float]:
-        return [float(p) for p in self.probs]
+        return self.probs.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +176,7 @@ class Channel:
         return cls(_csv_table(text))
 
     def to_dict(self) -> dict:
-        out: dict = {"rows": [[float(v) for v in row] for row in self.matrix]}
+        out: dict = {"rows": self.matrix.tolist()}
         if self.input_labels is not None:
             out["input_labels"] = list(self.input_labels)
         if self.output_labels is not None:
@@ -278,12 +278,10 @@ def max2_doeblin(channel) -> float:
 def dobrushin_tv(channel) -> float:
     """Dobrushin coefficient: the largest pairwise total-variation distance."""
     W = _family(channel, "dobrushin_tv requires at least two rows").matrix
-    n = W.shape[0]
     best = 0.0
-    for i in range(n):
+    for i in range(W.shape[0] - 1):
         diffs = 0.5 * np.abs(W[i + 1 :] - W[i]).sum(axis=1)
-        if diffs.size:
-            best = max(best, float(diffs.max()))
+        best = max(best, float(diffs.max()))
     return best
 
 
@@ -305,14 +303,7 @@ class CoefficientReport:
     eta_tv: float
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "gamma": self.gamma,
-            "tau_max": self.tau_max,
-            "gamma_max": self.gamma_max,
-            "tau_max2": self.tau_max2,
-            "eta_tv": self.eta_tv,
-        }
+        return dict(vars(self))
 
 
 def report(channel) -> CoefficientReport:
@@ -341,19 +332,20 @@ class TraceResult:
     kernel: Channel  # deterministic m x n estimation kernel attaining the value
 
 
-def _deterministic_kernel(choice: np.ndarray, n: int) -> Channel:
-    """The ``m x n`` 0/1 kernel whose row j puts unit mass on ``choice[j]``."""
-    P = np.zeros((len(choice), n))
-    P[np.arange(len(choice)), choice] = 1.0
-    return Channel(P)
-
-
-def _trace_extremum(channel, pick) -> TraceResult:
-    ch = as_channel(channel)
-    W = ch.matrix
-    choice = pick(W, axis=0)  # smallest attaining index per column on ties
-    value = float(W[choice, np.arange(ch.m)].sum())
-    return TraceResult(value=value, kernel=_deterministic_kernel(choice, ch.n))
+def _trace_extremum(M: np.ndarray, pick) -> TraceResult:
+    """The extremal trace of Tr(P M) over row-stochastic ``m x n`` matrices P,
+    for any nonnegative ``n x m`` matrix M: ``pick`` (np.argmin or np.argmax)
+    chooses one row per column, the smallest attaining index on ties, and
+    the kernel is the deterministic ``m x n`` 0/1 matrix putting unit mass
+    there.  On a channel's matrix this is the trace characterization of the
+    (max-)Doeblin coefficient; on the prior-weighted matrix lambda_i W_i(y)
+    it is the Bayes rule behind the min-/max-DeGroot estimators."""
+    n, m = M.shape
+    choice = pick(M, axis=0)
+    value = float(M[choice, np.arange(m)].sum())
+    P = np.zeros((m, n))
+    P[np.arange(m), choice] = 1.0
+    return TraceResult(value=value, kernel=Channel(P))
 
 
 def min_trace(channel) -> TraceResult:
@@ -362,12 +354,12 @@ def min_trace(channel) -> TraceResult:
     The value is the Doeblin coefficient; the minimizer puts unit mass, in
     row j, on the smallest row index attaining the column-j minimum.
     """
-    return _trace_extremum(channel, np.argmin)
+    return _trace_extremum(as_channel(channel).matrix, np.argmin)
 
 
 def max_trace(channel) -> TraceResult:
     """Maximum of Tr(P W); dual to :func:`min_trace` with column maxima."""
-    return _trace_extremum(channel, np.argmax)
+    return _trace_extremum(as_channel(channel).matrix, np.argmax)
 
 
 # ---------------------------------------------------------------------------

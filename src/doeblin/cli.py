@@ -45,12 +45,6 @@ from .fusion import fuse_min
 _NON_FINITE = "refusing to emit a non-finite number"
 
 
-def _format_float(x) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(_NON_FINITE)
-    return format(float(x), ".17g")
-
-
 def _texts(values, indent: int) -> list:
     """The text of each value, at ``indent``.  Exact floats, strings and ints
     are formatted here; containers and every other scalar go through
@@ -97,7 +91,7 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
+        return _texts([float(obj)], indent)[0]
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -199,28 +193,24 @@ def _expanded_if_under_cap(to_dict, expand: bool) -> dict:
         return to_dict(False)
 
 
+# Each --loss key with its library loss kind and loss matrix.
+_LOSSES = {"id": ("identity", dg.identity_loss), "complement": ("complement", dg.complement_loss)}
+
+
 def _cmd_degroot(args) -> dict:
     ch = load_pmfs([args.channel])
     prior = Pmf(_json(args.prior, "--prior"))
-    out = {
-        "min_degroot": dg.min_degroot(prior, ch),
-        "max_degroot": dg.max_degroot(prior, ch),
-    }
-    kinds = {"id": "identity", "complement": "complement"}
-    wanted = [args.loss] if args.loss else ["id", "complement"]
-    risks = []
-    for key in wanted:
-        kind = kinds[key]
+    out = {"min_degroot": dg.min_degroot(prior, ch), "max_degroot": dg.max_degroot(prior, ch), "risks": []}
+    for key in [args.loss] if args.loss else _LOSSES:
+        kind, loss = _LOSSES[key]
         est = dg.optimal_estimator(prior, ch, kind)
-        L = dg.identity_loss(ch.n) if kind == "identity" else dg.complement_loss(ch.n)
-        risks.append(
+        out["risks"].append(
             {
                 "loss": key,
                 "prior_risk": dg.prior_risk(prior, ch.n, kind),
-                "bayes_risk": dg.risk(prior, ch, L, est),
+                "bayes_risk": dg.risk(prior, ch, loss(ch.n), est),
             }
         )
-    out["risks"] = risks
     return out
 
 

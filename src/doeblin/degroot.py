@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channel, Pmf, _as_float_array, _deterministic_kernel, _family, as_channel
+from .channel import Channel, Pmf, _as_float_array, _family, _trace_extremum, as_channel
 from .exceptions import ValidationError
 
 _HYPOTHESES = "DeGroot distances need at least two hypotheses"
+_LOSS_KINDS = {  # per loss kind: the Bayes rule's extremal row, and the risk before observing
+    "identity": (np.argmin, lambda lam: lam.min()),
+    "complement": (np.argmax, lambda lam: 1.0 - lam.max()),
+}
 
 
 def identity_loss(n: int) -> np.ndarray:
@@ -49,48 +53,48 @@ def risk(prior, channel, loss, estimator) -> float:
     return float(np.trace(L.T @ np.diag(lam) @ ch.matrix @ est.matrix))
 
 
+def _loss_kind(loss_kind):
+    kind = _LOSS_KINDS.get(loss_kind) if isinstance(loss_kind, str) else None
+    if kind is None:
+        raise ValidationError('loss_kind must be "identity" or "complement"')
+    return kind
+
+
+def _weighted(prior, ch: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """The prior lambda and the prior-weighted channel lambda_i W_i(y)."""
+    lam = _as_prior(prior, ch.n)
+    return lam, lam[:, None] * ch.matrix
+
+
 def min_degroot(prior, channel) -> float:
     """Risk drop under the identity loss:
     min(prior) - sum_y min_i prior_i W_i(y)."""
-    ch = _family(channel, _HYPOTHESES)
-    lam = _as_prior(prior, ch.n)
-    weighted = lam[:, None] * ch.matrix
+    lam, weighted = _weighted(prior, _family(channel, _HYPOTHESES))
     return float(lam.min() - weighted.min(axis=0).sum())
 
 
 def max_degroot(prior, channel) -> float:
     """Risk drop under the complement loss:
     sum_y max_i prior_i W_i(y) - max(prior)."""
-    ch = _family(channel, _HYPOTHESES)
-    lam = _as_prior(prior, ch.n)
-    weighted = lam[:, None] * ch.matrix
+    lam, weighted = _weighted(prior, _family(channel, _HYPOTHESES))
     return float(weighted.max(axis=0).sum() - lam.max())
 
 
 def optimal_estimator(prior, channel, loss_kind: str = "identity") -> Channel:
-    """Closed-form Bayes-optimal deterministic estimator.
+    """Closed-form Bayes-optimal deterministic estimator: the extremal-trace
+    kernel of the prior-weighted channel lambda_i W_i(y).
 
-    Identity loss: per output, guess the least likely posterior state.
-    Complement loss: per output, guess the most likely posterior state.
-    Smallest index wins ties.
+    Identity loss: per output, guess the least likely posterior state (the
+    minimal trace).  Complement loss: per output, guess the most likely
+    posterior state (the maximal trace).  Smallest index wins ties.
     """
-    ch = as_channel(channel)
-    lam = _as_prior(prior, ch.n)
-    weighted = lam[:, None] * ch.matrix
-    if loss_kind == "identity":
-        choice = np.argmin(weighted, axis=0)
-    elif loss_kind == "complement":
-        choice = np.argmax(weighted, axis=0)
-    else:
-        raise ValidationError('loss_kind must be "identity" or "complement"')
-    return _deterministic_kernel(choice, ch.n)
+    _, weighted = _weighted(prior, as_channel(channel))
+    pick, _ = _loss_kind(loss_kind)
+    return _trace_extremum(weighted, pick).kernel
 
 
 def prior_risk(prior, n: int, loss_kind: str = "identity") -> float:
     """Bayes risk before any observation."""
     lam = _as_prior(prior, n)
-    if loss_kind == "identity":
-        return float(lam.min())
-    if loss_kind == "complement":
-        return float(1.0 - lam.max())
-    raise ValidationError('loss_kind must be "identity" or "complement"')
+    _, before = _loss_kind(loss_kind)
+    return float(before(lam))

@@ -107,6 +107,34 @@ class TestValidation:
         with pytest.raises(ValidationError):
             db.Channel.from_csv("0.5,0.5\n1.0")
 
+    def test_csv_rejects_a_non_numeric_line_after_the_header(self):
+        with pytest.raises(ValidationError, match="non-numeric CSV entry on line 3"):
+            db.Channel.from_csv("y0,y1\n0.5,0.5\n0.25,x\n")
+
+    def test_pmf_rejects_a_table(self):
+        with pytest.raises(ValidationError, match="pmf must be a nonempty 1-D sequence"):
+            db.Pmf([[0.5, 0.5], [0.25, 0.75]])
+
+    def test_pmf_size_and_length(self):
+        p = db.Pmf([0.25, 0.25, 0.5])
+        assert p.size == len(p) == 3
+        assert type(p.size) is int
+
+    def test_serializers_hold_floats_with_the_array_bits(self):
+        rng = np.random.default_rng(20)
+        ch = db.Channel(random_channel(rng, 3, 5))
+        rows = ch.to_dict()["rows"]
+        assert all(type(v) is float for row in rows for v in row)
+        assert np.array(rows).tobytes() == ch.matrix.tobytes()
+        p = db.Pmf(ch.matrix[0])
+        probs = p.to_list()
+        assert all(type(v) is float for v in probs)
+        assert np.array(probs).tobytes() == p.probs.tobytes()
+        rep = db.report(ch)
+        out = rep.to_dict()
+        assert list(out) == ["tau", "gamma", "tau_max", "gamma_max", "tau_max2", "eta_tv"]
+        assert all(type(v) is float and v == getattr(rep, k) for k, v in out.items())
+
     @pytest.mark.parametrize(
         "bad_row, words",
         [
@@ -335,6 +363,13 @@ class TestMinorization:
     def test_degradation_at_zero(self):
         deg = db.erasure_degradation(W1, 0.0)
         assert np.allclose(deg.matrix[:2], W1)
+
+    def test_degradation_of_identical_rows_at_one(self):
+        # tau = epsilon = 1: the non-erased rows carry no mass and are uniform.
+        W = [[0.25, 0.75]] * 3
+        deg = db.erasure_degradation(W, 1.0)
+        assert np.array_equal(deg.matrix[:3], np.full((3, 2), 0.5))
+        assert np.array_equal(deg.matrix[3], [0.25, 0.75])
 
     def test_degradation_worked(self):
         deg = db.erasure_degradation(W1, 0.75)

@@ -51,6 +51,7 @@ CASES = {
     "degroot": (["degroot", "--prior", "[0.5, 0.5]", _f("channel.json")], 0),
     "degroot_id": (["degroot", "--prior", "[0.25, 0.75]", "--loss", "id", _f("channel.json")], 0),
     "bayesnet_all": (["bayesnet", _f("net.json"), "--target", "T"], 0),
+    "bayesnet_source_target": (["bayesnet", _f("net.json"), "--target", "X"], 0),
     "bayesnet_two_targets": (["bayesnet", _f("net.json"), "--target", "A,B", "--bound", "sfpaths"], 0),
     "bayesnet_mc": (["bayesnet", _f("net.json"), "--target", "T", "--bound", "perc", "--mc", "200", "7"], 0),
     "bayesnet_past_cap": (["bayesnet", _f("chain25.json"), "--target", "N24", "--bound", "perc"], 0),
@@ -217,6 +218,16 @@ def test_couple_rows_across_files_match_one_file(tmp_path, capsys):
     split = capsys.readouterr().out
     assert _invoke(CASES["couple_max"][0]) == 0
     assert split == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ['{"rows": [0.5, 0.5]}', "[[[0.5, 0.5]]]"])
+def test_each_of_several_files_must_hold_a_table(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert _invoke(["fuse", _f("beliefs.json"), str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid input: channel in {bad} must be a nonempty 2-D matrix" in captured.err
 
 
 def test_coef_and_degroot_read_a_json_array(tmp_path, capsys):
@@ -418,6 +429,10 @@ class _List(list):
     pass
 
 
+class _Float(float):
+    pass
+
+
 TRICKY_STRINGS = [
     '"', "\\", 'a "quoted" \\path\\', "\n\t\r\x00\x1f\x7f", "caf\u00e9", "\u2603 \U0001f600", "\ud800",
 ]
@@ -432,6 +447,7 @@ SCALARS = st.one_of(
     st.sampled_from([-0.0, 5e-324, 1e16, 0.1, -1.5e-300, 123456789.0]),
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
     st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
     st.text(max_size=24),
     st.sampled_from(TRICKY_STRINGS),
     st.text(max_size=8).map(_Str),
@@ -468,7 +484,10 @@ def test_dumps_matches_reference_on_twenty_marginals(monkeypatch):
 
 @pytest.mark.parametrize(
     "bad",
-    [float("nan"), float("inf"), -float("inf"), np.float32("nan"), np.float64("-inf"), np.bool_(True), {1}],
+    [
+        float("nan"), float("inf"), -float("inf"), np.float32("nan"), np.float64("-inf"), np.bool_(True), {1},
+        pytest.param(_Float("inf"), id="float_subclass_inf"),
+    ],
 )
 @pytest.mark.parametrize(
     "wrap", [lambda x: x, lambda x: [0.5, x], lambda x: {"a": [1, {"b": x}]}, lambda x: (x,)]

@@ -444,6 +444,14 @@ class TestSimultaneousJointCoupling:
         with pytest.raises(db.ValidationError, match="joint distribution 0"):
             db.simultaneous_joint_coupling([[[0.5, 0.5], [0.0]], np.full((2, 2), 0.25)])
 
+    def test_flat_table_rejected(self):
+        with pytest.raises(db.ValidationError, match="joint distributions must be 2-D tables"):
+            db.simultaneous_joint_coupling([np.full((2, 2), 0.25), np.full(4, 0.25)])
+
+    def test_one_joint_rejected(self):
+        with pytest.raises(db.ValidationError, match="need at least two joint distributions"):
+            db.simultaneous_joint_coupling([np.full((2, 2), 0.25)])
+
 
 @st.composite
 def joint_families(draw, min_n=2, max_n=5, max_xs=3, max_ys=4):
@@ -608,6 +616,11 @@ class TestVerifyCoupling:
         c = db.minimal_coupling_max(mats)
         with pytest.raises(ExpansionCapError):
             db.verify_coupling(c, mats)
+
+    @pytest.mark.parametrize("targets", [TRIO[:2], [p + [0.0] for p in TRIO]])
+    def test_targets_of_another_shape_rejected(self, targets):
+        with pytest.raises(db.AlphabetMismatchError, match="targets do not match the coupling's shape"):
+            db.verify_coupling(db.maximal_coupling(TRIO), targets)
 
     def test_export_roundtrip_shape(self):
         c = db.minimal_coupling_max(TRIO)
@@ -864,6 +877,11 @@ class TestBitIdenticalToDense:
 def test_invalid_hand_built_coupling_rejected(weights, pool, index, glued):
     with pytest.raises(db.ValidationError):
         db.Coupling(np.array(weights), np.array(pool), np.array(index), np.array(glued))
+
+
+def test_all_zero_factor_row_rejected():
+    with pytest.raises(db.ValidationError, match="cannot normalize an all-zero factor"):
+        db.coupling._normalized(np.array([[0.5, 0.5], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,16 @@ class TestRisk:
         with pytest.raises(ValidationError, match="loss matrix is not a numeric table"):
             db.risk([0.5, 0.5], W1, [[1.0, 0.0], [0.0]], est)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loss_rejected(self, bad):
+        est = db.min_trace(W1).kernel
+        with pytest.raises(ValidationError, match="loss matrix must be finite"):
+            db.risk([0.5, 0.5], W1, [[0.0, bad], [1.0, 0.0]], est)
+
+    def test_estimator_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValidationError, match="estimator must be 2 x 2"):
+            db.risk([0.5, 0.5], W1, db.identity_loss(2), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
     def test_arbitrary_loss_matches_direct_sum(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
@@ -118,3 +128,27 @@ class TestBayesOptimality:
     def test_prior_risk(self):
         assert db.prior_risk([0.2, 0.3, 0.5], 3, "identity") == pytest.approx(0.2)
         assert db.prior_risk([0.2, 0.3, 0.5], 3, "complement") == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("kind", ["squared", "Identity", ["identity"], None, 0])
+    def test_unknown_loss_kind_rejected(self, kind):
+        # An unhashable kind such as a list is invalid input, not a TypeError.
+        with pytest.raises(ValidationError, match="loss_kind must be"):
+            db.optimal_estimator([0.5, 0.5], W1, kind)
+        with pytest.raises(ValidationError, match="loss_kind must be"):
+            db.prior_risk([0.5, 0.5], 2, kind)
+
+    def test_estimator_picks_the_extremal_weighted_row(self):
+        # Per output, the first row attaining the extremum of prior_i W_i(y).
+        rng = np.random.default_rng(46)
+        for _ in range(50):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+            W = np.round(random_channel(rng, n, m), 1)  # rounding makes ties
+            W = W / W.sum(axis=1, keepdims=True)
+            lam = random_pmf(rng, n)
+            weighted = lam[:, None] * db.Channel(W).matrix
+            for kind, extremum in (("identity", np.min), ("complement", np.max)):
+                got = db.optimal_estimator(lam, W, kind).matrix
+                assert got.shape == (m, n) and set(np.unique(got)) <= {0.0, 1.0}
+                for y in range(m):
+                    want = min(i for i in range(n) if weighted[i, y] == extremum(weighted[:, y]))
+                    assert got[y].tolist() == [float(i == want) for i in range(n)]

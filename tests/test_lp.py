@@ -109,6 +109,23 @@ class TestProblemInput:
         with pytest.raises(ValidationError, match="two-dimensional"):
             lp.LpProblem([1.0, 1.0], [1.0, 2.0], [4.0], "min")
 
+    @pytest.mark.parametrize(
+        "objective, rhs",
+        [([1.0, 1.0, 1.0], [4.0]), ([1.0, 1.0], [4.0, 4.0]), ([[1.0, 1.0]], [4.0])],
+    )
+    def test_inconsistent_dimensions_rejected(self, objective, rhs):
+        with pytest.raises(ValidationError, match="LP dimensions are inconsistent"):
+            lp.LpProblem(objective, [[1.0, 2.0]], rhs, "min")
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_iteration_cap_raises(self, monkeypatch, exact):
+        # Any program that needs a pivot passes a cap of zero pivots.
+        monkeypatch.setattr(lp, "_MAX_ITER", 0)
+        monkeypatch.setattr(lp, "_phase1", (None, None))
+        prob = lp.LpProblem([1.0, 1.0], [[1.0, 2.0]], [4.0], "min")
+        with pytest.raises(InfeasibilityError, match="simplex iteration cap exceeded"):
+            lp.solve(prob, exact=exact)
+
 
 def _assert_same_solution(got, want):
     """Bit-for-bit equality of two LpSolutions."""
