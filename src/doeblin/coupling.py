@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import _as_float_array, _as_prob_vector, _family, max2_doeblin, max_doeblin
+from .channel import _as_float_array, _as_prob_vector, _family, _is_int, max2_doeblin, max_doeblin
 from .exceptions import (
     AlphabetMismatchError,
     CouplingConditionError,
@@ -130,10 +130,22 @@ class Coupling:
     def weight_sum(self) -> float:
         return float(self.weights.sum())
 
+    def _coords(self, coords: Sequence[int]) -> list[int]:
+        """``coords`` as a list, each an integer in ``0..n-1`` named once; else ValidationError."""
+        try:
+            coords = list(coords)
+        except TypeError as exc:
+            raise ValidationError(f"coupling coordinates must be a sequence: {exc}") from exc
+        n = self.arity
+        if not (all(_is_int(c) and 0 <= c < n for c in coords) and len(set(coords)) == len(coords)):
+            raise ValidationError(f"coupling coordinates must be distinct integers in 0..{n - 1}, got {coords}")
+        return coords
+
     def marginal(self, coord: int) -> np.ndarray:
         """Coordinate marginal: the weighted sum of that coordinate's factors.  For n > 1
         the rows are read at a row stride of 2m, like a column of the (K, n, m) factor
         view: BLAS rounds a contiguous operand differently in the last bit."""
+        (coord,) = self._coords([coord])
         rows = self.pool[self.index[:, coord]]
         if self.arity > 1:
             rows = rows.repeat(2, axis=0)[::2]
@@ -185,7 +197,7 @@ class Coupling:
         """Summed over y, the probability that all the given coordinates hit y:
         per component sum_y s(y) prod_{free i in coords} f_i(y), with s = 1
         when no glued coordinate is among them."""
-        coords = list(coords)
+        coords = self._coords(coords)
         in_glue = self.glued[:, coords]
         prod = np.where(in_glue[:, :, None], 1.0, self.pool[self.index[:, coords]]).prod(axis=1)
         head = np.where(in_glue.any(axis=1)[:, None], self.shared, 1.0)

@@ -34,6 +34,7 @@ from .channel import _as_float_array, _family, as_channel
 from .exceptions import ExpansionCapError, InfeasibilityError, ValidationError
 
 VARIABLE_CAP = 10**5
+TABLEAU_CELL_CAP = 10**7
 _MAX_ITER = 200_000
 _phase1: tuple = (None, None)  # (key, state) of the last phase 1 solved; see solve
 
@@ -82,19 +83,21 @@ class _Float:
 
     @staticmethod
     def pivot(T: np.ndarray, d: int, r: int, j: int) -> tuple[np.ndarray, int]:
-        T[r] /= T[r, j]
-        # Rows already zero in the pivot column are left alone; the rest take
-        # one rank-1 update.
-        rows = (T[:, j] != 0.0).nonzero()[0]
-        rows = rows[rows != r]
-        T[rows] -= T[rows, j, None] * T[r]
+        row, col = T[r] / T[r, j], T[:, j]
+        # Rows zero in column j keep their signed zeros (see solve).
+        if np.count_nonzero(col) == len(col):
+            T -= col[:, None] * row
+        else:
+            rows = col.nonzero()[0]
+            T[rows] -= col[rows, None] * row
+        T[r] = row
         return T, d
 
     @staticmethod
     def leaving(T: np.ndarray, rows: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
         ratios = T[rows, -1] / col[rows]
         tied = rows[ratios == ratios.min()]
-        return tied[basis[tied].argmin()]
+        return tied[0] if len(tied) == 1 else tied[basis[tied].argmin()]
 
 
 class _Exact:
@@ -138,15 +141,25 @@ class _Exact:
         return best
 
 
+def _check_size(k: int, nv: int, what: str) -> None:
+    """Raise ExpansionCapError before a program of ``k`` rows and ``nv`` variables is built."""
+    if nv > VARIABLE_CAP:
+        raise ExpansionCapError(f"{what} would need {nv} variables (cap {VARIABLE_CAP})")
+    if (cells := (k + 1) * (nv + k + 1)) > TABLEAU_CELL_CAP:
+        raise ExpansionCapError(f"{what} tableau would need {cells} cells (cap {TABLEAU_CELL_CAP})")
+
+
 def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     """Two-phase dense simplex with Bland's anti-cycling rule.
 
     Phase 1 minimizes the sum of k artificial variables, which then leave
     the basis wherever their row has a structural entry; phase 2 optimizes
     the objective.  In each phase the entering column is the smallest index
-    whose reduced cost is below ``-tol`` among the nonbasic columns, and the
-    leaving row attains the minimum ratio ``rhs / column`` over the column's
-    entries above ``tol``, ties going to the smallest basic variable index.
+    whose reduced cost is below ``-tol``, and the leaving row attains the
+    minimum ratio ``rhs / column`` over the column's entries above ``tol``,
+    ties going to the smallest basic variable index.  A basic column is
+    exactly ``d`` times a unit vector, so it never enters (its reduced cost
+    is zero) and its entry in any other basic variable's row is zero.
     The tableau is the constraint rows (sign-corrected so that ``b >= 0``),
     then the reduced costs as the last row, with the right-hand side as the
     last column; every entry is a numerator over one shared denominator
@@ -160,10 +173,12 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
       constant scales its reduced cost by that constant and every ratio of
       the minimum-ratio test by one common factor, so signs, ratios and ties
       are those of the rational tableau.
-    - The pivot on ``(r, j)``: in float mode a rank-1 update of the rows
-      nonzero in column ``j``; in exact mode ``(T[i]*p - T[i, j]*T[r]) // d``
-      for every other row, with ``p = T[r, j]``, then ``d = p`` (Edmonds;
-      Bareiss), tableau and ``d`` negated together when ``p < 0``.
+    - The pivot on ``(r, j)``, with ``p = T[r, j]``.  In float mode row ``r``
+      becomes ``T[r] / p`` and every other row nonzero in column ``j`` takes
+      ``T[i, j] * (T[r] / p)`` off, all rows in one update when none is zero
+      there (``-0.0 - 0 * x`` may be ``+0.0``, so a zero row is left alone).
+      In exact mode every other row becomes ``(T[i]*p - T[i, j]*T[r]) // d``,
+      then ``d = p`` (Edmonds; Bareiss), both negated when ``p < 0``.
     - The leaving-row comparison: float division, or integer
       cross-multiplication.
     - The certificates: read off the float tableau, or each integer numerator
@@ -177,8 +192,11 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     phase 1 included.
 
     Raises :class:`InfeasibilityError` when the program is infeasible or
-    unbounded, or past ``_MAX_ITER`` pivots.
+    unbounded, or past ``_MAX_ITER`` pivots, and :class:`ExpansionCapError`
+    past ``VARIABLE_CAP`` variables or ``TABLEAU_CELL_CAP`` tableau cells.
     """
+    k, nv = problem.eq_matrix.shape
+    _check_size(k, nv, "LP")
     sign = 1 if problem.sense == "min" else -1
     arith = _Exact if exact else _Float
     A, Da = arith.numerators(problem.eq_matrix)
@@ -186,7 +204,6 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     c, Dc = arith.numerators(problem.objective)
     key = (exact, A.shape, problem.eq_matrix.tobytes(), problem.eq_rhs.tobytes())
 
-    k, nv = A.shape
     # Standard form wants a nonnegative right-hand side.
     row_signs = np.where(b < 0, -1, 1)
     A = A * row_signs[:, None]
@@ -196,8 +213,6 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     def pivot(r: int, j: int) -> None:
         nonlocal T, d, iterations
         T, d = arith.pivot(T, d, r, j)
-        in_basis[basis[r]] = False
-        in_basis[j] = True
         basis[r] = j
         iterations += 1
 
@@ -205,14 +220,14 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
         """Drive reduced costs nonnegative over the first ``allow`` columns."""
         T[k, :-1] = d * cost - cost[basis] @ T[:k, :-1]
         T[k, -1] = -(cost[basis] @ T[:k, -1])  # -d * objective: exact pivots divide it exactly
-        while True:
+        while allow:  # no columns, nothing to enter
             if iterations > _MAX_ITER:
                 raise InfeasibilityError("simplex iteration cap exceeded")
             # Bland: the smallest eligible index enters ...
-            eligible = ((T[k, :allow] < -arith.tol) & ~in_basis[:allow]).nonzero()[0]
-            if not eligible.size:
+            eligible = T[k, :allow] < -arith.tol
+            entering = eligible.argmax()
+            if not eligible[entering]:
                 return
-            entering = eligible[0]
             col = T[:k, entering]
             rows = (col > arith.tol).nonzero()[0]
             if not rows.size:
@@ -223,8 +238,7 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     global _phase1
     memo_key, state = _phase1
     if memo_key == key:
-        T, basis, in_basis = (a.copy() for a in state[:3])
-        d, iterations = state[3:]
+        T, basis, d, iterations = state[0].copy(), state[1].copy(), *state[2:]
     else:
         # Rows: k constraints, then the reduced costs.  Columns: nv structural
         # variables, k artificials, then the right-hand side.
@@ -232,8 +246,6 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
         T[:k] = np.concatenate([A, np.eye(k, dtype=A.dtype), b[:, None]], axis=1)
         d = 1
         basis = np.arange(nv, nv + k)
-        in_basis = np.zeros(nv + k, dtype=bool)
-        in_basis[nv:] = True
         iterations = 0
         phase1_cost = np.concatenate([np.zeros(nv, dtype=A.dtype), np.ones(k, dtype=A.dtype)])
         run_phase(phase1_cost, nv + k)
@@ -244,10 +256,10 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
         # Swap any artificial still in the basis for a structural column when
         # its row has one; an all-zero row is a redundant constraint and stays inert.
         for r in np.flatnonzero(basis >= nv):
-            candidates = np.flatnonzero((abs(T[r, :nv]) > arith.tol) & ~in_basis[:nv])
+            candidates = np.flatnonzero(abs(T[r, :nv]) > arith.tol)
             if candidates.size:
                 pivot(r, candidates[0])
-        _phase1 = (key, (T.copy(), basis.copy(), in_basis.copy(), d, iterations))
+        _phase1 = (key, (T.copy(), basis.copy(), d, iterations))
 
     cost = np.concatenate([c, np.zeros(k, dtype=A.dtype)])
     run_phase(cost, nv)
@@ -324,8 +336,7 @@ def coupling_opt(pmfs: Sequence, objective: Callable, sense: str, exact: bool = 
     """
     mats = _family(pmfs, "coupling problems need at least two marginals").matrix
     n, m = mats.shape
-    if m**n > VARIABLE_CAP:
-        raise ExpansionCapError(f"coupling LP would need {m ** n} variables (cap {VARIABLE_CAP})")
+    _check_size(n * m - n + 1, m**n, "coupling LP")
     grid = np.indices((m,) * n).reshape(n, -1).T
     grid.setflags(write=False)  # the objective may not reorder the LP's variables
     sol = solve(_coupling_program(mats, grid, objective(grid), sense), exact=exact)
@@ -377,12 +388,11 @@ def estimator_opt(channel, sense: str, exact: bool = False) -> tuple[float, np.n
     so that it can check them.  ``exact`` pivots in rational arithmetic, as
     in :func:`solve`.  Returns the value and an optimal ``m x n`` kernel P as
     an array; wrap it in :class:`~doeblin.channel.Channel` to validate it.
-    More than ``VARIABLE_CAP`` variables raise ExpansionCapError.
+    Programs past the caps of :func:`solve` raise ExpansionCapError.
     """
     W = as_channel(channel).matrix
     n, m = W.shape
-    if n * m > VARIABLE_CAP:
-        raise ExpansionCapError(f"estimator LP would need {n * m} variables (cap {VARIABLE_CAP})")
+    _check_size(m, n * m, "estimator LP")
     problem = LpProblem(
         objective=W.T.reshape(-1),
         eq_matrix=np.kron(np.eye(m), np.ones(n)),

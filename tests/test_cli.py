@@ -139,6 +139,11 @@ MALFORMED = {
         ["verify", "--problem", "estimator", "INPUT"],
         json.dumps([[1.0] + [0.0] * 299] * 400),
     ),
+    # Two 316-symbol rows: 99,856 coupling variables, but a 632 x 100,488 tableau.
+    "verify_union_past_tableau_cap": (
+        ["verify", "--problem", "union", "INPUT"],
+        json.dumps([[1 / 316] * 316] * 2),
+    ),
 }
 
 

@@ -548,6 +548,35 @@ def test_glued_coordinates_with_different_factors_rejected():
         db.Coupling(np.array([1.0]), np.eye(2), np.array([[0, 1]]), np.array([[True, True]]))
 
 
+class TestCoordinateChecks:
+    """Every read that takes coordinates rejects a value that names none of
+    them, and a coordinate named twice, with ValidationError."""
+
+    @pytest.mark.parametrize("coord", [-1, 3, 1.0, True, "1", None])
+    def test_marginal(self, coord):
+        # -1 would wrap to the last coordinate; 3 would index past the pool.
+        with pytest.raises(db.ValidationError, match="coupling coordinates"):
+            db.maximal_coupling(TRIO).marginal(coord)
+
+    @pytest.mark.parametrize("coords", [[0, 5], [-1, 0], [0, 0], [0, 1.0], [[0, 1]], 2])
+    def test_intersection_mass(self, coords):
+        # [0, 0] would square coordinate 0's factor: 0.85 on the trio, where
+        # P(X_0 = X_0) summed over the symbols is 1.
+        with pytest.raises(db.ValidationError, match="coupling coordinates"):
+            db.maximal_coupling(TRIO).intersection_mass(coords)
+
+    @pytest.mark.parametrize("i", [-1, 2, 0.0])
+    def test_bivariate_marginal(self, i):
+        jc = db.simultaneous_joint_coupling([np.array([[0.1, 0.2], [0.3, 0.4]])] * 2)
+        with pytest.raises(db.ValidationError, match="coupling coordinates"):
+            jc.bivariate_marginal(i)
+
+    def test_numpy_integers_accepted(self):
+        c = db.maximal_coupling(TRIO)
+        assert c.marginal(np.int64(2)).tobytes() == c.marginal(2).tobytes()
+        assert c.intersection_mass(np.arange(2)) == c.intersection_mass((0, 1))
+
+
 def test_replace_recomputes_expansion():
     # The expansion memo belongs to one instance: a copy with other factors
     # expands its own table.

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,32 @@ class TestProblemInput:
         with pytest.raises(InfeasibilityError, match="simplex iteration cap exceeded"):
             lp.solve(prob, exact=exact)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize(
+        "k, nv, message",
+        [
+            (3200, 1, "LP tableau would need 10249602 cells (cap 10000000)"),
+            (1, 100_001, "LP would need 100001 variables (cap 100000)"),
+        ],
+    )
+    def test_size_caps_raise_before_the_tableau(self, k, nv, message, exact):
+        prob = lp.LpProblem(np.ones(nv), np.ones((k, nv)), np.ones(k), "min")
+        _assert_raises_lean(lambda: lp.solve(prob, exact=exact), message)
+
+
+def _assert_raises_lean(call, message):
+    """``call`` raises ExpansionCapError with ``message`` and allocates less
+    than 10 MB on the way."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExpansionCapError) as raised:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == message
+    assert peak < 10e6
+
 
 def _assert_same_solution(got, want):
     """Bit-for-bit equality of two LpSolutions."""
@@ -201,11 +228,29 @@ class TestPivotsMatchReference:
             ([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [2.0, 0.0, 1.0]], [2.0, 0.0, 2.0], "max"),
             ([1.0], [[-1.0]], [1.0], "min"),  # infeasible
             ([1.0, 1.0], [[1.0, -1.0]], [0.0], "max"),  # unbounded
+            # The drive-out pivots on -1, so the pivot row holds -0.0 and x[0]
+            # is -0.0: updating the pivot row too (by a zero factor) reads +0.0.
+            ([-1.0, 1.0], [[-1.0, 0.0], [2.0, 2.0]], [0.0, 1.0], "min"),
+            # Row 1 is zero in a later pivot column and keeps its -0.0: a
+            # full-width update of every row there gives x[1] = +0.0.
+            ([-2.0, -2.0, -1.0], [[2.0, 0.0, 2.0], [0.0, -1.0, 0.0]], [2.0, 0.0], "max"),
         ],
     )
     def test_edge_cases(self, objective, matrix, rhs, sense, exact):
         prob = lp.LpProblem(np.array(objective), np.array(matrix), np.array(rhs), sense)
         _assert_matches_reference(prob, exact)
+
+    @pytest.mark.parametrize("n, m", [(4, 4), (3, 6), (5, 3)])
+    def test_dirichlet_families(self, n, m):
+        # Real-valued marginals at the float shapes of the benchmark's
+        # lp_oracle workload; the hypothesis rows above hold small integer
+        # weights only.
+        rng = np.random.default_rng([n, m])
+        for _ in range(3):
+            mats = rng.dirichlet(np.ones(m), size=n)
+            for kind, sense in (("diag", "max"), ("union", "min")):
+                _assert_matches_reference(_coupling_prob(mats, kind, sense), exact=False)
+
 
 def _coupling_prob(mats, kind, sense):
     n, m = mats.shape
@@ -522,6 +567,13 @@ class TestCouplingOracle:
         with pytest.raises(ExpansionCapError, match="cap 100000"):
             lp.coupling_diag_opt(pmfs, "max")
 
+    def test_tableau_cap(self):
+        # 99,856 variables, under the variable cap, but 631 rows: a dense
+        # 632 x 100,488 tableau of about 508 MB.
+        pmfs = [np.full(316, 1 / 316)] * 2
+        message = "coupling LP tableau would need 63508416 cells (cap 10000000)"
+        _assert_raises_lean(lambda: lp.coupling_union_opt(pmfs, "min"), message)
+
     def test_single_marginal_rejected(self):
         with pytest.raises(ValidationError):
             lp.coupling_diag_opt([[0.5, 0.5]], "max")
@@ -567,6 +619,12 @@ class TestEstimatorOracle:
         W[:, 0] = 1.0  # 120,000 variables
         with pytest.raises(ExpansionCapError, match="estimator LP would need 120000 variables"):
             lp.estimator_opt(W, "min")
+
+    def test_tableau_cap(self):
+        # 100,000 variables and 1,000 rows: a 1,001 x 101,001 tableau of about 809 MB.
+        W = np.full((100, 1000), 1e-3)
+        message = "estimator LP tableau would need 101102001 cells (cap 10000000)"
+        _assert_raises_lean(lambda: lp.estimator_opt(W, "min"), message)
 
     def test_rejects_unknown_sense(self):
         with pytest.raises(db.ValidationError):
