@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -106,9 +105,6 @@ class BayesNet:
                 return i
         raise ValidationError(f"unknown node name {name!r}")
 
-    def children(self, u: int) -> tuple[int, ...]:
-        return tuple(i for i, node in enumerate(self.nodes) if u in node.parents)
-
     def descendants(self, u: int) -> frozenset[int]:
         """Nodes with a directed path from u, in one forward pass."""
         seen = set(_targets(self, [u]))
@@ -174,9 +170,12 @@ def _targets(net: BayesNet, targets: Iterable[int]) -> tuple[int, ...]:
     """The target set as sorted node indices; an index that names no node
     of the network is invalid input."""
     try:
-        V = tuple(sorted({operator.index(v) for v in targets}))
+        S = {v if type(v) is int else int(v) if _is_int(v) else None for v in targets}  # None: not an index
     except TypeError as exc:
         raise ValidationError(f"node indices must be integers: {exc}") from exc
+    if None in S:
+        raise ValidationError("node indices must be integers, not booleans or other values")
+    V = tuple(sorted(S))
     for v in V:
         if not 0 <= v < net.size:
             raise ValidationError(f"node index {v} is outside the network's {net.size} nodes")
@@ -419,7 +418,7 @@ def shortcut_free_bound(net: BayesNet, targets: Iterable[int]) -> tuple[float, l
     src = net.source
     towards_v = net.ancestors(V)  # nodes with a directed route into the targets, with their parents
     children: dict[int, list[int]] = {u: [] for u in towards_v | {src}}
-    for c in sorted(towards_v):  # one pass in index order, the order of net.children
+    for c in sorted(towards_v):  # one pass in index order, so each list is in index order
         for u in net.nodes[c].parents:
             children[u].append(c)
     kept: list[tuple[int, ...]] = []

@@ -53,11 +53,21 @@ def _as_float_array(values, what: str) -> np.ndarray:
 
 
 def _json(text: str, what: str):
-    """The value of the JSON ``text``; ``what`` names it when it does not parse."""
+    """The value of the JSON ``text``; ``what`` names it when it does not parse or an array holds a boolean."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+    stack = [value] if "true" in text or "false" in text else []
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            if any(x is True or x is False for x in v):
+                raise ValidationError(f"{what} holds a boolean in an array; JSON booleans are not numbers")
+            stack.extend(v)
+        elif isinstance(v, dict):
+            stack.extend(v.values())
+    return value
 
 
 def _labels(labels, count: int, what: str) -> tuple[str, ...] | None:

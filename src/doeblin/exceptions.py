@@ -26,7 +26,7 @@ class AlphabetMismatchError(ValidationError):
 
 class ExpansionCapError(ValidationError):
     """A request would pass one of the fixed size caps (table cells, factor
-    entries, relevant nodes, paths or LP variables)."""
+    entries, relevant nodes, paths, LP variables or LP tableau cells)."""
 
 
 class NoConsensusError(InfeasibilityError):

@@ -6,7 +6,7 @@ is re-derivable as a small dense linear program over the coupling polytope
 or the row-stochastic polytope.  This module solves those programs from
 scratch with a two-phase tableau simplex using Bland's rule, which cannot
 cycle, so termination is guaranteed.  Problems are desk-scale (at most 1e5
-variables), so no external solver is needed.
+variables and 1e7 tableau cells), so no external solver is needed.
 
 One driver, :func:`solve`, runs the simplex in float or in exact (integer)
 arithmetic.  The mode is chosen once per call and fixes the tableau's

@@ -571,9 +571,15 @@ def brute_force_composite(net: BayesNet, targets) -> np.ndarray:
     return out
 
 
+def _children(net: BayesNet) -> list[list[int]]:
+    """Each node's children by node index, read from the nodes' parent lists."""
+    return [[c for c in range(net.size) if u in net.nodes[c].parents] for u in range(net.size)]
+
+
 def brute_force_percolation(net: BayesNet, targets, taus: dict) -> float:
     """Sum over all survival configurations of the non-source nodes."""
     V = set(targets)
+    children = _children(net)
     src = net.source
     if src in V:
         return 1.0
@@ -595,7 +601,7 @@ def brute_force_percolation(net: BayesNet, targets, taus: dict) -> float:
         hit = False
         while frontier and not hit:
             cur = frontier.pop()
-            for c in net.children(cur):
+            for c in children[cur]:
                 if c in alive and c not in reached:
                     if c in V:
                         hit = True
@@ -609,11 +615,12 @@ def brute_force_percolation(net: BayesNet, targets, taus: dict) -> float:
 
 def reference_descendants(net: BayesNet, u: int) -> frozenset[int]:
     """Nodes with a directed path from u, by a depth-first stack over children."""
+    children = _children(net)
     seen = set()
     stack = [u]
     while stack:
         cur = stack.pop()
-        for c in net.children(cur):
+        for c in children[cur]:
             if c not in seen:
                 seen.add(c)
                 stack.append(c)
@@ -677,7 +684,7 @@ def subset_filter_paths(net: BayesNet, targets) -> list[tuple[int, ...]]:
     src = net.source
     if src in V:
         return [(src,)]
-    children = {u: [c for c in range(net.size) if u in net.nodes[c].parents] for u in range(net.size)}
+    children = _children(net)
     paths: list[tuple[int, ...]] = []
 
     def extend(path):

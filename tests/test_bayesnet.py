@@ -407,6 +407,9 @@ def test_exact_percolation_cap_raises_typed_error():
         lambda net: bn.composite_channel(net, [1.0]),
         lambda net: net.ancestors([2]),
         lambda net: net.descendants(-1),
+        lambda net: bn.composite_channel(net, [True]),
+        lambda net: bn.percolation(net, [True]),
+        lambda net: bn.recursion_bound(net, [], True),
     ],
 )
 def test_bad_target_indices_rejected(call):
@@ -587,9 +590,9 @@ def test_from_json_needs_nodes_and_source(drop):
         db.BayesNet.from_json(json.dumps(obj))
 
 
-@pytest.mark.parametrize("u", [-1, -4, 4, 1.0, "T"])
+@pytest.mark.parametrize("u", [-1, -4, 4, 1.0, "T", True, False])
 def test_node_tau_rejects_indices_that_name_no_node(u):
-    # Nodes X, A, B, T: -1 would read T's table and -4 the source's empty slot.
+    # Nodes X, A, B, T: -1 would read T's table, -4 the source's empty slot and True A's table.
     net = db.BayesNet.from_json(NET_JSON.read_text())
     with pytest.raises(db.ValidationError, match="node ind"):
         bn.node_tau(net, u)

@@ -1,12 +1,19 @@
 """CLI tests: golden stdout and exit codes for every subcommand.
 
-Each case runs ``cli.run(argv)`` in-process and compares stdout byte for byte
-with ``tests/golden/<case>.out``.  Exit codes: 0 on success, 1 on invalid
-input or an unknown command or flag, 2 on an infeasible request.  To record
-the golden files again after a deliberate output change, run
-``PYTHONPATH=src python tests/test_cli.py``.
+``CASES`` and ``MALFORMED`` are the one list of CLI behaviours.  Each
+``CASES`` entry runs ``cli.run(argv)`` in-process and compares stdout byte for
+byte with ``tests/golden/<case>.out``; each ``MALFORMED`` entry writes its text
+to a file and must exit 1 with nothing on stdout.  Every entry of both also
+runs through the entry point, ``python -m doeblin.cli``, in a fresh
+interpreter, which must give the same exit code and stdout and no
+``Traceback`` on stderr.  A new CLI check is added as a ``CASES`` or
+``MALFORMED`` entry, not as a step of the CI workflow.  Exit codes: 0 on
+success, 1 on invalid input or an unknown command or flag, 2 on an infeasible
+request.  To record the golden files again after a deliberate output change,
+run ``PYTHONPATH=src python tests/test_cli.py``.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -69,6 +76,19 @@ CASES = {
     "verify_union_witness": (["verify", "--problem", "union", "--witness", _f("sym08.json")], 0),
     "verify_union_open": (["verify", "--problem", "union", _f("quad.csv")], 0),
     "verify_union_max": (["verify", "--problem", "union", "--sense", "max", _f("trio.json")], 0),
+    "verify_union_max_witness": (
+        ["verify", "--problem", "union", "--sense", "max", "--witness", _f("trio.json")],
+        0,
+    ),
+    "verify_union_exact": (["verify", "--problem", "union", "--exact", _f("trio.json")], 0),
+    "verify_estimator_exact_witness": (
+        ["verify", "--problem", "estimator", "--exact", "--witness", _f("channel.json")],
+        0,
+    ),
+    "bayesnet_dag200_recursion": (
+        ["bayesnet", _f("dag200.json"), "--target", "N198,N199", "--bound", "recursion"],
+        0,
+    ),
     # Invalid input, unknown commands and flags exit 1.
     "coef_invalid": (["coef", _f("bad_channel.json")], 1),
     "coef_missing_file": (["coef", _f("no_such_file.json")], 1),
@@ -106,6 +126,12 @@ def _net_with_repeated_parent() -> str:
     return json.dumps(net)
 
 
+def _net_with_boolean_cpt() -> str:
+    net = json.loads((FIX / "net.json").read_text())
+    net["nodes"][1]["cpt"] = [[True, False], [0.2, 0.8]]
+    return json.dumps(net)
+
+
 JOINT = "[[0.25, 0.25], [0.25, 0.25]]"
 
 # Malformed input text: case name -> (argv with INPUT for the file, file text).
@@ -134,6 +160,16 @@ MALFORMED = {
     "bayesnet_no_alphabet": (["bayesnet", "INPUT", "--target", "T"], _net_without_alphabet()),
     "bayesnet_repeated_parent": (["bayesnet", "INPUT", "--target", "A"], _net_with_repeated_parent()),
     "bayesnet_null_name": (["bayesnet", "INPUT", "--target", "None"], _net_with_null_name()),
+    # JSON booleans are not numbers, wherever an array holds them.
+    "coef_boolean_rows": (["coef", "INPUT"], '{"rows": [[true, false], [false, true]]}'),
+    "coef_boolean_entry": (["coef", "INPUT"], '{"rows": [[true, 0.0], [0.5, 0.5]]}'),
+    "degroot_boolean_prior": (
+        ["degroot", "--prior", "[true, false]", "INPUT"],
+        (FIX / "channel.json").read_text(),
+    ),
+    "joint_boolean_entry": (["couple", "--kind", "joint", "INPUT"], '{"joints": [[[true, 0], [0, 0]], %s]}' % JOINT),
+    "bayesnet_boolean_cpt": (["bayesnet", "INPUT", "--target", "T"], _net_with_boolean_cpt()),
+    "fuse_boolean_rows": (["fuse", "INPUT"], "[[true, false], [false, true]]"),
     # 400 x 300: 120,000 estimator variables, past the LP cap.
     "verify_estimator_past_cap": (
         ["verify", "--problem", "estimator", "INPUT"],
@@ -155,6 +191,27 @@ def _invoke(argv):
         return exc.code
 
 
+def _run_cli(argv):
+    """Run the CLI in a fresh interpreter, as ``python -m doeblin.cli``."""
+    env = dict(os.environ)
+    src = str(HERE.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    # Every run here takes well under a second; 20 s catches a hang.
+    proc = subprocess.run(
+        [sys.executable, "-m", "doeblin.cli", *argv], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc
+
+
+def _malformed_argv(name, tmp_path):
+    """MALFORMED[name]'s argv, with its text written to a file in place of INPUT."""
+    argv, text = MALFORMED[name]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return [str(path) if a == "INPUT" else a for a in argv]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, capsys):
     argv, code = CASES[name]
@@ -163,15 +220,38 @@ def test_golden(name, capsys):
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_entry_point_matches_golden(name):
+    argv, code = CASES[name]
+    proc = _run_cli(argv)
+    assert proc.returncode == code
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_input_exits_1(name, tmp_path, capsys):
-    argv, text = MALFORMED[name]
-    path = tmp_path / "input.json"
-    path.write_text(text)
-    assert _invoke([str(path) if a == "INPUT" else a for a in argv]) == 1
+    assert _invoke(_malformed_argv(name, tmp_path)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid input:" in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_entry_point_malformed_exits_1(name, tmp_path):
+    proc = _run_cli(_malformed_argv(name, tmp_path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "invalid input:" in proc.stderr
+
+
+def test_entry_point_twenty_marginals():
+    # The union-minimal coupling of 20 PMFs: too large for a golden file, so
+    # its size and hash are pinned.
+    proc = _run_cli(["couple", "--kind", "min", _f("peaked20.json")])
+    assert proc.returncode == 0
+    out = proc.stdout.encode()
+    assert len(out) == 1_332_009
+    assert hashlib.sha256(out).hexdigest() == "3ebc1ee7d15eabe68598048ba8cac180e13d3f443a127ac0ba3cf1623534e6c4"
 
 
 def test_expand_past_cap_notes_skip(capsys):
@@ -333,10 +413,7 @@ def test_bayesnet_other_errors_exit_1(monkeypatch, capsys):
 
 
 def test_bayesnet_repeated_parent_names_the_node(tmp_path, capsys):
-    argv, text = MALFORMED["bayesnet_repeated_parent"]
-    path = tmp_path / "net.json"
-    path.write_text(text)
-    assert _invoke([str(path) if a == "INPUT" else a for a in argv]) == 1
+    assert _invoke(_malformed_argv("bayesnet_repeated_parent", tmp_path)) == 1
     assert "node A: parents must be distinct" in capsys.readouterr().err
 
 
@@ -510,27 +587,6 @@ def test_expansion_cap_flag_rejected(capsys):
     assert capsys.readouterr().out == ""
 
 
-def _run_cli(argv):
-    """Run the CLI in a fresh interpreter, as ``python -m doeblin.cli``."""
-    env = dict(os.environ)
-    src = str(HERE.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    return subprocess.run(
-        [sys.executable, "-m", "doeblin.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-
-
-def test_subprocess_matches_golden():
-    argv, code = CASES["coef"]
-    proc = _run_cli(argv)
-    assert proc.returncode == code
-    assert proc.stdout == (GOLDEN / "coef.out").read_text()
-
-
 def test_long_chain_path_bound_runs(tmp_path):
     # 1,500 nodes: a recursive path search would pass the recursion limit.
     nodes = [{"name": "N0", "alphabet": 2}] + [
@@ -541,7 +597,6 @@ def test_long_chain_path_bound_runs(tmp_path):
     path.write_text(json.dumps({"source": "N0", "nodes": nodes}))
     proc = _run_cli(["bayesnet", str(path), "--target", "N1499", "--bound", "sfpaths"])
     assert proc.returncode == 0
-    assert "Traceback" not in proc.stderr
     paths = json.loads(proc.stdout)["bounds"]["shortcut_free"]["paths"]
     assert paths == [[f"N{i}" for i in range(1500)]]
 
