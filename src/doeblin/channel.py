@@ -13,7 +13,8 @@ product).
 A family of PMFs enters every module as the rows of a channel, through
 :func:`as_channel` alone: a :class:`Channel` passes through, and a 2-D array
 or a sequence of rows (Pmfs, lists or arrays, mixed) is validated once.  Each
-row is normalized once, where it enters: a :class:`Pmf` row is taken as it is.
+row is normalized once, where it enters: a :class:`Pmf` row is taken as it is,
+and a family of Pmfs alone is stacked without being checked again.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
@@ -142,23 +143,31 @@ class Pmf:
 @dataclass(frozen=True, eq=False)
 class Channel:
     """An ``n x m`` row-stochastic matrix; rows are conditional PMFs.  Each
-    label set is None or a list or tuple of n (input) or m (output) labels."""
+    label set is None or a list or tuple of n (input) or m (output) labels.
+
+    A family whose every row is a :class:`Pmf`, or a Channel, passes
+    through: its rows are stacked as they are, with no second validation."""
 
     matrix: np.ndarray
     input_labels: tuple[str, ...] | None = None
     output_labels: tuple[str, ...] | None = None
 
     def __init__(self, rows, input_labels=None, output_labels=None):
-        # Every row is validated in one pass; rows of a Pmf or a Channel keep
-        # their bits, the rest are normalized here.
+        # Rows of a Pmf or a Channel keep their bits and, when all rows are
+        # such, are not validated again; other rows are validated in one pass
+        # and normalized here.
         table, normalized = _table(rows)
-        mat = _as_prob_vector(table, what="channel")
-        if mat.ndim != 2:
-            raise ValidationError("channel must be a nonempty 2-D matrix")
-        if normalized:
-            mat = mat.copy()
-            mat[normalized] = table[normalized]
+        if normalized and len(normalized) == len(table):
+            mat = table
             mat.setflags(write=False)
+        else:
+            mat = _as_prob_vector(table, what="channel")
+            if mat.ndim != 2:
+                raise ValidationError("channel must be a nonempty 2-D matrix")
+            if normalized:
+                mat = mat.copy()
+                mat[normalized] = table[normalized]
+                mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "input_labels", _labels(input_labels, mat.shape[0], "input_labels"))
         object.__setattr__(self, "output_labels", _labels(output_labels, mat.shape[1], "output_labels"))

@@ -20,23 +20,23 @@ Four constructions live here:
 Every coupling has one form (:class:`Coupling`): a weighted mixture of
 components, each gluing a block of coordinates on one shared factor and
 drawing every other coordinate from its own.  Each factor is one row of a
-pool; an integer index names every coordinate's row, and the glued ones of
-a component all name its shared row.  Every mass is read through the index
-in closed form; the sparse joint table is expanded, under a cap, only for
-export and as the test oracle.  Zero-weight components and the rows only
-they name are dropped before normalizing, so no 0/0 is ever evaluated.
+pool, which an integer index names for every coordinate; the glued ones of a
+component all name its shared row.  Masses are read through the index in
+closed form, and orthogonality from supports packed in 64-bit words, block
+by block; the sparse joint table is expanded, under a cap, only for export
+and tests.  Zero-weight components, and the rows only they name, are dropped.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .channel import _as_float_array, _as_prob_vector, _family, _is_int, max2_doeblin, max_doeblin
+from .channel import VALIDATION_TOL, _as_float_array, _as_prob_vector, _family, _is_int, max2_doeblin, max_doeblin
 from .exceptions import (
     AlphabetMismatchError,
     CouplingConditionError,
@@ -45,6 +45,7 @@ from .exceptions import (
 )
 
 DEFAULT_EXPANSION_CAP = 10**6
+_ORTHOGONAL_BLOCK_CELLS = 1 << 18  # support words held by one block of orthogonal_components
 
 # Components below this weight carry no verifiable mass at double precision;
 # they are dropped so their factor normalizers (possibly 0/0) never run.
@@ -95,6 +96,9 @@ class Coupling:
             raise ValidationError(f"coupling index must hold integers in [0, {len(self.pool)})")
         if not (index == self._shared_rows[:, None])[self.glued].all():
             raise ValidationError("glued coordinates of a component must name one shared pool row")
+        if not (0.0 <= self.weights.min() and self.weights.sum() < np.inf  # false on NaN and inf
+                and np.abs(self.pool.sum(axis=1) - 1.0).max() <= VALIDATION_TOL and 0.0 <= self.pool.min()):
+            raise ValidationError("coupling weights and pool entries must be finite and >= 0, pool rows sum to 1")
 
     @property
     def arity(self) -> int:
@@ -204,29 +208,22 @@ class Coupling:
         return float(self.weights @ (head * prod).sum(axis=1))
 
     def intersection_masses(self) -> dict[tuple[int, ...], float]:
-        """:meth:`intersection_mass` of every subset of two or more coordinates,
-        built one coordinate at a time; row ``mask`` holds the subset of its bits.
-        Raises ExpansionCapError when 2^n * K * m > DEFAULT_EXPANSION_CAP."""
+        """:meth:`intersection_mass` of every subset of two or more coordinates, built one
+        coordinate at a time from one gather of the free factors; row ``mask`` holds the
+        subset of its bits.  Raises ExpansionCapError when 2^n * K * m > DEFAULT_EXPANSION_CAP."""
         shared, glued = self.shared, self.glued
-        K, m = shared.shape
         rows = 1 << self.arity
-        if rows * K * m > DEFAULT_EXPANSION_CAP:
-            raise ExpansionCapError(f"subset table needs {rows * K * m} entries (cap {DEFAULT_EXPANSION_CAP})")
-        prod = np.empty((rows, K, m))  # free factors' product over the subset
-        hit = np.zeros((rows, K), dtype=bool)  # subset meets the glued block
+        if rows * shared.size > DEFAULT_EXPANSION_CAP:
+            raise ExpansionCapError(f"subset table needs {rows * shared.size} entries (cap {DEFAULT_EXPANSION_CAP})")
+        free = np.where(glued[:, :, None], 1.0, self.pool[self.index])
+        prod = np.empty((rows, *shared.shape))  # free factors' product over the subset
         prod[0] = 1.0
         for i in range(self.arity):
-            half = 1 << i
-            free_i = np.where(glued[:, i, None], 1.0, self.pool[self.index[:, i]])
-            np.multiply(prod[:half], free_i, out=prod[half : 2 * half])
-            hit[half : 2 * half] = hit[:half] | glued[:, i]
+            np.multiply(prod[: 1 << i], free[:, i], out=prod[1 << i : 2 << i])
+        hit = (np.arange(rows)[:, None] & (glued @ (1 << np.arange(self.arity)))) > 0  # subset meets the glue
         sums = np.where(hit, np.einsum("km,skm->sk", shared, prod), prod.sum(axis=2))
-        masses = sums @ self.weights
-        return {
-            coords: float(masses[sum(1 << i for i in coords)])
-            for size in range(2, self.arity + 1)
-            for coords in itertools.combinations(range(self.arity), size)
-        }
+        keys, masks = _subsets(self.arity)
+        return dict(zip(keys, (sums @ self.weights)[masks].tolist()))
 
     def orthogonal_components(self) -> bool:
         """Whether no two components share a tuple of positive mass.
@@ -234,23 +231,29 @@ class Coupling:
         Components a and b share one iff every block of coordinates forced
         equal has a symbol all factors of a and b on it allow.  The blocks
         are the union of the two glued sets when they meet, each glued set
-        when they do not, and every coordinate free in both.
+        when they do not, and every coordinate free in both.  Supports are
+        packed into ceil(m / 64) 64-bit words, and the pairs (a, b > a) compared
+        in blocks of rows a, each intermediate held to _ORTHOGONAL_BLOCK_CELLS
+        words (or to one row a's).
         """
-        shared, glued = self.shared, self.glued
-        allowed = (self.pool > 0.0)[self.index].astype(float)
-        g = glued.astype(float)
-        # Symbols a's glued block allows; every symbol when a has no glue.
-        block = np.where(glued.any(axis=1)[:, None], shared > 0.0, True)
-        # covers[a, b, y]: b allows y on every glued coordinate of a.
-        covers = np.tensordot(g, 1.0 - allowed, axes=([1], [1])) == 0.0
-        own = block[:, None, :] & covers  # a's block, allowed by a and b
-        other = own.transpose(1, 0, 2)  # b's block, allowed by b and a
-        meet = (g @ g.T) > 0.0
-        glued_ok = np.where(meet, (own & other).any(axis=2), own.any(axis=2) & other.any(axis=2))
-        # A coordinate free in both needs one symbol both factors allow.
-        common = np.matmul(allowed.transpose(1, 0, 2), allowed.transpose(1, 2, 0))  # (n, K, K)
-        lone_fail = ((common == 0.0) & ~glued.T[:, :, None] & ~glued.T[:, None, :]).any(axis=0)
-        return not np.triu(glued_ok & ~lone_fail, 1).any()
+        glued = self.glued
+        support = np.zeros((len(self.pool), -self.alphabet_size // 64 * -64), dtype=bool)
+        support[:, : self.alphabet_size] = self.pool > 0.0
+        bits = np.packbits(support, axis=1).view(np.uint64)[self.index].transpose(1, 2, 0).copy()  # (n, words, K)
+        free = np.where(glued.T, np.uint64(0), ~np.uint64(0))[:, None]  # all ones on a free coordinate
+        step = max(1, _ORTHOGONAL_BLOCK_CELLS // bits.size)  # rows a per block
+        for lo in range(0, len(glued) - 1, step):
+            a, b = slice(lo, lo + step), slice(lo + 1, None)
+            both = bits[..., a, None] & bits[..., None, b]  # symbols a and b both allow, per coordinate
+            # The symbols each one's glued block allows, allowed by the other too (all without glue).
+            own = np.bitwise_and.reduce(both | free[..., a, None], axis=0)
+            other = np.bitwise_and.reduce(both | free[..., None, b], axis=0)
+            glued_ok = np.where(glued[a] @ glued[b].T, (own & other).any(axis=0), own.any(axis=0) & other.any(axis=0))
+            # A coordinate free in both needs one symbol both factors allow.
+            lone_ok = (both.any(axis=1) | glued.T[:, a, None] | glued.T[:, None, b]).all(axis=0)
+            if np.triu(glued_ok & lone_ok).any():
+                return False
+        return True
 
     def to_dict(self, include_expanded: bool = False) -> dict:
         out = {"arity": self.arity, "alphabet": self.alphabet_size, "components": self.components}
@@ -260,6 +263,15 @@ class Coupling:
                 {"tuple": list(key), "mass": mass} for key, mass in sorted(table.items())
             ]
         return out
+
+
+@lru_cache(maxsize=16)
+def _subsets(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Every subset of two or more of n coordinates, by size then lexicographically, and its bit mask."""
+    keys = tuple(c for size in range(2, n + 1) for c in itertools.combinations(range(n), size))
+    masks = np.array([sum(1 << i for i in c) for c in keys], dtype=np.intp)
+    masks.setflags(write=False)  # shared by every caller
+    return keys, masks
 
 
 def _mixture(weights, shared, free, glued) -> Coupling:
@@ -330,11 +342,12 @@ def minimal_coupling_max(pmfs: Sequence) -> Coupling:
     ks, ys = np.nonzero(gaps > 0.0)
     free = n - 2 - ks  # free-set size; ordered[free] is the smallest glued entry
     # Sorted by free-set size, then glue mask (False first); the full product comes last.
-    keys = np.column_stack([free, mats[:, ys].T >= ordered[free, ys, None]])
-    keys, comp = np.unique(np.vstack([keys, [n] + [0] * n]), axis=0, return_inverse=True)
-    glued = keys[:, 1:] > 0
-    shared = np.zeros((len(keys), m))
-    shared[comp.reshape(-1)[:-1], ys] = gaps[ks, ys]
+    keys = np.vstack([np.column_stack([free, mats[:, ys].T >= ordered[free, ys, None]]), [n] + [0] * n])
+    order = np.lexsort(keys.T[::-1])  # rows ascending, the first column first
+    first = np.concatenate([[True], (keys[order[1:]] != keys[order[:-1]]).any(axis=1)])
+    glued = keys[order[first], 1:] > 0
+    shared = np.zeros((len(glued), m))
+    shared[(first.cumsum() - 1)[order.argsort()][:-1], ys] = gaps[ks, ys]  # each row's component
     weights = shared.sum(axis=1)
     # The components leaving coordinate a free, the full product included,
     # weigh its excess mass in all.  A coordinate that is never a strict
@@ -554,9 +567,11 @@ def verify_coupling(coupling: Coupling, targets: Sequence) -> VerificationReport
     if n != coupling.arity or m != coupling.alphabet_size:
         raise AlphabetMismatchError("targets do not match the coupling's shape")
     intersections = coupling.intersection_masses()
+    # Each marginal from one gather of the (K, n, m) factor view, strided as marginal() reads it.
+    marginals = np.array([coupling.weights @ f for f in coupling.pool[coupling.index].transpose(1, 0, 2)])
     return VerificationReport(
         weight_residual=abs(coupling.weight_sum() - 1.0),
-        marginal_residuals=tuple(float(np.abs(coupling.marginal(i) - mats[i]).max()) for i in range(n)),
+        marginal_residuals=tuple(np.abs(marginals - mats).max(axis=1).tolist()),
         diagonal_mass=intersections[tuple(range(n))],
         union_mass=coupling.union_mass(),
         intersection_masses=intersections,

@@ -68,6 +68,33 @@ class TestValidation:
         assert np.array_equal(ch.matrix, [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
         assert db.as_channel(ch) is ch
 
+    @pytest.mark.parametrize("family", ["pmfs", "channel"])
+    def test_validated_family_passes_through(self, monkeypatch, family):
+        # Rows of Pmfs or of a Channel were validated where they entered; the
+        # matrix is their stack, byte for byte, with no second validation.
+        rng = np.random.default_rng(9)
+        pmfs = [db.Pmf(rng.dirichlet(np.ones(5))) for _ in range(4)]
+        rows = pmfs if family == "pmfs" else db.Channel(pmfs)
+        calls = []
+        real = db.channel._as_prob_vector
+        monkeypatch.setattr(db.channel, "_as_prob_vector", lambda *a, **k: calls.append(a) or real(*a, **k))
+        mat = db.Channel(rows).matrix
+        assert calls == []
+        assert mat.tobytes() == np.stack([p.probs for p in pmfs]).tobytes() and mat.shape == (4, 5)
+        assert not mat.flags.writeable
+
+    def test_mixed_family_still_validates_its_raw_rows(self, monkeypatch):
+        pmf, raw = db.Pmf([0.5, 0.5]), [0.7 + 4e-10, 0.3]
+        calls = []
+        real = db.channel._as_prob_vector
+        monkeypatch.setattr(db.channel, "_as_prob_vector", lambda *a, **k: calls.append(a) or real(*a, **k))
+        mat = db.Channel([pmf, raw]).matrix
+        assert len(calls) == 1
+        assert mat.tobytes() == pmf.probs.tobytes() + rowwise_normalized([raw]).tobytes()
+        assert not mat.flags.writeable
+        with pytest.raises(ValidationError, match="^channel row 1 has a negative entry"):
+            db.Channel([pmf, [1.5, -0.5]])
+
     def test_json_roundtrip(self):
         import json
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -765,6 +766,90 @@ class TestStructuredMasses:
         assert db.minimal_coupling_max_n3(SYM08).orthogonal_components()
 
 
+@st.composite
+def hand_built_couplings(draw):
+    """:func:`_hand_built` couplings of up to five components with drawn glue
+    sets, on one to four coordinates and one to three symbols, so that
+    supports overlap and miss each other."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    glue_sets = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=5))
+    return _hand_built(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, m, glue_sets)
+
+
+def _orthogonal_outcomes(c: db.Coupling, cells: int) -> tuple[bool, bool, bool]:
+    """orthogonal_components in blocks under a budget of ``cells`` words, the
+    oracle that intersects the supports of the components' records pairwise,
+    and the dense float implementation."""
+    with mock.patch.object(db.coupling, "_ORTHOGONAL_BLOCK_CELLS", cells):
+        blocked = c.orthogonal_components()
+    dense = DenseCoupling(c.weights, dense_view(c), c.glued).orthogonal_components()
+    return blocked, table_orthogonal(c.to_dict()), dense
+
+
+def _two_coordinate_coupling(m, shared, free0, free1) -> db.Coupling:
+    """Component 0 glues both coordinates on the uniform factor over ``shared``;
+    component 1 draws them from the uniform factors over ``free0`` and ``free1``."""
+    pool = np.zeros((3, m))
+    for row, support in zip(pool, (shared, free0, free1)):
+        row[list(support)] = 1.0 / len(support)
+    glued = np.array([[True, True], [False, False]])
+    return db.Coupling(np.array([0.5, 0.5]), pool, np.array([[0, 0], [1, 2]]), glued)
+
+
+class TestOrthogonalComponents:
+    """Supports packed in 64-bit words, compared block by block, against the
+    support sets expanded one component at a time and the dense float product."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hand_built_couplings(), st.integers(1, 64))
+    @example(_two_coordinate_coupling(2, [0], [1], [1]), 1)  # orthogonal
+    @example(_two_coordinate_coupling(2, [0], [0], [0, 1]), 1)  # shares (0, 0)
+    def test_blocks_match_oracles(self, c, cells):
+        blocked, oracle, dense = _orthogonal_outcomes(c, cells)
+        assert blocked == oracle == dense
+        assert c.orthogonal_components() == oracle  # one block
+
+    def test_both_outcomes_across_several_blocks(self):
+        rng = np.random.default_rng(54)
+        outcomes = set()
+        for _ in range(40):
+            c = _hand_built(rng, 4, int(rng.integers(2, 4)), [(0, 1), (1, 2, 3), (2,)])
+            blocked, oracle, dense = _orthogonal_outcomes(c, 4 * 3)  # one row a per block
+            assert blocked == oracle == dense
+            outcomes.add(oracle)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("second, expected", [(66, False), (65, True)])
+    def test_supports_in_the_second_word(self, second, expected):
+        # The two components can only meet on (66, 66), past the first 64 symbols.
+        c = _two_coordinate_coupling(70, [3, 66], [10, 66], [20, second])
+        assert _orthogonal_outcomes(c, 1) == (expected,) * 3
+        assert c.orthogonal_components() == expected
+
+    def test_seventy_symbol_constructions(self):
+        rng = np.random.default_rng(55)
+        for _ in range(10):
+            fam = np.zeros((3, 70))
+            for row in fam:
+                row[rng.choice(70, size=5, replace=False)] = rng.random(5) + 0.1
+            fam /= fam.sum(axis=1, keepdims=True)
+            for c in (db.maximal_coupling(fam), db.minimal_coupling_max_n3(fam)):
+                blocked, oracle, dense = _orthogonal_outcomes(c, 8)
+                assert blocked == oracle == dense == c.orthogonal_components()
+
+    def test_forty_marginals_stay_small(self):
+        # The dense (n, K, K) float product would take 2.8 GB here (K = 2249).
+        c = db.minimal_coupling_max(list(feasible_minimal_instance(np.random.default_rng(43), 40, 60)))
+        tracemalloc.start()
+        try:
+            orthogonal = c.orthogonal_components()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert orthogonal
+        assert peak < 50e6
+
+
 # ---------------------------------------------------------------------------
 # Closed-form union minimum against the LP
 # ---------------------------------------------------------------------------
@@ -906,6 +991,34 @@ class TestBitIdenticalToDense:
 def test_invalid_hand_built_coupling_rejected(weights, pool, index, glued):
     with pytest.raises(db.ValidationError):
         db.Coupling(np.array(weights), np.array(pool), np.array(index), np.array(glued))
+
+
+@pytest.mark.parametrize(
+    "weights, pool",
+    [
+        ([-0.5, 1.5], [[1.0, 0.0], [1 / 3, 2 / 3]]),  # negative weight; the marginals still match
+        ([np.nan, 1.0], [[1.0, 0.0], [1 / 3, 2 / 3]]),  # NaN weight
+        ([np.inf, 1.0], [[1.0, 0.0], [1 / 3, 2 / 3]]),  # infinite weight
+        ([0.5, 0.5], [[2.0, 5.0], [1 / 3, 2 / 3]]),  # pool row sums to 7
+        ([0.5, 0.5], [[1.5, -0.5], [1 / 3, 2 / 3]]),  # negative pool entry, row sums to 1
+        ([0.5, 0.5], [[np.nan, 1.0], [1 / 3, 2 / 3]]),  # NaN pool entry
+        ([0.5, 0.5], [[np.inf, 0.0], [1 / 3, 2 / 3]]),  # infinite pool entry
+        ([0.5, 0.5], np.zeros((2, 0))),  # no symbols
+    ],
+)
+def test_coupling_values_checked(weights, pool):
+    # Checked only, never renormalized.  The first case used to verify with
+    # weight_residual 0 and marginal residuals of 2.8e-17 against [[0, 1], [0, 1]].
+    index, glued = np.array([[0, 0], [1, 1]]), np.array([[False, False], [True, True]])
+    with pytest.raises(db.ValidationError, match="must be finite and >= 0, pool rows sum to 1"):
+        db.Coupling(np.array(weights), np.array(pool), index, glued)
+
+
+def test_coupling_values_kept_as_given():
+    # A pool row within VALIDATION_TOL of one is accepted as it is, not renormalized.
+    pool = np.array([[0.5 + 4e-10, 0.5], [1 / 3, 2 / 3]])
+    c = db.Coupling(np.array([0.5, 0.5]), pool, np.array([[0, 0], [1, 1]]), np.array([[False, False], [True, True]]))
+    assert c.pool is pool
 
 
 def test_all_zero_factor_row_rejected():
