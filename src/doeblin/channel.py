@@ -43,11 +43,11 @@ def _is_int(x) -> bool:
 
 
 def _as_float_array(values, what: str) -> np.ndarray:
-    """Coerce to a float array; ragged, missing, non-numeric or huge entries are invalid."""
+    """Coerce to a float array; ragged, missing, non-numeric, complex or huge entries are invalid."""
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind in "US":
-            raise TypeError(f"non-numeric entries of type {arr.dtype}")
+        if arr.dtype.kind in "USc":  # casting complex to float would drop the imaginary part
+            raise TypeError(f"entries of type {arr.dtype} are not real numbers")
         return arr.astype(np.float64, order="C", copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} is not a numeric table: {exc}") from exc

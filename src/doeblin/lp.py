@@ -13,10 +13,13 @@ arithmetic.  The mode is chosen once per call and fixes the tableau's
 entries, the pivot update, the leaving-row comparison and the conversion of
 the certificates to floats, and nothing else: both modes take the pivots of
 the rational tableau, and ``tests/helpers.reference_simplex`` is the row-loop
-tableau that holds them to that, bit for bit.  Phase 1 reads only the
-constraints, so the tableau after phase 1 of the last program solved is kept
-with its mode, and a program with the same constraints in the same mode
-(another objective over the same coupling polytope) starts at phase 2.
+tableau that holds them to that, bit for bit.  A float pivot is one
+full-width numpy update in which a row zero in the pivot column subtracts
+``+0.0``, so that row keeps every bit, signed zeros included, as it does in
+the row loop.  Phase 1 reads only the constraints, so the tableau after
+phase 1 of the last program solved is kept with its mode, and a program with
+the same constraints in the same mode (another objective over the same
+coupling polytope) starts at phase 2.
 
 The solver reports the dual vector alongside the primal optimum; the two
 must agree (strong duality), which serves as a built-in self-check.
@@ -84,20 +87,26 @@ class _Float:
     @staticmethod
     def pivot(T: np.ndarray, d: int, r: int, j: int) -> tuple[np.ndarray, int]:
         row, col = T[r] / T[r, j], T[:, j]
-        # Rows zero in column j keep their signed zeros (see solve).
-        if np.count_nonzero(col) == len(col):
-            T -= col[:, None] * row
-        else:
-            rows = col.nonzero()[0]
-            T[rows] -= col[rows, None] * row
+        step = col[:, None] * row
+        # A row zero in column j subtracts +0.0, which keeps every bit (see
+        # solve); a loop over the rows costs less than a boolean-mask write.
+        for i, t in enumerate(col.tolist()):
+            if not t:
+                step[i] = 0.0
+        T -= step
         T[r] = row
         return T, d
 
     @staticmethod
-    def leaving(T: np.ndarray, rows: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
-        ratios = T[rows, -1] / col[rows]
-        tied = rows[ratios == ratios.min()]
-        return tied[0] if len(tied) == 1 else tied[basis[tied].argmin()]
+    def leaving(T: np.ndarray, k: int, j: int, basis: np.ndarray) -> int:
+        col, rhs = T[:k, j].tolist(), T[:k, -1].tolist()
+        best, low = -1, 0.0
+        for i, t in enumerate(col):
+            if t > _Float.tol:
+                ratio = rhs[i] / t  # rounds as numpy's division; -0.0 == 0.0 ties
+                if best < 0 or ratio < low or (ratio == low and basis[i] < basis[best]):
+                    best, low = i, ratio
+        return best
 
 
 class _Exact:
@@ -131,12 +140,12 @@ class _Exact:
         return (-nxt, -p) if p < 0 else (nxt, p)
 
     @staticmethod
-    def leaving(T: np.ndarray, rows: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
-        # Ratios compared by cross-multiplication over positive entries.
-        best = rows[0]
-        for i in rows[1:]:
-            lhs, rhs = T[i, -1] * col[best], T[best, -1] * col[i]
-            if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+    def leaving(T: np.ndarray, k: int, j: int, basis: np.ndarray) -> int:
+        col, rhs = T[:k, j].tolist(), T[:k, -1].tolist()
+        best = -1
+        for i, t in enumerate(col):
+            # Ratios compared by cross-multiplication over positive entries.
+            if t > 0 and (best < 0 or (rhs[i] * col[best], basis[i]) < (rhs[best] * t, basis[best])):
                 best = i
         return best
 
@@ -174,13 +183,17 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
       the minimum-ratio test by one common factor, so signs, ratios and ties
       are those of the rational tableau.
     - The pivot on ``(r, j)``, with ``p = T[r, j]``.  In float mode row ``r``
-      becomes ``T[r] / p`` and every other row nonzero in column ``j`` takes
-      ``T[i, j] * (T[r] / p)`` off, all rows in one update when none is zero
-      there (``-0.0 - 0 * x`` may be ``+0.0``, so a zero row is left alone).
-      In exact mode every other row becomes ``(T[i]*p - T[i, j]*T[r]) // d``,
-      then ``d = p`` (Edmonds; Bareiss), both negated when ``p < 0``.
-    - The leaving-row comparison: float division, or integer
-      cross-multiplication.
+      becomes ``T[r] / p`` and every other row takes ``T[i, j] * (T[r] / p)``
+      off in one full-width update, except that the step of a row zero in
+      column ``j`` is set to ``+0.0``.  ``x - (+0.0)`` is ``x`` bit for bit,
+      ``-0.0`` included, whereas ``-0.0 - (0.0 * -1.0)`` is ``+0.0``; so such
+      a row keeps its signed zeros, which reach ``x``, the duals and the
+      ratio test, as the rational tableau leaves the row alone.  In exact
+      mode every other row becomes ``(T[i]*p - T[i, j]*T[r]) // d``, then
+      ``d = p`` (Edmonds; Bareiss), both negated when ``p < 0``.
+    - The leaving-row comparison, over Python numbers read off column ``j``
+      and the right-hand side: float division (Python and numpy round it
+      alike), or integer cross-multiplication.
     - The certificates: read off the float tableau, or each integer numerator
       over its known denominator converted to a float once, as
       ``float(Fraction)`` rounds.
@@ -228,12 +241,11 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
             entering = eligible.argmax()
             if not eligible[entering]:
                 return
-            col = T[:k, entering]
-            rows = (col > arith.tol).nonzero()[0]
-            if not rows.size:
-                raise InfeasibilityError("LP is unbounded")
             # ... and the minimum-ratio row leaves, ties to the smallest basic index.
-            pivot(arith.leaving(T, rows, col, basis), entering)
+            leaving = arith.leaving(T, k, entering, basis)
+            if leaving < 0:
+                raise InfeasibilityError("LP is unbounded")
+            pivot(leaving, entering)
 
     global _phase1
     memo_key, state = _phase1

@@ -55,6 +55,15 @@ class TestValidation:
         with pytest.raises(ValidationError):
             db.Pmf([0.5, 0.6])
 
+    def test_pmf_rejects_complex_entries(self):
+        # Casting to float would keep [0.5, 0.5] and drop the imaginary part.
+        with pytest.raises(ValidationError, match="^pmf is not a numeric table: entries of type complex128"):
+            db.Pmf([0.5 + 2j, 0.5])
+
+    def test_channel_rejects_complex_entries(self):
+        with pytest.raises(ValidationError, match="^channel row 0 is not a numeric table: entries of type complex128"):
+            db.Channel([[0.5 + 3j, 0.5], [0.2, 0.8 + 0.8j]])
+
     def test_pmf_normalizes_exactly(self):
         p = db.Pmf([0.5 + 4e-10, 0.5])
         assert p.probs.sum() == 1.0

@@ -441,6 +441,12 @@ class TestSimultaneousJointCoupling:
         with pytest.raises(db.ValidationError, match="joint distribution 1 contains non-finite"):
             db.simultaneous_joint_coupling([np.full((2, 2), 0.25), bad])
 
+    def test_complex_entry_rejected(self):
+        bad = np.full((2, 2), 0.25, dtype=complex)
+        bad[0, 1] += 1j
+        with pytest.raises(db.ValidationError, match="joint distribution 1 is not a numeric table: entries of type complex"):
+            db.simultaneous_joint_coupling([np.full((2, 2), 0.25), bad])
+
     def test_ragged_table_rejected(self):
         with pytest.raises(db.ValidationError, match="joint distribution 0"):
             db.simultaneous_joint_coupling([[[0.5, 0.5], [0.0]], np.full((2, 2), 0.25)])

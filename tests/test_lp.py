@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import doeblin as db
@@ -105,6 +105,10 @@ class TestProblemInput:
     def test_ragged_matrix_rejected(self):
         with pytest.raises(ValidationError, match="not a numeric table"):
             lp.LpProblem([1.0, 1.0], [[1.0, 2.0], [1.0]], [4.0, 4.0], "min")
+
+    def test_complex_objective_rejected(self):
+        with pytest.raises(ValidationError, match="^LP objective is not a numeric table: entries of type complex128"):
+            lp.LpProblem([1 + 1j], [[1.0]], [1.0], "min")
 
     def test_one_dimensional_matrix_rejected(self):
         with pytest.raises(ValidationError, match="two-dimensional"):
@@ -240,16 +244,43 @@ class TestPivotsMatchReference:
         prob = lp.LpProblem(np.array(objective), np.array(matrix), np.array(rhs), sense)
         _assert_matches_reference(prob, exact)
 
-    @pytest.mark.parametrize("n, m", [(4, 4), (3, 6), (5, 3)])
-    def test_dirichlet_families(self, n, m):
-        # Real-valued marginals at the float shapes of the benchmark's
-        # lp_oracle workload; the hypothesis rows above hold small integer
-        # weights only.
+    @pytest.mark.parametrize(
+        "n, m, exact",
+        [
+            pytest.param(4, 4, False, id="4-4"),
+            pytest.param(3, 6, False, id="3-6"),
+            pytest.param(5, 3, False, id="5-3"),
+            pytest.param(3, 3, True, id="3-3-exact"),
+        ],
+    )
+    def test_dirichlet_families(self, n, m, exact):
+        # Real-valued marginals at the float and exact shapes of the
+        # benchmark's lp_oracle workload; the hypothesis rows above hold small
+        # integer weights only.
         rng = np.random.default_rng([n, m])
         for _ in range(3):
             mats = rng.dirichlet(np.ones(m), size=n)
             for kind, sense in (("diag", "max"), ("union", "min")):
-                _assert_matches_reference(_coupling_prob(mats, kind, sense), exact=False)
+                _assert_matches_reference(_coupling_prob(mats, kind, sense), exact=exact)
+
+    def test_float_pivot_keeps_zero_rows(self):
+        # Row 1 is zero in the pivot column and holds -0.0 in an artificial
+        # column and in the right-hand side, where the pivot row is negative:
+        # a plain full-width update would make both +0.0 (-0.0 - (0.0 * -1.0)).
+        T = np.array([
+            [2.0, 1.0, -1.0, 4.0, -2.0],
+            [0.0, 3.0, -0.0, 0.0, -0.0],
+            [1.0, -2.0, 0.5, 1.0, 3.0],
+            [-1.0, 0.5, 0.0, 0.0, -1.0],
+        ])
+        want = T.copy()
+        for i in range(len(T)):
+            if i != 0 and T[i, 0] != 0:
+                want[i] = T[i] - T[i, 0] * (T[0] / T[0, 0])
+        want[0] = T[0] / T[0, 0]
+        got, d = lp._Float.pivot(T.copy(), 1, 0, 0)
+        assert d == 1 and got.tobytes() == want.tobytes()
+        assert np.signbit(got[1, [2, 4]]).all()
 
 
 def _coupling_prob(mats, kind, sense):
@@ -483,13 +514,23 @@ def general_programs(draw):
 
 
 class TestExactMode:
-    """Exact ``lp.solve`` against ``helpers.reference_simplex(exact=True)``
-    beyond 0/1 matrices."""
+    """``lp.solve`` in both modes against ``helpers.reference_simplex``
+    beyond 0/1 matrices: negative entries and zero right-hand sides make the
+    signed zeros that a float pivot must keep in rows it leaves alone."""
 
+    @pytest.mark.parametrize("exact", [False, True])
     @settings(max_examples=200, deadline=None)
-    @given(general_programs())
-    def test_general_programs(self, prob):
-        _assert_matches_reference(prob, exact=True)
+    @given(prob=general_programs())
+    # Found by drawing: the drive-out pivots on -1, so x[1] is -0.0 in row 2,
+    # which is -0.0 in the next pivot column; updating it there too reads +0.0.
+    @example(prob=lp.LpProblem(
+        np.array([0.0, 0.0, 0.0, 1.0]),
+        np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, -1.0, 0.0, 0.0]]),
+        np.zeros(3),
+        "max",
+    ))
+    def test_general_programs(self, prob, exact):
+        _assert_matches_reference(prob, exact=exact)
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize(
