@@ -16,17 +16,19 @@ Doeblin coefficient to the per-node coefficients:
 
 Each table is validated once, when the network is built (in code or from
 JSON); the network keeps it normalized, with its Doeblin coefficient.  Every
-node's parents precede it, so node index order is a topological order, and
-reachability is one pass over the nodes: forward for descendants, backward
-for ancestors.
+node's parents precede it, so node index order is a topological order.  Node
+sets are integer bitmasks (bit u is node u); the network records each node's
+parent and ancestor masks when it is built, and every bound reads them.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +40,7 @@ COMPOSITE_STATE_CAP = 10**7  # entries of the largest factor variable eliminatio
 EXACT_PERCOLATION_NODE_CAP = 25
 PATH_CAP = 10**6
 MC_BLOCK_SIZE = 4096  # Monte Carlo trials per RNG stream
+LETTER_SUBSET_CAP = 2**16  # letter subsets the memoryless-stage bound averages over
 
 
 @dataclass(frozen=True)
@@ -50,17 +53,27 @@ class Node:
 
 @dataclass(frozen=True, eq=False)
 class BayesNet:
+    """Construction validates each table once and records per node its
+    coefficient, parent mask, ancestor mask (node included) and factor: the
+    table viewed, not copied, over the alphabets of its labels (parents, node)."""
+
     nodes: tuple[Node, ...]  # after construction, each table is normalized
     source: int
     taus: tuple[float | None, ...] = field(init=False, repr=False)  # None for the source
+    parent_masks: tuple[int, ...] = field(init=False, repr=False)
+    ancestor_masks: tuple[int, ...] = field(init=False, repr=False)
+    factors: tuple[tuple[np.ndarray, tuple[int, ...]] | None, ...] = field(init=False, repr=False)
+    reachable: int = field(init=False, repr=False)  # mask of the source's descendants
 
     def __post_init__(self):
         names = [n.name for n in self.nodes]
         if len(set(names)) != len(names):
             raise ValidationError("node names must be unique")
-        if not 0 <= self.source < len(self.nodes):
+        if not (_is_int(self.source) and 0 <= self.source < len(self.nodes)):
             raise ValidationError("source index out of range")
-        nodes, taus = list(self.nodes), [None] * len(self.nodes)
+        object.__setattr__(self, "source", int(self.source))
+        nodes, taus, factors = list(self.nodes), [None] * len(self.nodes), [None] * len(self.nodes)
+        parent_masks, ancestor_masks = [], []
         for idx, node in enumerate(self.nodes):
             if not (_is_int(node.alphabet) and node.alphabet >= 1):
                 raise ValidationError(
@@ -74,6 +87,9 @@ class BayesNet:
                 )
             if len(set(parents)) != len(parents):
                 raise ValidationError(f"node {node.name}: parents must be distinct, got {parents!r}")
+            labels = (*map(int, parents), idx)
+            parent_masks.append(_mask(labels[:-1]))
+            ancestor_masks.append(reduce(or_, map(ancestor_masks.__getitem__, labels[:-1]), 1 << idx))
             if idx == self.source:
                 if node.cpt is not None:
                     raise ValidationError(f"source node {node.name} must not carry a cpt")
@@ -92,8 +108,11 @@ class BayesNet:
                 raise ValidationError(f"node {node.name}: cpt shape {table.matrix.shape} != {shape}")
             nodes[idx] = replace(node, cpt=table.matrix)
             taus[idx] = doeblin(table)
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "taus", tuple(taus))
+            factors[idx] = (table.matrix.reshape([self.nodes[p].alphabet for p in labels]), labels)
+        for name, value in [("nodes", nodes), ("taus", taus), ("factors", factors),
+                            ("parent_masks", parent_masks), ("ancestor_masks", ancestor_masks)]:
+            object.__setattr__(self, name, tuple(value))
+        object.__setattr__(self, "reachable", _mask(self.descendants(self.source)))
 
     @property
     def size(self) -> int:
@@ -106,20 +125,17 @@ class BayesNet:
         raise ValidationError(f"unknown node name {name!r}")
 
     def descendants(self, u: int) -> frozenset[int]:
-        """Nodes with a directed path from u, in one forward pass."""
-        seen = set(_targets(self, [u]))
-        for i in range(u + 1, self.size):
-            if seen.intersection(self.nodes[i].parents):
-                seen.add(i)
-        return frozenset(seen - {u})
+        """Nodes with a directed path from u: those that have u as an ancestor."""
+        (u,) = _targets(self, [u])
+        return frozenset(w for w in range(u + 1, self.size) if self.ancestor_masks[w] >> u & 1)
 
     def ancestors(self, targets: Iterable[int]) -> frozenset[int]:
-        """The targets and their ancestors, in one backward pass."""
-        seen = set(_targets(self, targets))
-        for i in reversed(range(self.size)):
-            if i in seen:
-                seen.update(self.nodes[i].parents)
-        return frozenset(seen)
+        """The targets and their ancestors."""
+        return frozenset(_nodes(self._ancestor_mask(_targets(self, targets))))
+
+    def _ancestor_mask(self, V: Iterable[int]) -> int:
+        """Mask of the nodes V (valid indices) and their ancestors."""
+        return reduce(or_, map(self.ancestor_masks.__getitem__, V), 0)
 
     # -- serialization ----------------------------------------------------
 
@@ -166,6 +182,24 @@ class BayesNet:
         return {"nodes": out_nodes, "source": self.nodes[self.source].name}
 
 
+def _mask(indices: Iterable[int]) -> int:
+    """The bitmask with bit i set for each index i."""
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
+def _nodes(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _targets(net: BayesNet, targets: Iterable[int]) -> tuple[int, ...]:
     """The target set as sorted node indices; an index that names no node
     of the network is invalid input."""
@@ -198,33 +232,40 @@ def _elimination_plan(scopes, sizes: dict, keep: tuple) -> list[tuple[int, tuple
     scope) per step.  Raises ExpansionCapError when a merged factor or the
     final factor over ``keep`` has more than COMPOSITE_STATE_CAP entries.
 
-    Planned on the interaction graph: a label's neighbours are its merged
-    scope, and summing out v joins v's neighbours to one another and changes
-    no other label's, so a step costs in v's neighbours only."""
+    Planned on the interaction graph: a label's neighbour mask is its merged
+    scope, summing out v joins v's neighbours and changes no other label's,
+    and keys sit on a heap, so a step costs in v's neighbours only."""
 
-    def volume(scope) -> int:
-        return math.prod(map(sizes.__getitem__, scope))
+    def volume(mask) -> int:
+        out = 1
+        while mask:
+            low = mask & -mask
+            out *= sizes[low.bit_length() - 1]
+            mask ^= low
+        return out
 
     nbrs: dict = {}
     for scope in scopes:
+        mask = _mask(scope)
         for lab in scope:
-            nbrs.setdefault(lab, set()).update(scope)
-    for lab, around in nbrs.items():
-        around.discard(lab)
+            nbrs[lab] = nbrs.get(lab, 0) | mask & ~(1 << lab)
     key = {v: (volume(nbrs[v]), v) for v in nbrs.keys() - set(keep)}
-    largest, plan = volume(keep), []
+    heap = sorted(key.values())
+    largest, plan = math.prod(map(sizes.__getitem__, keep)), []
     while key:
-        size, v = min(key.values())
+        size, v = entry = heapq.heappop(heap)
+        if key.get(v) != entry:
+            continue
         del key[v]
         merged = nbrs.pop(v)
-        for lab in merged:
-            around = nbrs[lab]
-            around |= merged
-            around -= {lab, v}
+        scope = _nodes(merged)
+        for lab in scope:
+            nbrs[lab] = around = (nbrs[lab] | merged) & ~(1 << lab | 1 << v)
             if lab in key:
-                key[lab] = (volume(around), lab)
+                key[lab] = entry = (volume(around), lab)
+                heapq.heappush(heap, entry)
         largest = max(largest, size)
-        plan.append((v, tuple(sorted(merged))))
+        plan.append((v, tuple(scope)))
     if largest > COMPOSITE_STATE_CAP:
         raise ExpansionCapError(f"composite channel needs a factor of more than {COMPOSITE_STATE_CAP} entries")
     return plan
@@ -264,20 +305,25 @@ def composite_channel(net: BayesNet, targets: Iterable[int]) -> Channel:
     k_src = net.nodes[src].alphabet
     # Labels are node indices.  The source as a target needs a label of its
     # own, net.size, tied to the row label by an identity factor.
-    sizes = {u: net.nodes[u].alphabet for u in net.ancestors(V) | {src}}
-    factors = [(np.ones(k_src), (src,))]
-    for u in sorted(sizes.keys() - {src}):
-        labels = (*net.nodes[u].parents, u)
-        factors.append((net.nodes[u].cpt.reshape([sizes[lab] for lab in labels]), labels))
+    inside = _nodes(net._ancestor_mask(V) | 1 << src)
+    sizes = {u: net.nodes[u].alphabet for u in inside}
+    factors = [(np.ones(k_src), (src,)), *(net.factors[u] for u in inside if u != src)]
     if src in V:
         sizes[net.size] = k_src
         factors.append((np.eye(k_src), (src, net.size)))
     out_labels = (src, *(net.size if v == src else v for v in V))
-    for v, scope in _elimination_plan([labels for _, labels in factors], sizes, out_labels):
-        inside = [f for f in factors if v in f[1]]
-        factors = [f for f in factors if v not in f[1]]
-        factors.append((_contract(inside, scope), scope))
-    return Channel(_contract(factors, out_labels).reshape(k_src, -1))
+    plan = _elimination_plan([labels for _, labels in factors], sizes, out_labels)
+    # Live factors by id, and each label's factor ids (consumed ones skipped).
+    live = dict(enumerate(factors))
+    held: list[list[int]] = [[] for _ in range(net.size + 1)]
+    for i, (_, labels) in live.items():
+        for lab in labels:
+            held[lab].append(i)
+    for new, (v, scope) in enumerate(plan, start=len(live)):
+        live[new] = (_contract([live.pop(i) for i in held[v] if i in live], scope), scope)
+        for lab in scope:
+            held[lab].append(new)
+    return Channel(_contract(live.values(), out_labels).reshape(k_src, -1))
 
 
 def recursion_bound(net: BayesNet, targets: Iterable[int], u: int) -> float:
@@ -290,7 +336,7 @@ def recursion_bound(net: BayesNet, targets: Iterable[int], u: int) -> float:
     (u,) = _targets(net, [u])
     if u == net.source:
         raise ValidationError("u must not be the source")
-    if u in net.ancestors(V):
+    if net._ancestor_mask(V) >> u & 1:
         raise ValidationError("u must have no directed path into the target set")
     tau_u = net.taus[u]
     tau_v = doeblin(composite_channel(net, V))
@@ -322,41 +368,38 @@ def percolation(
     target set when node u is removed independently with probability tau_u
     (the source always survives).
 
-    Exact mode evaluates the survival process by conditioning on the
-    topologically last target, node by node, with memoization; this equals
-    enumerating all survival configurations of the relevant nodes, and more
-    than EXACT_PERCOLATION_NODE_CAP of them raise ExpansionCapError.  Monte
-    Carlo mode splits the trials into blocks of MC_BLOCK_SIZE.  Block b draws
-    a (trials x relevant nodes) survival matrix from the stream keyed by
-    (seed, b), and reachability is propagated through it one node column at
-    a time in topological order.  Results do not depend on how blocks are
-    scheduled.
+    Exact mode conditions on the topologically last node of the set (its
+    highest bit), memoized on the set's mask; this equals enumerating all
+    survival configurations of the relevant nodes, and more than
+    EXACT_PERCOLATION_NODE_CAP of them raise ExpansionCapError.  Monte Carlo
+    mode splits the trials into blocks of MC_BLOCK_SIZE.  Block b draws a
+    (trials x relevant nodes) survival matrix from the stream keyed by
+    (seed, b), held as one row of trials per node, and reachability is
+    propagated through it one node at a time in topological order.  Results
+    do not depend on how blocks are scheduled.
     """
-    V = frozenset(_targets(net, targets))
+    V = _targets(net, targets)
     src = net.source
-    reach_src = net.descendants(src)
-    relevant = reach_src & net.ancestors(V)  # non-source nodes on a source-to-target path
+    reach_src = net.reachable
+    relevant = reach_src & net._ancestor_mask(V)  # non-source nodes on a source-to-target path
 
     if mode == "exact":
-        if len(relevant) > EXACT_PERCOLATION_NODE_CAP:
+        if relevant.bit_count() > EXACT_PERCOLATION_NODE_CAP:
             raise ExpansionCapError(
                 f"exact percolation supports at most {EXACT_PERCOLATION_NODE_CAP} relevant nodes"
             )
-
-        @lru_cache(maxsize=None)
-        def perc_set(S: frozenset) -> float:
-            if src in S:
+        memo = {0: 0.0}  # probability by node-set mask
+        def perc_set(S: int) -> float:
+            if S >> src & 1:
                 return 1.0
-            S = frozenset(u for u in S if u in reach_src)
-            if not S:
-                return 0.0
-            u = max(S)  # topologically last: no path from u to the rest
-            rest = S - {u}
-            tau_u = net.taus[u]
-            up = frozenset(rest | set(net.nodes[u].parents))
-            return tau_u * perc_set(frozenset(rest)) + (1.0 - tau_u) * perc_set(up)
+            S &= reach_src
+            if S not in memo:
+                u = S.bit_length() - 1  # topologically last: no path from u to the rest
+                rest, tau_u = S ^ 1 << u, net.taus[u]
+                memo[S] = tau_u * perc_set(rest) + (1.0 - tau_u) * perc_set(rest | net.parent_masks[u])
+            return memo[S]
 
-        return PercolationResult(probability=perc_set(V), method="exact")
+        return PercolationResult(probability=perc_set(_mask(V)), method="exact")
 
     if mode != "mc":
         raise ValidationError('mode must be "exact" or "mc"')
@@ -371,16 +414,14 @@ def percolation(
         raise ValidationError(f"Monte Carlo percolation needs a positive sample count, got {samples}")
     if seed < 0:
         raise ValidationError(f"Monte Carlo percolation needs a non-negative seed, got {seed}")
-    order = sorted(relevant)
-    col = {u: j for j, u in enumerate(order)}
-    survive_prob = np.array([1.0 - net.taus[u] for u in order])
-    # Per node: whether the source feeds it, and the columns of the relevant
-    # parents that do.  Every relevant node has at least one of the two.
-    feeds = [
-        (src in net.nodes[u].parents, [col[p] for p in net.nodes[u].parents if p in col])
-        for u in order
-    ]
-    hit_cols = [col[v] for v in V if v in col]
+    order = _nodes(relevant)
+    row = {u: j for j, u in enumerate(order)}
+    survive_prob = np.array([1.0 - net.taus[u] for u in order])[:, None]
+    # The relevant nodes the source does not feed, each with the rows of its
+    # relevant parents; every relevant node has the source or such a parent.
+    feeds = [(j, [row[p] for p in net.nodes[u].parents if p in row])
+             for j, u in enumerate(order) if not net.parent_masks[u] >> src & 1]
+    hit_rows = [row[v] for v in V if v in row]
     hits = 0
     for block, start in enumerate(range(0, samples, MC_BLOCK_SIZE)):
         trials = min(MC_BLOCK_SIZE, samples - start)
@@ -388,12 +429,11 @@ def percolation(
             hits += trials
             continue
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-        # Column j turns from "survives" into "survives and is reached".
-        reached = rng.random((trials, len(order))) < survive_prob
-        for j, (from_src, parent_cols) in enumerate(feeds):
-            if not from_src:
-                reached[:, j] &= reached[:, parent_cols].any(axis=1)
-        hits += int(reached[:, hit_cols].any(axis=1).sum())
+        # Row j turns from "survives" into "survives and is reached".
+        reached = np.less(rng.random((trials, len(order))).T, survive_prob, order="C")
+        for j, parent_rows in feeds:
+            reached[j] &= reduce(np.logical_or, map(reached.__getitem__, parent_rows))
+        hits += int(np.count_nonzero(reduce(np.logical_or, map(reached.__getitem__, hit_rows), False)))
     p_hat = hits / samples
     std_error = float(np.sqrt(p_hat * (1.0 - p_hat) / samples))
     return PercolationResult(
@@ -416,16 +456,15 @@ def shortcut_free_bound(net: BayesNet, targets: Iterable[int]) -> tuple[float, l
     """
     V = frozenset(_targets(net, targets))
     src = net.source
-    towards_v = net.ancestors(V)  # nodes with a directed route into the targets, with their parents
-    children: dict[int, list[int]] = {u: [] for u in towards_v | {src}}
-    for c in sorted(towards_v):  # one pass in index order, so each list is in index order
+    towards_v = net._ancestor_mask(V)  # nodes with a directed route into the targets, with their parents
+    children: dict[int, list] = {u: [] for u in _nodes(towards_v | 1 << src)}
+    for c in reversed(_nodes(towards_v & ~(1 << src))):  # decreasing: the stack top is the next path
         for u in net.nodes[c].parents:
-            children[u].append(c)
+            children[u].append((c, net.parent_masks[c], 1.0 - net.taus[c]))
     kept: list[tuple[int, ...]] = []
     total = 0.0
-    # Paths still to visit, each with the nodes before its last and its weight;
-    # children go on in reverse, so the top of the stack is the next path in order.
-    stack = [((src,), frozenset(), 1.0)]
+    # Paths still to visit, each with the mask of the nodes before its last and its weight.
+    stack = [((src,), 0, 1.0)]
     while stack:
         path, before, weight = stack.pop()
         u = path[-1]
@@ -435,10 +474,10 @@ def shortcut_free_bound(net: BayesNet, targets: Iterable[int]) -> tuple[float, l
             if len(kept) > PATH_CAP:
                 raise ExpansionCapError(f"more than {PATH_CAP} shortcut-free source-to-target paths")
             continue
-        after = before | {u}
-        for c in reversed(children[u]):
-            if not before.intersection(net.nodes[c].parents):
-                stack.append((path + (c,), after, weight * (1.0 - net.taus[c])))
+        after = before | 1 << u
+        for c, parents, survive in children[u]:
+            if not before & parents:
+                stack.append((path + (c,), after, weight * survive))
     return total, kept
 
 
@@ -456,12 +495,12 @@ def samorodnitsky_bound(prior_channel, letter_sizes: Sequence[int], letter_taus:
     sizes = tuple(int(s) for s in sizes)
     n = len(sizes)
     if int(np.prod(sizes)) != ch.m:
-        raise ValidationError(
-            f"output alphabet {ch.m} does not factorize into letters {sizes}"
-        )
+        raise ValidationError(f"output alphabet {ch.m} does not factorize into letters {sizes}")
     taus = _as_float_array(letter_taus, "letter coefficients")
     if taus.shape != (n,) or not ((0.0 <= taus) & (taus <= 1.0)).all():
         raise ValidationError("need one letter coefficient in [0, 1] per letter")
+    if 2**n > LETTER_SUBSET_CAP:
+        raise ExpansionCapError(f"{n} letters have 2**{n} subsets, more than {LETTER_SUBSET_CAP}")
     taus = taus.tolist()
     tensorized = ch.matrix.reshape((ch.n, *sizes))
     total = 0.0

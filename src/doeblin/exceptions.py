@@ -26,7 +26,8 @@ class AlphabetMismatchError(ValidationError):
 
 class ExpansionCapError(ValidationError):
     """A request would pass one of the fixed size caps (table cells, factor
-    entries, relevant nodes, paths, LP variables or LP tableau cells)."""
+    entries, relevant nodes, paths, letter subsets, LP variables or LP
+    tableau cells)."""
 
 
 class NoConsensusError(InfeasibilityError):

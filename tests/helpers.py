@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -701,6 +701,103 @@ def subset_filter_paths(net: BayesNet, targets) -> list[tuple[int, ...]]:
         for i, path in enumerate(paths)
         if not any(j != i and sets[j] < sets[i] for j in range(len(paths)))
     ]
+
+
+def reference_percolation(net: BayesNet, targets, mode="exact", samples=None, seed=None):
+    """The set-based percolation that ``bayesnet.percolation`` replaced, kept
+    verbatim as its bit-for-bit oracle; the caps and block size are read from
+    the module at call time.
+
+    Exact mode conditions on the topologically last node of the set,
+    memoized on frozensets; Monte Carlo mode draws each block's
+    (trials x relevant nodes) survival matrix from the stream keyed by
+    (seed, block) and propagates reachability one node column at a time."""
+    V = frozenset(bayesnet._targets(net, targets))
+    src = net.source
+    reach_src = net.descendants(src)
+    relevant = reach_src & net.ancestors(V)  # non-source nodes on a source-to-target path
+
+    if mode == "exact":
+        if len(relevant) > bayesnet.EXACT_PERCOLATION_NODE_CAP:
+            raise ExpansionCapError(
+                f"exact percolation supports at most {bayesnet.EXACT_PERCOLATION_NODE_CAP} relevant nodes"
+            )
+
+        @lru_cache(maxsize=None)
+        def perc_set(S: frozenset) -> float:
+            if src in S:
+                return 1.0
+            S = frozenset(u for u in S if u in reach_src)
+            if not S:
+                return 0.0
+            u = max(S)  # topologically last: no path from u to the rest
+            rest = S - {u}
+            tau_u = net.taus[u]
+            up = frozenset(rest | set(net.nodes[u].parents))
+            return tau_u * perc_set(frozenset(rest)) + (1.0 - tau_u) * perc_set(up)
+
+        return bayesnet.PercolationResult(probability=perc_set(V), method="exact")
+
+    order = sorted(relevant)
+    col = {u: j for j, u in enumerate(order)}
+    survive_prob = np.array([1.0 - net.taus[u] for u in order])
+    # Per node: whether the source feeds it, and the columns of the relevant
+    # parents that do.  Every relevant node has at least one of the two.
+    feeds = [
+        (src in net.nodes[u].parents, [col[p] for p in net.nodes[u].parents if p in col])
+        for u in order
+    ]
+    hit_cols = [col[v] for v in V if v in col]
+    hits = 0
+    for block, start in enumerate(range(0, samples, bayesnet.MC_BLOCK_SIZE)):
+        trials = min(bayesnet.MC_BLOCK_SIZE, samples - start)
+        if src in V:  # the source always survives
+            hits += trials
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        # Column j turns from "survives" into "survives and is reached".
+        reached = rng.random((trials, len(order))) < survive_prob
+        for j, (from_src, parent_cols) in enumerate(feeds):
+            if not from_src:
+                reached[:, j] &= reached[:, parent_cols].any(axis=1)
+        hits += int(reached[:, hit_cols].any(axis=1).sum())
+    p_hat = hits / samples
+    std_error = float(np.sqrt(p_hat * (1.0 - p_hat) / samples))
+    return bayesnet.PercolationResult(
+        probability=p_hat, method="monte_carlo", samples=samples, seed=seed, std_error=std_error
+    )
+
+
+def reference_shortcut_free_bound(net: BayesNet, targets) -> tuple[float, list[tuple[int, ...]]]:
+    """The set-based depth-first path search that ``bayesnet.shortcut_free_bound``
+    replaced, kept verbatim as its bit-for-bit oracle; the path cap is read
+    from the module at call time."""
+    V = frozenset(bayesnet._targets(net, targets))
+    src = net.source
+    towards_v = net.ancestors(V)  # nodes with a directed route into the targets, with their parents
+    children: dict[int, list[int]] = {u: [] for u in towards_v | {src}}
+    for c in sorted(towards_v):  # one pass in index order, so each list is in index order
+        for u in net.nodes[c].parents:
+            children[u].append(c)
+    kept: list[tuple[int, ...]] = []
+    total = 0.0
+    # Paths still to visit, each with the nodes before its last and its weight;
+    # children go on in reverse, so the top of the stack is the next path in order.
+    stack = [((src,), frozenset(), 1.0)]
+    while stack:
+        path, before, weight = stack.pop()
+        u = path[-1]
+        if u in V:
+            kept.append(path)
+            total += weight
+            if len(kept) > bayesnet.PATH_CAP:
+                raise ExpansionCapError(f"more than {bayesnet.PATH_CAP} shortcut-free source-to-target paths")
+            continue
+        after = before | {u}
+        for c in reversed(children[u]):
+            if not before.intersection(net.nodes[c].parents):
+                stack.append((path + (c,), after, weight * (1.0 - net.taus[c])))
+    return total, kept
 
 
 def component_cells(comp: dict, n: int):

@@ -4,7 +4,9 @@ The oracles in ``tests/helpers.py`` sum the full factored joint over every
 node, sum over every survival configuration, and filter every
 source-to-target path by strict node-set inclusion; per-node coefficients
 are column-minimum sums of the tables.  The elimination planner is held to
-the planner that rescans every scope at each step.
+the planner that rescans every scope at each step, and percolation and the
+path search, which run on node bitmasks, to the set-based versions they
+replaced, bit for bit.
 """
 
 import json
@@ -28,6 +30,8 @@ from helpers import (
     reference_ancestors,
     reference_descendants,
     reference_elimination_plan,
+    reference_percolation,
+    reference_shortcut_free_bound,
     subset_filter_paths,
     table_tau,
 )
@@ -201,6 +205,81 @@ def test_sixty_node_chain_exceeds_einsum_labels():
     head, tail = reduce(np.matmul, tables[:30]), reduce(np.matmul, tables[30:])
     got = bn.composite_channel(net, [30, 59]).matrix.reshape(k0, sizes[30], k59)
     assert np.abs(got - head[:, :, None] * tail[None, :, :]).max() <= TOL
+
+
+# -- percolation and the path search against their set-based references -------
+
+
+def _reference_requests():
+    """(net, targets) over every case and its orphan variant: the case's
+    targets, the same with the source, the source alone, and the orphan
+    variant's targets with and without the unreachable nodes."""
+    rng = np.random.default_rng(9)
+    for case in _cases():
+        net, V = case["net"], case["V"]
+        yield from ((net, V), (net, [net.source, *V]), (net, [net.source]))
+        orphan = _with_orphan(net, rng)
+        w, c = orphan.size - 2, orphan.size - 1
+        for W in (V, [w], [w, c], [net.source, w], [*V, c]):
+            yield orphan, W
+
+
+def test_exact_percolation_matches_reference_bit_for_bit():
+    for net, V in _reference_requests():
+        assert bn.percolation(net, V) == reference_percolation(net, V)  # every field, probability included
+
+
+@pytest.mark.parametrize("samples", [1, bn.MC_BLOCK_SIZE, bn.MC_BLOCK_SIZE + 1, 10_000])
+def test_mc_percolation_matches_reference_bit_for_bit(samples):
+    for seed, (net, V) in enumerate(_reference_requests()):
+        got = bn.percolation(net, V, mode="mc", samples=samples, seed=seed)
+        assert got == reference_percolation(net, V, mode="mc", samples=samples, seed=seed)
+
+
+def test_shortcut_free_bound_matches_reference_bit_for_bit():
+    for net, V in _reference_requests():
+        assert bn.shortcut_free_bound(net, V) == reference_shortcut_free_bound(net, V)  # total and kept paths
+    ladder = db.BayesNet.from_json((NET_JSON.parent / "ladder60.json").read_text())
+    for V in ([19, 20], [10, 11, 12]):
+        assert bn.shortcut_free_bound(ladder, V) == reference_shortcut_free_bound(ladder, V)
+        assert bn.percolation(ladder, V) == reference_percolation(ladder, V)
+        mc = bn.percolation(ladder, V, mode="mc", samples=3000, seed=1)
+        assert mc == reference_percolation(ladder, V, mode="mc", samples=3000, seed=1)
+
+
+def test_recorded_structure_matches_the_nodes():
+    rng = np.random.default_rng(10)
+    for case in _cases():
+        for net in (case["net"], _with_orphan(case["net"], rng)):
+            assert net.reachable == sum(1 << u for u in reference_descendants(net, net.source))
+            for u, node in enumerate(net.nodes):
+                assert net.parent_masks[u] == sum(1 << p for p in node.parents)
+                assert net.ancestor_masks[u] == sum(1 << a for a in reference_ancestors(net, [u]))
+                if u == net.source:
+                    assert net.factors[u] is None
+                    continue
+                factor, labels = net.factors[u]
+                assert labels == (*node.parents, u)
+                assert factor.shape == tuple(net.nodes[lab].alphabet for lab in labels)
+                assert np.shares_memory(factor, node.cpt)  # a view of the table, not a copy
+                assert np.array_equal(factor.reshape(node.cpt.shape), node.cpt)
+
+
+def test_numpy_integer_parents_and_source_match_python_ints():
+    # 70 nodes: masks past 64 bits, where numpy integer shifts would wrap.
+    net = _chain(70)
+    cast = db.BayesNet(
+        nodes=tuple(db.Node(n.name, n.alphabet, tuple(np.int64(p) for p in n.parents), n.cpt) for n in net.nodes),
+        source=np.int64(0),
+    )
+    assert type(cast.source) is int
+    assert cast.ancestors([69]) == net.ancestors([69]) == frozenset(range(70))
+    assert cast.descendants(0) == frozenset(range(1, 70))
+    assert bn.composite_channel(cast, [69]).matrix.tobytes() == bn.composite_channel(net, [69]).matrix.tobytes()
+    assert bn.shortcut_free_bound(cast, [69]) == bn.shortcut_free_bound(net, [69])
+    assert bn.percolation(cast, [69], mode="mc", samples=50, seed=2) == bn.percolation(
+        net, [69], mode="mc", samples=50, seed=2
+    )
 
 
 # -- the elimination planner against the full-rescan reference ----------------
@@ -575,6 +654,8 @@ _TABLE = [[0.5, 0.5], [0.25, 0.75]]
         ((db.Node("X", 2, (), _TABLE),), 0, "source node X must not carry a cpt"),
         ((_SOURCE, db.Node("Y", 2, (0,), None)), 0, "node Y lacks a cpt but is not the source"),
         ((db.Node("X", 3, (), None), db.Node("Y", 2, (0,), _TABLE)), 0, r"node Y: cpt shape \(2, 2\) != \(3, 2\)"),
+        ((_SOURCE, db.Node("Y", 2, (0,), _TABLE)), 0.0, "source index out of range"),
+        ((_SOURCE, db.Node("Y", 2, (0,), _TABLE)), False, "source index out of range"),
     ],
 )
 def test_construction_rejects_malformed_networks(nodes, source, message):
@@ -697,6 +778,18 @@ def test_samorodnitsky_extremes():
         k = len(sizes)
         assert bn.samorodnitsky_bound(P, sizes, [0.0] * k) == pytest.approx(db.doeblin(P), abs=1e-15)
         assert bn.samorodnitsky_bound(P, sizes, [1.0] * k) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_samorodnitsky_caps_the_letter_subsets(monkeypatch):
+    # Size-1 letters fit a one-column channel for any letter count; past the
+    # cap the bound refuses before the subset loop starts.
+    P = np.ones((2, 1))
+    with pytest.raises(ExpansionCapError, match="17 letters"):
+        bn.samorodnitsky_bound(P, [1] * 17, [0.5] * 17)
+    monkeypatch.setattr(bn, "LETTER_SUBSET_CAP", 4)
+    assert bn.samorodnitsky_bound(P, [1, 1], [0.5, 0.5]) == 1.0
+    with pytest.raises(ExpansionCapError, match="more than 4"):
+        bn.samorodnitsky_bound(P, [1, 1, 1], [0.5] * 3)
 
 
 @pytest.mark.parametrize(

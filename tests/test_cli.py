@@ -89,6 +89,9 @@ CASES = {
         ["bayesnet", _f("dag200.json"), "--target", "N198,N199", "--bound", "recursion"],
         0,
     ),
+    # More than PATH_CAP shortcut-free paths reach N59 or N60: the path sum
+    # becomes a note and the other bounds stay in the report.
+    "bayesnet_ladder60_path_cap": (["bayesnet", _f("ladder60.json"), "--target", "N59,N60"], 0),
     # Invalid input, unknown commands and flags exit 1.
     "coef_invalid": (["coef", _f("bad_channel.json")], 1),
     "coef_missing_file": (["coef", _f("no_such_file.json")], 1),
