@@ -28,7 +28,6 @@ from .coupling import (
     VerificationReport,
     maximal_coupling,
     minimal_coupling_max,
-    minimal_coupling_max_n3,
     simultaneous_joint_coupling,
     verify_coupling,
 )

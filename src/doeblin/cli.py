@@ -171,8 +171,8 @@ def _cmd_couple(args) -> dict:
     if args.kind == "max":
         built = cp.maximal_coupling(ch)
         achieved = {"diagonal_mass": doeblin(ch)}
-    else:  # min or min3
-        built = cp.minimal_coupling_max(ch) if args.kind == "min" else cp.minimal_coupling_max_n3(ch)
+    else:
+        built = cp.minimal_coupling_max(ch)
         achieved = {"union_mass": cp.minimal_union_mass(ch)}
     return {
         "kind": args.kind,
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coef)
 
     p = sub.add_parser("couple", help="build an extremal coupling")
-    p.add_argument("--kind", required=True, choices=["max", "min", "min3", "joint"])
+    p.add_argument("--kind", required=True, choices=["max", "min", "joint"])
     p.add_argument("--expand", action="store_true", help="include the expanded table")
     p.add_argument("inputs", nargs="+")
     p.set_defaults(func=_cmd_couple)

@@ -1,18 +1,16 @@
 """Extremal couplings with verifiable marginal guarantees.
 
-Four constructions live here:
+Three constructions live here:
 
 * :func:`maximal_coupling` glues all coordinates on a shared diagonal
   component whose total mass is the Doeblin coefficient (the largest
   achievable probability that every coordinate coincides), plus one product
   component for the leftover mass.
-* :func:`minimal_coupling_max` minimizes the summed union mass down to the
+* :func:`minimal_coupling_max` minimizes the summed union mass: down to the
   max-Doeblin coefficient when the column-second-largest mass is at most
-  one, gluing the entries above each positive gap of a sorted column.
-* :func:`minimal_coupling_max_n3` covers a family of exactly three
-  marginals unconditionally; past the validity threshold it switches to
-  corrected free factors and drops the full-product component, attaining
-  ``tau_max + (tau_max2 - 1)_+``.
+  one, gluing the entries above each positive gap of a sorted column; past
+  that, for three marginals, to ``tau_max + (tau_max2 - 1)`` with corrected
+  free factors and no full-product component.
 * :func:`simultaneous_joint_coupling` couples bivariate distributions so the
   all-pairs-equal probability and the first-coordinate-equal probability are
   both maximal at once; it is a coupling over the product alphabet.
@@ -51,9 +49,9 @@ _ORTHOGONAL_BLOCK_CELLS = 1 << 18  # support words held by one block of orthogon
 # they are dropped so their factor normalizers (possibly 0/0) never run.
 _ZERO_WEIGHT = 1e-14
 
-# The union-minimal mixture needs tau_max2 <= 1, up to this threshold.  Past
-# it minimal_coupling_max raises, minimal_coupling_max_n3 switches regime and
-# minimal_union_mass adds tau_max2 - 1 (or has no closed form).
+# The gap mixture needs tau_max2 <= 1, up to this threshold.  Past it
+# minimal_coupling_max builds the three-marginal mixture or raises, and
+# minimal_union_mass adds tau_max2 - 1 or has no closed form.
 _MAX2_LIMIT = 1.0 + 1e-12
 
 _MARGINALS = "couplings need at least two marginals"
@@ -201,10 +199,14 @@ class Coupling:
         """Summed over y, the probability that all the given coordinates hit y:
         per component sum_y s(y) prod_{free i in coords} f_i(y), with s = 1
         when no glued coordinate is among them."""
-        coords = self._coords(coords)
+        return self._intersection_over(self.pool, self._coords(coords))
+
+    def _intersection_over(self, pool: np.ndarray, coords: list[int]) -> float:
+        """:meth:`intersection_mass` with each factor read from the same row of
+        ``pool``, which may hold them pushed forward to another alphabet."""
         in_glue = self.glued[:, coords]
-        prod = np.where(in_glue[:, :, None], 1.0, self.pool[self.index[:, coords]]).prod(axis=1)
-        head = np.where(in_glue.any(axis=1)[:, None], self.shared, 1.0)
+        prod = np.where(in_glue[:, :, None], 1.0, pool[self.index[:, coords]]).prod(axis=1)
+        head = np.where(in_glue.any(axis=1)[:, None], pool[self._shared_rows], 1.0)
         return float(self.weights @ (head * prod).sum(axis=1))
 
     def intersection_masses(self) -> dict[tuple[int, ...], float]:
@@ -311,10 +313,10 @@ def maximal_coupling(pmfs: Sequence) -> Coupling:
 
 
 def minimal_coupling_max(pmfs: Sequence) -> Coupling:
-    """Coupling minimizing the summed union mass, down to the column-maximum
-    mass.  Valid when the column-second-largest mass is at most one;
-    otherwise raises, pointing at the three-marginal variant or the LP
-    oracle.
+    """Coupling minimizing the summed union mass, attaining
+    :func:`minimal_union_mass`.  Past a column-second-largest mass of one it
+    builds three marginals only; any other family there raises
+    CouplingConditionError, pointing at the LP oracle.
 
     Gluing a set G of coordinates puts mass ``(min over G - max off G)_+`` on
     each symbol, positive only when G holds the |G| largest entries of the
@@ -329,10 +331,12 @@ def minimal_coupling_max(pmfs: Sequence) -> Coupling:
     ordered = np.sort(mats, axis=0)
     tau_max2 = float(ordered[-2, :].sum())
     if tau_max2 > _MAX2_LIMIT:
+        if n == 3:
+            return _minimal_trio(mats, tau_max2)
         raise CouplingConditionError(
-            f"column-second-largest mass {tau_max2!r} exceeds 1; the union-minimal "
-            "mixture is only valid up to 1. For n = 3 use minimal_coupling_max_n3; "
-            "otherwise the LP oracle still yields an empirical minimum."
+            f"column-second-largest mass {tau_max2!r} exceeds 1; past it the union-minimal "
+            f"mixture is known only for three marginals, not {n}. "
+            "The LP oracle still yields an empirical minimum."
         )
     colmax = ordered[-1]
     # Strict-maximum excess of each marginal over the others' pointwise max.
@@ -359,24 +363,12 @@ def minimal_coupling_max(pmfs: Sequence) -> Coupling:
     return _mixture(weights, shared, excess, glued)
 
 
-def minimal_coupling_max_n3(pmfs: Sequence) -> Coupling:
-    """Union-minimal coupling of a family of exactly three marginals, all
-    regimes.
-
-    Below the validity threshold this is :func:`minimal_coupling_max`.
-    Above it, each free factor gains a correction proportional to
-    ``(tau_max2 - 1)/3`` spread over the two pair-overlap factors touching
-    its coordinate, the full-product component disappears, and the attained
-    union mass is ``tau_max + (tau_max2 - 1)``.
-    """
-    ch = _family(pmfs, _MARGINALS)
-    if ch.n != 3:
-        raise ValidationError(f"minimal_coupling_max_n3 needs exactly three marginals, got {ch.n}")
-    mats = ch.matrix
-    tau_max2 = max2_doeblin(ch)
-    if tau_max2 <= _MAX2_LIMIT:
-        return minimal_coupling_max(ch)
-
+def _minimal_trio(mats: np.ndarray, tau_max2: float) -> Coupling:
+    """Union-minimal coupling of three marginals (3, m) past the threshold.
+    Each free factor gains a correction proportional to ``(tau_max2 - 1)/3``
+    spread over the two pair-overlap factors touching its coordinate, and
+    there is no full-product component; the union mass is
+    ``tau_max + (tau_max2 - 1)``."""
     pmin = mats.min(axis=0)
     # Row i is the overlap of the pair that leaves coordinate i out.  Its
     # excess over the triple overlap is positive here: a pair overlap equal
@@ -402,7 +394,8 @@ def minimal_coupling_max_n3(pmfs: Sequence) -> Coupling:
 def minimal_union_mass(pmfs: Sequence) -> float | None:
     """Closed-form minimum of the summed union mass over all couplings:
     ``tau_max`` when ``tau_max2 <= 1``, ``tau_max + (tau_max2 - 1)`` for three
-    marginals, otherwise ``None`` (no closed form is known)."""
+    marginals, otherwise ``None`` (no closed form is known).  These are
+    exactly the families that :func:`minimal_coupling_max` builds."""
     ch = _family(pmfs, _MARGINALS)
     tmax, tmax2 = max_doeblin(ch), max2_doeblin(ch)
     if tmax2 <= _MAX2_LIMIT:
@@ -455,7 +448,7 @@ class JointCoupling:
         factor over y."""
         c = self.coupling
         x_pool = c.pool.reshape(-1, self.x_size, self.y_size).sum(axis=-1)
-        return Coupling(c.weights, x_pool, c.index, c.glued).diagonal_mass()
+        return c._intersection_over(x_pool, list(range(c.arity)))
 
     def to_dict(self, include_table: bool = True) -> dict:
         """The expanded table, or with ``include_table=False`` the mixture's

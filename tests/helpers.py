@@ -162,8 +162,7 @@ def reference_minimal_coupling_max(pmfs) -> "DenseCoupling":
 
     Coupling minimizing the summed union mass, down to the column-maximum
     mass.  Valid when the column-second-largest mass is at most one;
-    otherwise raises, pointing at the three-marginal variant or the LP
-    oracle.
+    otherwise raises.
 
     Components are enumerated over the free subset A by size then
     lexicographically: the complement of A is glued on the shared factor
@@ -179,11 +178,7 @@ def reference_minimal_coupling_max(pmfs) -> "DenseCoupling":
     ordered = np.sort(mats, axis=0)
     tau_max2 = float(ordered[-2, :].sum())
     if tau_max2 > _MAX2_LIMIT:
-        raise CouplingConditionError(
-            f"column-second-largest mass {tau_max2!r} exceeds 1; the union-minimal "
-            "mixture is only valid up to 1. For n = 3 use minimal_coupling_max_n3; "
-            "otherwise the LP oracle still yields an empirical minimum."
-        )
+        raise CouplingConditionError(f"column-second-largest mass {tau_max2!r} exceeds 1")
     colmax = ordered[-1]
     # Strict-maximum excess of each marginal over the others' pointwise max.
     excess = np.where(mats == colmax, colmax - ordered[-2], 0.0)

@@ -52,7 +52,11 @@ CASES = {
     "couple_max_expand_past_cap": (["couple", "--kind", "max", "--expand", _f("wide.json")], 0),
     "couple_min": (["couple", "--kind", "min", _f("trio.json")], 0),
     "couple_min_expand": (["couple", "--kind", "min", "--expand", _f("trio.json")], 0),
-    "couple_min3_supercritical": (["couple", "--kind", "min3", _f("sym08.json")], 0),
+    "couple_min_supercritical": (["couple", "--kind", "min", _f("sym08.json")], 0),
+    "couple_min3_supercritical": (
+        ["couple", "--kind", "min", "--expand", _f("sym08.json")],
+        0,
+    ),
     "couple_joint": (["couple", "--kind", "joint", _f("joints.json")], 0),
     "couple_joint_past_cap": (["couple", "--kind", "joint", _f("joints_past_cap.json")], 0),
     "degroot": (["degroot", "--prior", "[0.5, 0.5]", _f("channel.json")], 0),
@@ -102,10 +106,9 @@ CASES = {
         ["bayesnet", _f("net.json"), "--target", "T", "--bound", "perc", "--mc", "10", "-3"],
         1,
     ),
-    "min3_wrong_arity": (["couple", "--kind", "min3", _f("trio.json"), _f("channel.json")], 1),
     "joint_two_files": (["couple", "--kind", "joint", _f("joints.json"), _f("joints.json")], 1),
     # Infeasible requests exit 2.
-    "couple_min_supercritical": (["couple", "--kind", "min", _f("sym08.json")], 2),
+    "couple_min_open": (["couple", "--kind", "min", _f("quad.csv")], 2),
     "fuse_no_consensus": (["fuse", _f("disjoint.json")], 2),
 }
 
@@ -213,6 +216,10 @@ def _malformed_argv(name, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(text)
     return [str(path) if a == "INPUT" else a for a in argv]
+
+
+def test_one_golden_per_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -340,7 +347,7 @@ def test_each_input_validated_once(monkeypatch, capsys):
     assert _invoke(["verify", "--problem", "union", _f("trio.json")]) == 0
     assert seen == ["channel"]
     seen.clear()
-    assert _invoke(CASES["couple_min3_supercritical"][0]) == 0
+    assert _invoke(CASES["couple_min_supercritical"][0]) == 0
     assert seen == ["channel"]
     seen.clear()
     # The prior once; the channel once and one estimator kernel per loss.
@@ -455,7 +462,6 @@ PMF_COMMANDS = [
     ["degroot", "--prior", "[0.5, 0.5]"],
     ["couple", "--kind", "max", "--expand"],
     ["couple", "--kind", "min"],
-    ["couple", "--kind", "min3"],
     ["verify", "--problem", "diag", "--witness"],
     ["verify", "--problem", "union", "--sense", "max"],
     ["verify", "--problem", "estimator", "--witness"],

@@ -89,6 +89,15 @@ def supercritical_integer_trios(draw):
 
 
 @st.composite
+def dirichlet_families(draw):
+    """Two to five Dirichlet(0.5) rows on two to six symbols: tau_max2 lands on
+    both sides of one, three rows past it included."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.dirichlet(np.full(m, 0.5), size=n)
+
+
+@st.composite
 def subcritical_integer_families(draw):
     """Two to seven PMFs from small integer weights with tau_max2 <= 1 in
     exact arithmetic, so ties, zeros and rows on the boundary tau_max2 = 1
@@ -197,8 +206,7 @@ class TestMinimalCoupling:
         assert c.union_mass() == pytest.approx(1.7, abs=1e-10)
 
     def test_rejects_supercritical(self):
-        with pytest.raises(CouplingConditionError):
-            db.minimal_coupling_max(SYM08)
+        # Past tau_max2 = 1 only three marginals have a construction.
         rng = np.random.default_rng(33)
         quad = np.vstack([supercritical_trio(rng, 4), random_pmf(rng, 4)])
         assert max2_of(quad) > 1
@@ -271,13 +279,13 @@ class TestMinimalCoupling:
 
 
 # ---------------------------------------------------------------------------
-# Minimal coupling for exactly three marginals
+# Minimal coupling of three marginals, past tau_max2 = 1 too
 # ---------------------------------------------------------------------------
 
 
 class TestMinimalCouplingN3:
     def test_supercritical_worked(self):
-        c = db.minimal_coupling_max_n3(SYM08)
+        c = db.minimal_coupling_max(SYM08)
         assert c.union_mass() == pytest.approx(1.4, abs=1e-10)
         oracle = lp.coupling_union_opt(SYM08, "min")
         assert c.union_mass() == pytest.approx(oracle.value, abs=1e-9)
@@ -289,7 +297,7 @@ class TestMinimalCouplingN3:
         rng = np.random.default_rng(36)
         for _ in range(20):
             mats = supercritical_trio(rng, int(rng.integers(3, 6)))
-            c = db.minimal_coupling_max_n3(mats)
+            c = db.minimal_coupling_max(mats)
             expected = db.max_doeblin(mats) + (max2_of(mats) - 1.0)
             assert c.union_mass() == pytest.approx(expected, abs=1e-10)
             table = c.expand()
@@ -297,11 +305,11 @@ class TestMinimalCouplingN3:
                 assert np.abs(table_marginal(table, i, mats.shape[1]) - mats[i]).max() <= 1e-10
 
     def test_boundary_constructions_coincide(self):
-        # Exactly on the threshold both mixtures agree; the delegated build
-        # must attain the plain column-maximum total.
+        # Exactly on the threshold the gap mixture is built; it must attain
+        # the plain column-maximum total.
         mats = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         assert max2_of(mats) == pytest.approx(1.0, abs=1e-15)
-        c = db.minimal_coupling_max_n3(mats)
+        c = db.minimal_coupling_max(mats)
         assert c.union_mass() == pytest.approx(db.max_doeblin(mats), abs=1e-10)
         table = c.expand()
         for i in range(3):
@@ -309,46 +317,39 @@ class TestMinimalCouplingN3:
 
     def test_all_equal(self):
         p = [0.2, 0.3, 0.5]
-        c = db.minimal_coupling_max_n3([p, p, p])
+        c = db.minimal_coupling_max([p, p, p])
         assert c.union_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_wrong_arity(self):
+        # The third marginal is a table, not a PMF.
         with pytest.raises(db.ValidationError):
-            db.minimal_coupling_max_n3([[0.5, 0.5], [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]])
-
-    @pytest.mark.parametrize("rows", [2, 4])
-    def test_family_of_other_size_raises(self, rows):
-        with pytest.raises(db.ValidationError):
-            db.minimal_coupling_max_n3((SYM08 * 2)[:rows])
+            db.minimal_coupling_max([[0.5, 0.5], [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]])
 
     @settings(max_examples=60, deadline=None)
     @given(supercritical_integer_trios())
     def test_arrays_match_pairwise_reference(self, fam):
         ref = reference_mixture(*minimal_n3_components(db.Channel(fam).matrix))
-        _assert_same_arrays(db.minimal_coupling_max_n3(fam), ref)
+        _assert_same_arrays(db.minimal_coupling_max(fam), ref)
 
     @pytest.mark.parametrize("excess, above", [(5e-13, False), (2e-12, True)])
     def test_regime_agrees_at_validity_threshold(self, excess, above):
         # tau_max2 = 3y = 1 + excess; the threshold sits at 1 + 1e-12, and the
-        # union-minimal mixture, the three-marginal variant and the closed form
-        # must all take the same side of it.
+        # construction and the closed form must take the same side of it.
         y = (1.0 + excess) / 3.0
         mats = [[1.0 - 2.0 * y, y, y], [y, 1.0 - 2.0 * y, y], [y, y, 1.0 - 2.0 * y]]
         tau_max2 = db.max2_doeblin(mats)
         assert tau_max2 == pytest.approx(1.0 + excess, abs=1e-15)
-        n3 = db.minimal_coupling_max_n3(mats)
+        built = db.minimal_coupling_max(mats)
         if above:
-            with pytest.raises(CouplingConditionError):
-                db.minimal_coupling_max(mats)
             assert minimal_union_mass(mats) == db.max_doeblin(mats) + (tau_max2 - 1.0)
-            assert not any(c["glued"] == [] for c in n3.components)  # no full product
+            # tau_max alone would be off by the excess.
+            assert built.union_mass() == pytest.approx(minimal_union_mass(mats), abs=excess / 4)
+            assert not any(c["glued"] == [] for c in built.components)  # no full product
         else:
             # Ties at every column maximum leave no excess factor to normalize.
-            built = db.minimal_coupling_max(mats)
             rep = db.verify_coupling(built, mats)
             assert max(rep.max_marginal_residual, rep.weight_residual) <= 4 * excess
             assert minimal_union_mass(mats) == db.max_doeblin(mats)
-            assert n3.to_dict() == built.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +420,12 @@ class TestSimultaneousJointCoupling:
             float(np.minimum(j1, j2).sum()), abs=1e-12
         )
         assert jc.prob_all_equal() < 1.0
+
+    def test_prob_x_equal_builds_no_coupling(self):
+        j1, j2 = np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([[0.4, 0.1], [0.2, 0.3]])
+        jc = db.simultaneous_joint_coupling([j1, j2])
+        with mock.patch.object(db.Coupling, "__post_init__", side_effect=AssertionError("a Coupling was built")):
+            assert jc.prob_x_equal() == pytest.approx(0.8, abs=1e-12)
 
     def test_equal_totals_with_distinct_joints(self):
         # Total pair overlap equals total X overlap yet the joints differ;
@@ -532,7 +539,7 @@ def _joint_coupling():
     [
         lambda: db.maximal_coupling(TRIO),
         lambda: db.minimal_coupling_max(TRIO),
-        lambda: db.minimal_coupling_max_n3(SYM08),
+        lambda: db.minimal_coupling_max(SYM08),
         _joint_coupling,
     ],
     ids=["maximal", "minimal", "minimal_n3", "joint"],
@@ -739,12 +746,12 @@ class TestStructuredMasses:
     @settings(max_examples=40, deadline=None)
     @given(pmf_families(min_n=3, max_n=3, min_m=3, max_m=5))
     def test_minimal_n3(self, fam):
-        _assert_masses_match_table(db.minimal_coupling_max_n3(fam))
+        _assert_masses_match_table(db.minimal_coupling_max(fam))
 
     def test_minimal_n3_supercritical(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
-            c = db.minimal_coupling_max_n3(supercritical_trio(rng, int(rng.integers(3, 6))))
+            c = db.minimal_coupling_max(supercritical_trio(rng, int(rng.integers(3, 6))))
             _assert_masses_match_table(c)
 
     @pytest.mark.parametrize(
@@ -769,7 +776,7 @@ class TestStructuredMasses:
     def test_orthogonality_of_constructions(self):
         assert db.maximal_coupling(TRIO).orthogonal_components()
         assert db.minimal_coupling_max(TRIO).orthogonal_components()
-        assert db.minimal_coupling_max_n3(SYM08).orthogonal_components()
+        assert db.minimal_coupling_max(SYM08).orthogonal_components()
 
 
 @st.composite
@@ -839,7 +846,7 @@ class TestOrthogonalComponents:
             for row in fam:
                 row[rng.choice(70, size=5, replace=False)] = rng.random(5) + 0.1
             fam /= fam.sum(axis=1, keepdims=True)
-            for c in (db.maximal_coupling(fam), db.minimal_coupling_max_n3(fam)):
+            for c in (db.maximal_coupling(fam), db.minimal_coupling_max(fam)):
                 blocked, oracle, dense = _orthogonal_outcomes(c, 8)
                 assert blocked == oracle == dense == c.orthogonal_components()
 
@@ -883,6 +890,22 @@ class TestMinimalUnionMass:
         quad = np.vstack([supercritical_trio(rng, 3), random_pmf(rng, 3)])
         assert max2_of(quad) > 1
         assert minimal_union_mass(list(quad)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(dirichlet_families())
+    @example(SYM08)
+    @example(np.vstack([SYM08, SYM08[:1]]))
+    @example(TRIO)
+    def test_construction_exists_where_the_closed_form_does(self, fam):
+        closed = minimal_union_mass(fam)
+        if closed is None:
+            with pytest.raises(CouplingConditionError):
+                db.minimal_coupling_max(fam)
+            return
+        c = db.minimal_coupling_max(fam)
+        assert abs(c.union_mass() - closed) <= 1e-12
+        mats = db.Channel(fam).matrix
+        assert max(np.abs(c.marginal(i) - p).max() for i, p in enumerate(mats)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -942,12 +965,12 @@ class TestBitIdenticalToDense:
     @settings(max_examples=40, deadline=None)
     @given(supercritical_integer_trios())
     def test_minimal_n3_supercritical(self, fam):
-        _assert_bit_identical(db.minimal_coupling_max_n3(fam))
+        _assert_bit_identical(db.minimal_coupling_max(fam))
 
     @settings(max_examples=40, deadline=None)
     @given(pmf_families(min_n=3, max_n=3, min_m=3, max_m=5))
     def test_minimal_n3(self, fam):
-        _assert_bit_identical(db.minimal_coupling_max_n3(fam))
+        _assert_bit_identical(db.minimal_coupling_max(fam))
 
     @settings(max_examples=40, deadline=None)
     @given(joint_families())
