@@ -293,8 +293,8 @@ def composite_channel(net: BayesNet, targets: Iterable[int]) -> Channel:
     factor.  The whole order is planned first, on the interaction graph of
     the factors, where a step costs in the eliminated label's neighbours.
     COMPOSITE_STATE_CAP bounds every factor the plan creates, the output
-    included, so a request past the cap raises ExpansionCapError before
-    anything is allocated.
+    included, so a request past the cap raises ExpansionCapError before any
+    factor is allocated, the source's included.
 
     Columns are joint target states in row-major order over the targets
     sorted by node index (last target fastest).  An empty target set gives
@@ -307,12 +307,16 @@ def composite_channel(net: BayesNet, targets: Iterable[int]) -> Channel:
     # own, net.size, tied to the row label by an identity factor.
     inside = _nodes(net._ancestor_mask(V) | 1 << src)
     sizes = {u: net.nodes[u].alphabet for u in inside}
-    factors = [(np.ones(k_src), (src,)), *(net.factors[u] for u in inside if u != src)]
+    # The source's own factors are placeholders until the plan has passed the cap.
+    factors = [(None, (src,)), *(net.factors[u] for u in inside if u != src)]
     if src in V:
         sizes[net.size] = k_src
-        factors.append((np.eye(k_src), (src, net.size)))
+        factors.append((None, (src, net.size)))
     out_labels = (src, *(net.size if v == src else v for v in V))
     plan = _elimination_plan([labels for _, labels in factors], sizes, out_labels)
+    factors[0] = (np.ones(k_src), (src,))
+    if src in V:
+        factors[-1] = (np.eye(k_src), (src, net.size))
     # Live factors by id, and each label's factor ids (consumed ones skipped).
     live = dict(enumerate(factors))
     held: list[list[int]] = [[] for _ in range(net.size + 1)]

@@ -86,6 +86,8 @@ class Coupling:
     expanded: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if not all(isinstance(a, np.ndarray) for a in (self.weights, self.pool, self.index, self.glued)):
+            raise ValidationError("coupling weights, pool, index and glued must be numpy arrays")
         shape, index = self.glued.shape, self.index
         if not (len(shape) == 2 and 0 not in shape and self.weights.shape == shape[:1] and index.shape == shape
                 and self.pool.ndim == 2 and self.glued.dtype == bool):
@@ -94,6 +96,8 @@ class Coupling:
             raise ValidationError(f"coupling index must hold integers in [0, {len(self.pool)})")
         if not (index == self._shared_rows[:, None])[self.glued].all():
             raise ValidationError("glued coordinates of a component must name one shared pool row")
+        if not self.weights.dtype.kind == self.pool.dtype.kind == "f":
+            raise ValidationError("coupling weights and pool must be float arrays")
         if not (0.0 <= self.weights.min() and self.weights.sum() < np.inf  # false on NaN and inf
                 and np.abs(self.pool.sum(axis=1) - 1.0).max() <= VALIDATION_TOL and 0.0 <= self.pool.min()):
             raise ValidationError("coupling weights and pool entries must be finite and >= 0, pool rows sum to 1")
@@ -279,13 +283,14 @@ def _subsets(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
 def _mixture(weights, shared, free, glued) -> Coupling:
     """A :class:`Coupling` pooling unnormalized ``shared`` (K, m) and ``free`` (n, m) or (K, n, m)
     rows; glued coordinates name their shared row.  Components of weight at most ``_ZERO_WEIGHT``
-    are dropped first, with the rows only they name; each row left is normalized and validated once."""
+    are dropped first, with the rows only they name; each row left is normalized; Coupling validates."""
     (K, m), n = shared.shape, glued.shape[1]
     raw = np.concatenate([shared, free.reshape(-1, m)])
     keep = weights > _ZERO_WEIGHT
     index = np.where(glued, np.arange(K)[:, None], np.arange(K, len(raw)).reshape(-1, n))[keep]
     used = np.bincount(index.ravel(), minlength=len(raw)) > 0
-    pool = _as_prob_vector(_normalized(raw[used]), what="coupling factor")
+    pool = _normalized(_normalized(raw[used]))  # the second division sets the last bits
+    pool.setflags(write=False)
     return Coupling(weights[keep], pool, (used.cumsum() - 1)[index], glued[keep])
 
 
@@ -467,7 +472,8 @@ class JointCoupling:
 def simultaneous_joint_coupling(joints: Sequence) -> JointCoupling:
     """Couple bivariate targets so that both the all-pairs-equal probability
     and the X-coordinates-equal probability are simultaneously maximal
-    (each equal to the corresponding column-minimum mass).
+    (each equal to the corresponding column-minimum mass).  The tables'
+    count and shapes are checked first, then their values in one pass.
 
     Three kinds of component, over the product alphabet:
 
@@ -479,20 +485,14 @@ def simultaneous_joint_coupling(joints: Sequence) -> JointCoupling:
       mass times that leftover conditional.
     """
     tables = [_as_float_array(j, f"joint distribution {i}") for i, j in enumerate(joints)]
+    if len(tables) < 2:
+        raise ValidationError("need at least two joint distributions")
     if any(t.ndim != 2 for t in tables):
         raise ValidationError("joint distributions must be 2-D tables")
-    mats = [
-        _as_prob_vector(t.ravel(), what=f"joint distribution {i}").reshape(t.shape)
-        for i, t in enumerate(tables)
-    ]
-    if len(mats) < 2:
-        raise ValidationError("need at least two joint distributions")
-    shape = mats[0].shape
-    if any(m.shape != shape for m in mats):
+    if any(t.shape != tables[0].shape for t in tables):
         raise AlphabetMismatchError("joint distributions must share X and Y alphabets")
-    n = len(mats)
-    xs, ys = shape
-    stackd = np.stack(mats)  # (n, xs, ys)
+    n, (xs, ys) = len(tables), tables[0].shape
+    stackd = _as_prob_vector(np.reshape(tables, (n, -1)), what="joint distribution").reshape(n, xs, ys)
     pmin = stackd.min(axis=0)  # pointwise over (x, y)
     x_marg = stackd.sum(axis=2)  # (n, xs)
     x_min = x_marg.min(axis=0)
@@ -502,17 +502,15 @@ def simultaneous_joint_coupling(joints: Sequence) -> JointCoupling:
     denom = (x_marg - s)[:, :, None]
     cond = np.divide(left, denom, out=np.zeros_like(left), where=denom > 0.0)
 
-    # Component x puts every X_i on x; the all-free one weighs each
-    # conditional by the leftover X mass.
-    per_x = np.zeros((xs, n, xs, ys))
-    per_x[np.arange(xs), :, np.arange(xs)] = cond.transpose(1, 0, 2)
-    free = (x_marg - x_min)[:, :, None] * cond
-    shared = np.zeros((xs + 2, xs * ys))
-    shared[0] = pmin.ravel()
+    # Free factors, one row per component: none glued; component x puts every
+    # X_i on x; the all-free one weighs each conditional by the leftover X mass.
+    free = np.zeros((xs + 2, n, xs, ys))
+    free[np.arange(1, xs + 1), :, np.arange(xs)] = cond.transpose(1, 0, 2)
+    free[-1] = (x_marg - x_min)[:, :, None] * cond
     coupling = _mixture(
         weights=np.concatenate([[pmin.sum()], x_min - s, [1.0 - x_min.sum()]]),
-        shared=shared,
-        free=np.concatenate([np.zeros((1, n, xs * ys)), per_x.reshape(xs, n, -1), free.reshape(1, n, -1)]),
+        shared=np.concatenate([pmin.reshape(1, -1), np.zeros((xs + 1, xs * ys))]),
+        free=free,
         glued=np.repeat([[True]] + [[False]] * (xs + 1), n, axis=1),
     )
     return JointCoupling(xs, ys, coupling)

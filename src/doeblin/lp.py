@@ -205,8 +205,8 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     phase 1 included.
 
     Raises :class:`InfeasibilityError` when the program is infeasible or
-    unbounded, or past ``_MAX_ITER`` pivots, and :class:`ExpansionCapError`
-    past ``VARIABLE_CAP`` variables or ``TABLEAU_CELL_CAP`` tableau cells.
+    unbounded, and :class:`ExpansionCapError` past ``VARIABLE_CAP`` variables,
+    ``TABLEAU_CELL_CAP`` tableau cells or ``_MAX_ITER`` pivots.
     """
     k, nv = problem.eq_matrix.shape
     _check_size(k, nv, "LP")
@@ -235,7 +235,7 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
         T[k, -1] = -(cost[basis] @ T[:k, -1])  # -d * objective: exact pivots divide it exactly
         while allow:  # no columns, nothing to enter
             if iterations > _MAX_ITER:
-                raise InfeasibilityError("simplex iteration cap exceeded")
+                raise ExpansionCapError(f"simplex needs more than {_MAX_ITER} pivots (cap {_MAX_ITER})")
             # Bland: the smallest eligible index enters ...
             eligible = T[k, :allow] < -arith.tol
             entering = eligible.argmax()

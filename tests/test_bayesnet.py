@@ -11,6 +11,7 @@ replaced, bit for bit.
 
 import json
 import math
+import tracemalloc
 from functools import cache, reduce
 from pathlib import Path
 
@@ -443,6 +444,20 @@ def test_composite_cap_raises_before_any_contraction(monkeypatch):
     monkeypatch.setattr(bn.np, "einsum", no_einsum)
     with pytest.raises(ExpansionCapError):
         bn.composite_channel(_chain(25), list(range(1, 25)))
+
+
+def test_composite_cap_raises_before_the_source_factors():
+    # The source as target keeps a 5,000 x 5,000 output, past the cap; the
+    # source's identity factor alone would be 200 MB.
+    net = db.BayesNet(nodes=(db.Node("X", 5000, (), None),), source=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExpansionCapError):
+            bn.composite_channel(net, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_path_cap_raises_typed_error(monkeypatch):

@@ -68,6 +68,8 @@ CASES = {
     "bayesnet_past_cap": (["bayesnet", _f("chain25.json"), "--target", "N24", "--bound", "perc"], 0),
     "bayesnet_composite_past_cap": (["bayesnet", _f("chain25.json"), "--target", CHAIN25_ALL], 0),
     "bayesnet_perc_past_cap": (["bayesnet", _f("chain30.json"), "--target", "N29"], 0),
+    # A 1,000,000-letter source as target: refused before its factors are allocated.
+    "bayesnet_source_past_cap": (["bayesnet", _f("wide_source.json"), "--target", "X"], 0),
     "fuse": (["fuse", _f("beliefs.json")], 0),
     "verify_estimator": (["verify", "--problem", "estimator", _f("channel.json")], 0),
     "verify_estimator_max_witness": (
@@ -343,9 +345,20 @@ def test_each_input_validated_once(monkeypatch, capsys):
         seen.append(what)
         return validate(values, what=what)
 
-    monkeypatch.setattr(channel, "_as_prob_vector", counting)
+    # Every module's binding, the names other modules imported included.
+    for name, mod in list(sys.modules.items()):
+        if name == "doeblin" or name.startswith("doeblin."):
+            for attr in [a for a, obj in vars(mod).items() if obj is validate]:
+                monkeypatch.setattr(mod, attr, counting)
     assert _invoke(["verify", "--problem", "union", _f("trio.json")]) == 0
     assert seen == ["channel"]
+    seen.clear()
+    assert _invoke(CASES["couple_max"][0]) == 0
+    assert seen == ["channel"]
+    seen.clear()
+    # All the tables in one call.
+    assert _invoke(CASES["couple_joint"][0]) == 0
+    assert seen == ["joint distribution"]
     seen.clear()
     assert _invoke(CASES["couple_min_supercritical"][0]) == 0
     assert seen == ["channel"]

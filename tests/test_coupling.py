@@ -445,7 +445,7 @@ class TestSimultaneousJointCoupling:
     def test_nan_entry_rejected(self):
         bad = np.full((2, 2), 0.25)
         bad[0, 1] = np.nan
-        with pytest.raises(db.ValidationError, match="joint distribution 1 contains non-finite"):
+        with pytest.raises(db.ValidationError, match="joint distribution row 1 contains non-finite"):
             db.simultaneous_joint_coupling([np.full((2, 2), 0.25), bad])
 
     def test_complex_entry_rejected(self):
@@ -1015,11 +1015,23 @@ class TestBitIdenticalToDense:
         ([1.0], np.eye(2), [[0, 1]], [[0, 0]]),  # glue mask is not boolean
         ([1.0], np.eye(2), [0, 1], [False, False]),  # index and glue are not 2-D
         ([1.0], np.eye(2), np.zeros((1, 0), dtype=int), np.zeros((1, 0), dtype=bool)),  # no coordinates
+        ([1.0], np.eye(2) + 0j, [[0, 1]], [[False, False]]),  # complex pool; casting drops the imaginary part
+        ([1.0], np.eye(2).astype(object), [[0, 1]], [[False, False]]),  # object pool
+        (["1.0"], np.eye(2), [[0, 1]], [[False, False]]),  # string weights
+        ([True], np.eye(2), [[0, 1]], [[False, False]]),  # boolean weights
     ],
 )
 def test_invalid_hand_built_coupling_rejected(weights, pool, index, glued):
     with pytest.raises(db.ValidationError):
         db.Coupling(np.array(weights), np.array(pool), np.array(index), np.array(glued))
+
+
+@pytest.mark.parametrize("field", range(4))
+def test_list_coupling_field_rejected(field):
+    fields = [np.array([1.0]), np.eye(2), np.array([[0, 1]]), np.array([[False, False]])]
+    fields[field] = fields[field].tolist()
+    with pytest.raises(db.ValidationError, match="must be numpy arrays"):
+        db.Coupling(*fields)
 
 
 @pytest.mark.parametrize(
@@ -1053,6 +1065,25 @@ def test_coupling_values_kept_as_given():
 def test_all_zero_factor_row_rejected():
     with pytest.raises(db.ValidationError, match="cannot normalize an all-zero factor"):
         db.coupling._normalized(np.array([[0.5, 0.5], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: db.maximal_coupling(TRIO),
+        lambda: db.minimal_coupling_max(TRIO),
+        lambda: db.minimal_coupling_max(SYM08),
+        lambda: db.simultaneous_joint_coupling([np.full((2, 3), 1 / 6), np.eye(2, 3) / 2]),
+    ],
+    ids=["maximal", "minimal", "minimal_three_marginals", "joint"],
+)
+def test_each_construction_builds_one_read_only_coupling(monkeypatch, build):
+    built = []
+    check = db.Coupling.__post_init__
+    monkeypatch.setattr(db.Coupling, "__post_init__", lambda self: built.append(self) or check(self))
+    build()
+    assert len(built) == 1
+    assert not built[0].pool.flags.writeable
 
 
 @pytest.mark.parametrize(

@@ -128,7 +128,7 @@ class TestProblemInput:
         monkeypatch.setattr(lp, "_MAX_ITER", 0)
         monkeypatch.setattr(lp, "_phase1", (None, None))
         prob = lp.LpProblem([1.0, 1.0], [[1.0, 2.0]], [4.0], "min")
-        with pytest.raises(InfeasibilityError, match="simplex iteration cap exceeded"):
+        with pytest.raises(ExpansionCapError, match=r"simplex needs more than 0 pivots \(cap 0\)"):
             lp.solve(prob, exact=exact)
 
     @pytest.mark.parametrize("exact", [False, True])
