@@ -309,7 +309,7 @@ def _cmd_verify(args) -> dict:
     if args.witness:
         out["witness"] = (
             Channel(kernel).to_dict() if res is None
-            else [{"tuple": list(t), "mass": mass} for t, mass in sorted(res.witness.items())]
+            else [{"tuple": list(t), "mass": mass} for t, mass in res.witness.items()]
         )
     return out
 

@@ -74,7 +74,7 @@ class Coupling:
 
     Arrays: ``weights`` (K,), the factor pool ``pool`` (F, m), the integer
     ``index`` (K, n) into it and the glue mask ``glued`` (K, n).  The glued
-    coordinates of a component all name one row, its :attr:`shared` factor.
+    coordinates of a component all name one row, its shared factor.
     ``expanded`` stays ``None`` until :meth:`expand` fills it, and is not
     copied by ``dataclasses.replace``.
     """
@@ -114,11 +114,6 @@ class Coupling:
     def _shared_rows(self) -> np.ndarray:  # (K,): each component's first glued row
         return self.index[np.arange(len(self.glued)), self.glued.argmax(axis=1)]
 
-    @cached_property
-    def shared(self) -> np.ndarray:
-        """(K, m): each component's shared pool row, zero without glue."""
-        return np.where(self.glued.any(axis=1)[:, None], self.pool[self._shared_rows], 0.0)
-
     @property
     def components(self) -> list[dict]:
         """One record per component, as :meth:`to_dict` emits it; no two share a list."""
@@ -127,10 +122,10 @@ class Coupling:
             {
                 "weight": w,
                 "glued": [i for i, gi in enumerate(g) if gi],
-                "shared_factor": s if any(g) else None,
+                "shared_factor": list(rows[s]) if any(g) else None,
                 "free_factors": {str(i): list(rows[j]) for i, (j, gi) in enumerate(zip(f, g)) if not gi},
             }
-            for w, s, f, g in zip(*(a.tolist() for a in (self.weights, self.shared, self.index, self.glued)))
+            for w, s, f, g in zip(*(a.tolist() for a in (self.weights, self._shared_rows, self.index, self.glued)))
         ]
 
     def weight_sum(self) -> float:
@@ -161,31 +156,31 @@ class Coupling:
         """Materialize the sparse joint table (memoized), for export and tests.
 
         Each component visits only its support: the glued block's symbols,
-        then each free coordinate's in order, in row-major positions of a
-        dense table of m**n cells.  More than DEFAULT_EXPANSION_CAP cells
-        raise ExpansionCapError."""
+        then each free coordinate's, at their row-major cell numbers.  Only
+        supports are held, merged whenever they pass m**n cells; each cell
+        sums from 0.0 in component order, and the keys come out in row-major
+        order.  More than DEFAULT_EXPANSION_CAP cells (m**n) raise ExpansionCapError."""
         if self.expanded is not None:
             return self.expanded
         n, m = self.arity, self.alphabet_size
         if m**n > DEFAULT_EXPANSION_CAP:
             raise ExpansionCapError(f"expansion needs {m ** n} entries (cap {DEFAULT_EXPANSION_CAP})")
         place = m ** np.arange(n - 1, -1, -1)
-        dense = np.zeros(m**n)
-        hit = np.zeros(m**n, dtype=bool)
-        for w, s, rows, g in zip(self.weights, self.shared, self.index, self.glued):
+        pieces, held = [], 0
+        for w, s, rows, g in zip(self.weights, self._shared_rows, self.index, self.glued):
             cells, mass = np.zeros(1, dtype=np.int64), np.ones(1)
-            if g.any():
-                ys = np.flatnonzero(s > 0.0)
-                cells, mass = ys * place[g].sum(), s[ys]
-            for f, step in zip(self.pool[rows[~g]], place[~g]):
+            block = [(self.pool[s], place[g].sum())] if g.any() else []  # the glued block as one coordinate
+            for f, step in block + list(zip(self.pool[rows[~g]], place[~g])):
                 ys = np.flatnonzero(f > 0.0)
                 cells = (cells[:, None] + ys * step).ravel()
                 mass = (mass[:, None] * f[ys]).ravel()
-            dense[cells] += w * mass
-            hit[cells] = True
-        cells = np.flatnonzero(hit)
+            pieces.append((cells, w * mass))
+            held += len(cells)
+            if held > m**n:  # merged early, so the pieces never hold more than 3 m**n cells
+                pieces, held = [_merged(pieces)], 0
+        cells, mass = _merged(pieces)
         keys = np.stack(np.unravel_index(cells, (m,) * n), axis=1).tolist()
-        self.expanded = {tuple(key): float(v) for key, v in zip(keys, dense[cells])}
+        self.expanded = {tuple(key): v for key, v in zip(keys, mass.tolist())}
         return self.expanded
 
     def diagonal_mass(self) -> float:
@@ -195,8 +190,8 @@ class Coupling:
     def union_mass(self) -> float:
         """Summed over symbols y, the probability that some coordinate hits y.
         A component misses y with probability (1 - s(y)) prod_i (1 - f_i(y))."""
-        free_miss = np.where(self.glued[:, :, None], 1.0, (1.0 - self.pool)[self.index])
-        miss = (1.0 - self.shared) * free_miss.prod(axis=1)
+        shared_miss = np.where(self.glued.any(axis=1)[:, None], 1.0 - self.pool[self._shared_rows], 1.0)
+        miss = shared_miss * np.where(self.glued[:, :, None], 1.0, (1.0 - self.pool)[self.index]).prod(axis=1)
         return float(self.weights @ (self.alphabet_size - miss.sum(axis=1)))
 
     def intersection_mass(self, coords: Sequence[int]) -> float:
@@ -217,7 +212,7 @@ class Coupling:
         """:meth:`intersection_mass` of every subset of two or more coordinates, built one
         coordinate at a time from one gather of the free factors; row ``mask`` holds the
         subset of its bits.  Raises ExpansionCapError when 2^n * K * m > DEFAULT_EXPANSION_CAP."""
-        shared, glued = self.shared, self.glued
+        shared, glued = self.pool[self._shared_rows], self.glued  # shared: unread without glue
         rows = 1 << self.arity
         if rows * shared.size > DEFAULT_EXPANSION_CAP:
             raise ExpansionCapError(f"subset table needs {rows * shared.size} entries (cap {DEFAULT_EXPANSION_CAP})")
@@ -264,10 +259,7 @@ class Coupling:
     def to_dict(self, include_expanded: bool = False) -> dict:
         out = {"arity": self.arity, "alphabet": self.alphabet_size, "components": self.components}
         if include_expanded:
-            table = self.expand()
-            out["expanded"] = [
-                {"tuple": list(key), "mass": mass} for key, mass in sorted(table.items())
-            ]
+            out["expanded"] = [{"tuple": list(key), "mass": mass} for key, mass in self.expand().items()]
         return out
 
 
@@ -278,6 +270,12 @@ def _subsets(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     masks = np.array([sum(1 << i for i in c) for c in keys], dtype=np.intp)
     masks.setflags(write=False)  # shared by every caller
     return keys, masks
+
+
+def _merged(pieces: list) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, masses) pieces as one: the distinct cells ascending, each mass summed from 0.0 in piece order."""
+    cells, inverse = np.unique(np.concatenate([c for c, _ in pieces]), return_inverse=True)
+    return cells, np.bincount(inverse, np.concatenate([v for _, v in pieces]))
 
 
 def _mixture(weights, shared, free, glued) -> Coupling:
@@ -435,10 +433,7 @@ class JointCoupling:
 
     @cached_property
     def table(self) -> dict:
-        return {
-            tuple(divmod(s, self.y_size) for s in key): mass
-            for key, mass in self.coupling.expand().items()
-        }
+        return {tuple(divmod(s, self.y_size) for s in key): mass for key, mass in self.coupling.expand().items()}
 
     def bivariate_marginal(self, i: int) -> np.ndarray:
         return self.coupling.marginal(i).reshape(self.x_size, self.y_size)
@@ -460,10 +455,7 @@ class JointCoupling:
         components over the product alphabet."""
         out = {"arity": self.arity, "x_alphabet": self.x_size, "y_alphabet": self.y_size}
         if include_table:
-            out["table"] = [
-                {"tuple": [list(xy) for xy in key], "mass": mass}
-                for key, mass in sorted(self.table.items())
-            ]
+            out["table"] = [{"tuple": [list(xy) for xy in key], "mass": mass} for key, mass in self.table.items()]
         else:
             out["components"] = self.coupling.components
         return out
@@ -473,7 +465,8 @@ def simultaneous_joint_coupling(joints: Sequence) -> JointCoupling:
     """Couple bivariate targets so that both the all-pairs-equal probability
     and the X-coordinates-equal probability are simultaneously maximal
     (each equal to the corresponding column-minimum mass).  The tables'
-    count and shapes are checked first, then their values in one pass.
+    count and shapes, and the size of the free-factor pool they need, are
+    checked first, then their values in one pass.
 
     Three kinds of component, over the product alphabet:
 
@@ -492,6 +485,8 @@ def simultaneous_joint_coupling(joints: Sequence) -> JointCoupling:
     if any(t.shape != tables[0].shape for t in tables):
         raise AlphabetMismatchError("joint distributions must share X and Y alphabets")
     n, (xs, ys) = len(tables), tables[0].shape
+    if (entries := (xs + 2) * n * xs * ys) > DEFAULT_EXPANSION_CAP:  # the free factors below
+        raise ExpansionCapError(f"joint factor pool needs {entries} entries (cap {DEFAULT_EXPANSION_CAP})")
     stackd = _as_prob_vector(np.reshape(tables, (n, -1)), what="joint distribution").reshape(n, xs, ys)
     pmin = stackd.min(axis=0)  # pointwise over (x, y)
     x_marg = stackd.sum(axis=2)  # (n, xs)

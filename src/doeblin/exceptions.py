@@ -26,8 +26,8 @@ class AlphabetMismatchError(ValidationError):
 
 class ExpansionCapError(ValidationError):
     """A request would pass one of the fixed size caps (table cells, factor
-    entries, relevant nodes, paths, letter subsets, LP variables, LP
-    tableau cells or simplex pivots)."""
+    entries, the joint coupling's factor pool, relevant nodes, paths, letter
+    subsets, LP variables, LP tableau cells or simplex pivots)."""
 
 
 class NoConsensusError(InfeasibilityError):

@@ -212,9 +212,10 @@ def reference_minimal_coupling_max(pmfs) -> "DenseCoupling":
 
 
 def dense_view(c: Coupling) -> np.ndarray:
-    """The (K, n, m) factor array of a pooled coupling: every glued
-    coordinate holds the component's shared factor, every free one its own."""
-    return np.where(c.glued[..., None], c.shared[:, None], c.pool[c.index])
+    """The (K, n, m) factor array of a pooled coupling, read through its
+    index: every glued coordinate names the component's shared row, every
+    free one its own."""
+    return c.pool[c.index]
 
 
 def reference_mixture(weights, shared, factors, glued) -> "DenseCoupling":
@@ -709,8 +710,8 @@ def reference_percolation(net: BayesNet, targets, mode="exact", samples=None, se
     (seed, block) and propagates reachability one node column at a time."""
     V = frozenset(bayesnet._targets(net, targets))
     src = net.source
-    reach_src = net.descendants(src)
-    relevant = reach_src & net.ancestors(V)  # non-source nodes on a source-to-target path
+    reach_src = reference_descendants(net, src)
+    relevant = reach_src & reference_ancestors(net, V)  # non-source nodes on a source-to-target path
 
     if mode == "exact":
         if len(relevant) > bayesnet.EXACT_PERCOLATION_NODE_CAP:
@@ -769,7 +770,7 @@ def reference_shortcut_free_bound(net: BayesNet, targets) -> tuple[float, list[t
     from the module at call time."""
     V = frozenset(bayesnet._targets(net, targets))
     src = net.source
-    towards_v = net.ancestors(V)  # nodes with a directed route into the targets, with their parents
+    towards_v = reference_ancestors(net, V)  # nodes with a directed route into the targets, with their parents
     children: dict[int, list[int]] = {u: [] for u in towards_v | {src}}
     for c in sorted(towards_v):  # one pass in index order, so each list is in index order
         for u in net.nodes[c].parents:

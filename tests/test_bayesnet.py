@@ -504,6 +504,7 @@ def test_exact_percolation_cap_raises_typed_error():
         lambda net: bn.composite_channel(net, [True]),
         lambda net: bn.percolation(net, [True]),
         lambda net: bn.recursion_bound(net, [], True),
+        lambda net: bn.composite_channel(net, 3),
     ],
 )
 def test_bad_target_indices_rejected(call):

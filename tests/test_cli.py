@@ -188,6 +188,8 @@ MALFORMED = {
         ["verify", "--problem", "union", "INPUT"],
         json.dumps([[1 / 316] * 316] * 2),
     ),
+    # Two 10,000 x 1 tables: a 1.49 GiB free-factor pool, refused before it is allocated.
+    "joint_pool_past_cap": (["couple", "--kind", "joint", "INPUT"], json.dumps({"joints": [[[1e-4]] * 10_000] * 2})),
 }
 
 

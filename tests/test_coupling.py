@@ -261,10 +261,11 @@ class TestMinimalCoupling:
         n, m = mats.shape
         c = db.minimal_coupling_max(fam)
         assert len(c.weights) <= m * (n - 1) + 1
-        for shared, glued in zip(c.shared, c.glued):
-            for y in np.flatnonzero(shared > 0.0):
-                below = mats[~glued, y].max(initial=0.0)
-                assert mats[glued, y].min() > below
+        for rows, glued in zip(c.index, c.glued):
+            if glued.any():
+                for y in np.flatnonzero(c.pool[rows[glued][0]] > 0.0):
+                    below = mats[~glued, y].max(initial=0.0)
+                    assert mats[glued, y].min() > below
 
     def test_boundary_example_sits_in_the_tolerance_band(self):
         assert 1.0 < max2_of(np.array(BOUNDARY)) <= 1.0 + 1e-12
@@ -466,6 +467,19 @@ class TestSimultaneousJointCoupling:
         with pytest.raises(db.ValidationError, match="need at least two joint distributions"):
             db.simultaneous_joint_coupling([np.full((2, 2), 0.25)])
 
+    def test_pool_past_cap_refused_before_allocation(self):
+        # Two 10,000 x 1 tables: a (10,002, 2, 10,000, 1) free-factor pool,
+        # 1.49 GiB, for 160 kB of input.
+        joints = [np.full((10_000, 1), 1e-4)] * 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExpansionCapError, match="joint factor pool needs 200040000 entries"):
+                db.simultaneous_joint_coupling(joints)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
 
 @st.composite
 def joint_families(draw, min_n=2, max_n=5, max_xs=3, max_ys=4):
@@ -547,12 +561,9 @@ def _joint_coupling():
 def test_shared_is_every_glued_factor(build):
     c = build()
     assert np.issubdtype(c.index.dtype, np.integer) and c.index.shape == c.glued.shape
-    for shared, rows, glued in zip(c.shared, c.index, c.glued):
+    for rows, glued in zip(c.index, c.glued):
         if glued.any():
             assert len(set(rows[glued].tolist())) == 1
-            assert (c.pool[rows[glued]] == shared).all()
-        else:
-            assert not shared.any()
 
 
 def test_glued_coordinates_with_different_factors_rejected():
@@ -591,6 +602,68 @@ class TestCoordinateChecks:
         assert c.intersection_mass(np.arange(2)) == c.intersection_mass((0, 1))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: db.maximal_coupling(TRIO),
+        lambda: db.minimal_coupling_max(TRIO),
+        lambda: db.minimal_coupling_max(SYM08),
+        _joint_coupling,
+    ],
+    ids=["maximal", "minimal", "minimal_n3", "joint"],
+)
+def test_expansion_keys_in_row_major_order(build):
+    # The exports list the table as expand() holds it, unsorted.
+    c = build()
+    keys = list(c.expand())
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert [tuple(e["tuple"]) for e in c.to_dict(True)["expanded"]] == keys
+
+
+def test_joint_table_and_lp_witness_keys_in_row_major_order():
+    jc = db.simultaneous_joint_coupling([np.array([[0.1, 0.2, 0.1], [0.3, 0.2, 0.1]]), np.full((2, 3), 1 / 6)])
+    keys = list(jc.table)
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert [tuple(map(tuple, e["tuple"])) for e in jc.to_dict()["table"]] == keys
+    witness = list(lp.coupling_diag_opt(TRIO, "max").witness)
+    assert witness == sorted(witness) and len(set(witness)) == len(witness)
+
+
+def test_expansion_holds_only_the_support():
+    # 176 cells of 10^6: a dense float buffer and hit mask would take 9 MB.
+    c = db.minimal_coupling_max(list(feasible_minimal_instance(np.random.default_rng(43), 6, 10)))
+    tracemalloc.start()
+    try:
+        table = c.expand()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 176
+    assert peak < 1e6
+
+
+def test_overlapping_supports_merged_early():
+    # 400 components on the full 1,000-cell table: about 280,000 support
+    # cells (4.5 MB) in all, held to a few thousand by merging as they come;
+    # each cell still sums its masses in component order, as the dense table does.
+    rng = np.random.default_rng(59)
+    K, n, m = 400, 3, 10
+    glued = np.zeros((K, n), dtype=bool)
+    glued[::3, :2] = True
+    index = np.arange(K * n).reshape(K, n)
+    index[glued] = np.repeat(index[glued[:, 0], 0], 2)
+    c = db.Coupling(rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(m), size=K * n), index, glued)
+    tracemalloc.start()
+    try:
+        table = c.expand()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == m**n
+    assert repr(table) == repr(DenseCoupling(c.weights, dense_view(c), c.glued).expand())
+    assert peak < 1e6
+
+
 def test_replace_recomputes_expansion():
     # The expansion memo belongs to one instance: a copy with other factors
     # expands its own table.
@@ -620,7 +693,7 @@ class TestVerifyCoupling:
         # marginals are off.
         shift = np.array([3e-3, -3e-3, 0.0])
         pool = c.pool.copy()
-        pool[c.index[0, 0]] = db.Pmf(c.shared[0] + shift).probs
+        pool[c.index[0, 0]] = db.Pmf(c.pool[c.index[0, 0]] + shift).probs
         corrupted = dataclasses.replace(c, pool=pool)
         rep = db.verify_coupling(corrupted, pmfs)
         assert rep.weight_residual < 1e-12
