@@ -40,6 +40,7 @@ COMPOSITE_STATE_CAP = 10**7  # entries of the largest factor variable eliminatio
 EXACT_PERCOLATION_NODE_CAP = 25
 PATH_CAP = 10**6
 MC_BLOCK_SIZE = 4096  # Monte Carlo trials per RNG stream
+MC_DRAW_CAP = 10**9  # Monte Carlo survival draws: trials times relevant nodes
 LETTER_SUBSET_CAP = 2**16  # letter subsets the memoryless-stage bound averages over
 
 
@@ -380,7 +381,8 @@ def percolation(
     (trials x relevant nodes) survival matrix from the stream keyed by
     (seed, b), held as one row of trials per node, and reachability is
     propagated through it one node at a time in topological order.  Results
-    do not depend on how blocks are scheduled.
+    do not depend on how blocks are scheduled.  More than MC_DRAW_CAP draws
+    (samples times relevant nodes, at least one) raise ExpansionCapError.
     """
     V = _targets(net, targets)
     src = net.source
@@ -418,6 +420,8 @@ def percolation(
         raise ValidationError(f"Monte Carlo percolation needs a positive sample count, got {samples}")
     if seed < 0:
         raise ValidationError(f"Monte Carlo percolation needs a non-negative seed, got {seed}")
+    if (draws := samples * max(1, relevant.bit_count())) > MC_DRAW_CAP:
+        raise ExpansionCapError(f"Monte Carlo percolation needs {draws} draws (cap {MC_DRAW_CAP})")
     order = _nodes(relevant)
     row = {u: j for j, u in enumerate(order)}
     survive_prob = np.array([1.0 - net.taus[u] for u in order])[:, None]

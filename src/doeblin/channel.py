@@ -488,7 +488,7 @@ def compose(first, second) -> Channel:
         raise ValidationError(
             f"inner dimensions disagree: {V.shape[1]} outputs vs {W.shape[0]} inputs"
         )
-    return Channel(V @ W)  # renormalizes the rounding in the row sums
+    return Channel(np.einsum("ij,jk->ik", V, W))  # renormalizes the rounding in the row sums
 
 
 def tensor(first, second) -> Channel:

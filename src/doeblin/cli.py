@@ -3,7 +3,8 @@
 Subcommands: coef, couple, degroot, bayesnet, fuse, verify.  Exit code 0 on
 success, 1 on parse/validation errors (the message names the failing
 invariant), 2 on infeasible requests (no consensus, coupling condition
-violated).  Output is byte-identical for identical inputs and seeds.
+violated).  Output is byte-identical for identical inputs and seeds, on every
+CPU: no printed number goes through BLAS, whose summation order is the kernel's.
 
 Inputs: every subcommand that reads PMFs reads them one way, through
 :func:`load_pmfs` (a JSON object, a JSON array or CSV, told apart by

@@ -143,14 +143,9 @@ class Coupling:
         return coords
 
     def marginal(self, coord: int) -> np.ndarray:
-        """Coordinate marginal: the weighted sum of that coordinate's factors.  For n > 1
-        the rows are read at a row stride of 2m, like a column of the (K, n, m) factor
-        view: BLAS rounds a contiguous operand differently in the last bit."""
+        """Coordinate marginal: the weighted sum of that coordinate's factors, in component order."""
         (coord,) = self._coords([coord])
-        rows = self.pool[self.index[:, coord]]
-        if self.arity > 1:
-            rows = rows.repeat(2, axis=0)[::2]
-        return self.weights @ rows
+        return (self.weights[:, None] * self.pool[self.index[:, coord]]).sum(axis=0)
 
     def expand(self) -> dict:
         """Materialize the sparse joint table (memoized), for export and tests.
@@ -192,7 +187,7 @@ class Coupling:
         A component misses y with probability (1 - s(y)) prod_i (1 - f_i(y))."""
         shared_miss = np.where(self.glued.any(axis=1)[:, None], 1.0 - self.pool[self._shared_rows], 1.0)
         miss = shared_miss * np.where(self.glued[:, :, None], 1.0, (1.0 - self.pool)[self.index]).prod(axis=1)
-        return float(self.weights @ (self.alphabet_size - miss.sum(axis=1)))
+        return float((self.weights * (self.alphabet_size - miss.sum(axis=1))).sum())
 
     def intersection_mass(self, coords: Sequence[int]) -> float:
         """Summed over y, the probability that all the given coordinates hit y:
@@ -206,7 +201,7 @@ class Coupling:
         in_glue = self.glued[:, coords]
         prod = np.where(in_glue[:, :, None], 1.0, pool[self.index[:, coords]]).prod(axis=1)
         head = np.where(in_glue.any(axis=1)[:, None], pool[self._shared_rows], 1.0)
-        return float(self.weights @ (head * prod).sum(axis=1))
+        return float((self.weights * (head * prod).sum(axis=1)).sum())
 
     def intersection_masses(self) -> dict[tuple[int, ...], float]:
         """:meth:`intersection_mass` of every subset of two or more coordinates, built one
@@ -224,7 +219,7 @@ class Coupling:
         hit = (np.arange(rows)[:, None] & (glued @ (1 << np.arange(self.arity)))) > 0  # subset meets the glue
         sums = np.where(hit, np.einsum("km,skm->sk", shared, prod), prod.sum(axis=2))
         keys, masks = _subsets(self.arity)
-        return dict(zip(keys, (sums @ self.weights)[masks].tolist()))
+        return dict(zip(keys, (sums * self.weights).sum(axis=1)[masks].tolist()))
 
     def orthogonal_components(self) -> bool:
         """Whether no two components share a tuple of positive mass.
@@ -553,8 +548,8 @@ def verify_coupling(coupling: Coupling, targets: Sequence) -> VerificationReport
     if n != coupling.arity or m != coupling.alphabet_size:
         raise AlphabetMismatchError("targets do not match the coupling's shape")
     intersections = coupling.intersection_masses()
-    # Each marginal from one gather of the (K, n, m) factor view, strided as marginal() reads it.
-    marginals = np.array([coupling.weights @ f for f in coupling.pool[coupling.index].transpose(1, 0, 2)])
+    # Every marginal from one gather, summed in component order as marginal() sums it.
+    marginals = (coupling.weights[:, None, None] * coupling.pool[coupling.index]).sum(axis=0)
     return VerificationReport(
         weight_residual=abs(coupling.weight_sum() - 1.0),
         marginal_residuals=tuple(np.abs(marginals - mats).max(axis=1).tolist()),

@@ -50,7 +50,7 @@ def risk(prior, channel, loss, estimator) -> float:
         raise ValidationError("loss matrix must be finite")
     if est.n != ch.m or est.m != ch.n:
         raise ValidationError(f"estimator must be {ch.m} x {ch.n}")
-    return float(np.trace(L.T @ np.diag(lam) @ ch.matrix @ est.matrix))
+    return float(np.einsum("ji,j,jy,yi->", L, lam, ch.matrix, est.matrix))
 
 
 def _loss_kind(loss_kind):

@@ -25,8 +25,8 @@ class AlphabetMismatchError(ValidationError):
 
 
 class ExpansionCapError(ValidationError):
-    """A request would pass one of the fixed size caps (table cells, factor
-    entries, the joint coupling's factor pool, relevant nodes, paths, letter
+    """A request would pass one of the fixed size caps (table cells, factor entries, the joint
+    coupling's factor pool, relevant nodes, Monte Carlo draws (``MC_DRAW_CAP``), paths, letter
     subsets, LP variables, LP tableau cells or simplex pivots)."""
 
 

@@ -13,13 +13,10 @@ arithmetic.  The mode is chosen once per call and fixes the tableau's
 entries, the pivot update, the leaving-row comparison and the conversion of
 the certificates to floats, and nothing else: both modes take the pivots of
 the rational tableau, and ``tests/helpers.reference_simplex`` is the row-loop
-tableau that holds them to that, bit for bit.  A float pivot is one
-full-width numpy update in which a row zero in the pivot column subtracts
-``+0.0``, so that row keeps every bit, signed zeros included, as it does in
-the row loop.  Phase 1 reads only the constraints, so the tableau after
-phase 1 of the last program solved is kept with its mode, and a program with
-the same constraints in the same mode (another objective over the same
-coupling polytope) starts at phase 2.
+tableau that holds them to that, bit for bit.  Phase 1 reads only the
+constraints, so the tableau after phase 1 of the last program solved is kept
+with its mode, and a program with the same constraints in the same mode
+(another objective over the same coupling polytope) starts at phase 2.
 
 The solver reports the dual vector alongside the primal optimum; the two
 must agree (strong duality), which serves as a built-in self-check.
@@ -196,7 +193,9 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
       alike), or integer cross-multiplication.
     - The certificates: read off the float tableau, or each integer numerator
       over its known denominator converted to a float once, as
-      ``float(Fraction)`` rounds.
+      ``float(Fraction)`` rounds.  Every sum of products, there and in the
+      reduced-cost row, is numpy's, not BLAS's: down the basic rows in row
+      order, or pairwise along one vector.
 
     The state after phase 1 and the drive-out is kept for the last
     ``(mode, A, b)`` solved (one entry; a phase 1 that raises is not kept);
@@ -231,8 +230,8 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
 
     def run_phase(cost: np.ndarray, allow: int) -> None:
         """Drive reduced costs nonnegative over the first ``allow`` columns."""
-        T[k, :-1] = d * cost - cost[basis] @ T[:k, :-1]
-        T[k, -1] = -(cost[basis] @ T[:k, -1])  # -d * objective: exact pivots divide it exactly
+        T[k, :-1] = d * cost - (cost[basis][:, None] * T[:k, :-1]).sum(axis=0)
+        T[k, -1] = -(cost[basis] * T[:k, -1]).sum()  # -d * objective: exact pivots divide it exactly
         while allow:  # no columns, nothing to enter
             if iterations > _MAX_ITER:
                 raise ExpansionCapError(f"simplex needs more than {_MAX_ITER} pivots (cap {_MAX_ITER})")
@@ -261,7 +260,7 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
         iterations = 0
         phase1_cost = np.concatenate([np.zeros(nv, dtype=A.dtype), np.ones(k, dtype=A.dtype)])
         run_phase(phase1_cost, nv + k)
-        infeas = phase1_cost[basis] @ T[:k, -1].copy()  # a strided dot may sum in another order
+        infeas = (phase1_cost[basis] * T[:k, -1]).sum()
         if infeas > arith.feas_tol:
             infeas = float(arith.to_float(infeas, d * Db))
             raise InfeasibilityError(f"LP infeasible (phase-1 objective {infeas!r})")
@@ -281,14 +280,14 @@ def solve(problem: LpProblem, exact: bool = False) -> LpSolution:
     x = np.zeros(nv, dtype=A.dtype)
     structural = basis < nv
     x[basis[structural]] = T[:k, -1][structural]
-    duals = cost[basis] @ T[:k, nv:-1]
-    value_min = cost[:nv] @ x
+    duals = (cost[basis][:, None] * T[:k, nv:-1]).sum(axis=0)
+    value_min = (cost[:nv] * x).sum()
     # ``argmin`` keeps the first of equal entries, as the builtin ``min`` does,
     # so a zero margin keeps its sign; ``.min()`` may pick a later signed zero.
-    reduced = d * cost[:nv] - duals @ A
+    reduced = d * cost[:nv] - (duals[:, None] * A).sum(axis=0)
     margin = reduced[reduced.argmin()] if nv else 0
-    gap = abs(value_min - duals @ b) * Da
-    residual = abs(A @ x - d * b).max() if k else 0
+    gap = abs(value_min - (duals * b).sum()) * Da
+    residual = abs((A * x).sum(axis=1) - d * b).max() if k else 0
 
     # Report against the original rows and sense; signed zeros follow
     # ``Fraction * float``, as in the reference tableau.

@@ -273,7 +273,7 @@ class DenseCoupling:
 
     def marginal(self, coord: int) -> np.ndarray:
         """Coordinate marginal: the weighted sum of that coordinate's factors."""
-        return self.weights @ self.factors[:, coord]
+        return (self.weights[:, None] * self.factors[:, coord]).sum(axis=0)
 
     def expand(self) -> dict:
         """Materialize the sparse joint table (memoized), for export and tests.
@@ -310,7 +310,7 @@ class DenseCoupling:
         """Summed over symbols y, the probability that some coordinate hits y.
         A component misses y with probability (1 - s(y)) prod_i (1 - f_i(y))."""
         miss = (1.0 - self.shared) * np.where(self.glued[:, :, None], 1.0, 1.0 - self.factors).prod(axis=1)
-        return float(self.weights @ (self.alphabet_size - miss.sum(axis=1)))
+        return float((self.weights * (self.alphabet_size - miss.sum(axis=1))).sum())
 
     def intersection_mass(self, coords: Sequence[int]) -> float:
         """Summed over y, the probability that all the given coordinates hit y:
@@ -320,7 +320,7 @@ class DenseCoupling:
         in_glue = self.glued[:, coords]
         prod = np.where(in_glue[:, :, None], 1.0, self.factors[:, coords]).prod(axis=1)
         head = np.where(in_glue.any(axis=1)[:, None], self.shared, 1.0)
-        return float(self.weights @ (head * prod).sum(axis=1))
+        return float((self.weights * (head * prod).sum(axis=1)).sum())
 
     def intersection_masses(self) -> dict[tuple[int, ...], float]:
         """:meth:`intersection_mass` of every subset of two or more coordinates,
@@ -339,7 +339,7 @@ class DenseCoupling:
             np.multiply(prod[:half], free_i, out=prod[half : 2 * half])
             hit[half : 2 * half] = hit[:half] | glued[:, i]
         sums = np.where(hit, np.einsum("km,skm->sk", shared, prod), prod.sum(axis=2))
-        masses = sums @ self.weights
+        masses = (sums * self.weights).sum(axis=1)
         return {
             coords: float(masses[sum(1 << i for i in coords)])
             for size in range(2, self.arity + 1)
@@ -932,11 +932,11 @@ def reference_simplex(problem, exact: bool = False):
     for r in range(k):
         if basis[r] < nv:
             x[basis[r]] = rhs[r]
-    duals = cost[basis] @ T[:, nv:]
-    value_min = cost[:nv] @ x
-    margin = min(cost[:nv] - duals @ A) if nv else zero
-    gap = abs(value_min - duals @ b)
-    residual = max(abs(A @ x - b)) if k else zero
+    duals = (cost[basis][:, None] * T[:, nv:]).sum(axis=0)
+    value_min = (cost[:nv] * x).sum()
+    margin = min(cost[:nv] - (duals[:, None] * A).sum(axis=0)) if nv else zero
+    gap = abs(value_min - (duals * b).sum())
+    residual = max(abs((A * x).sum(axis=1) - b)) if k else zero
     duals_out = duals * row_signs * sign
     if exact:
         x = np.array([float(v) for v in x])

@@ -545,6 +545,23 @@ def test_mc_numpy_integers_match_python_ints():
     assert got == want and type(got.samples) is int and type(got.seed) is int
 
 
+def test_mc_draw_cap_raises_before_any_draw(monkeypatch):
+    # Node 3 of a 4-chain has three relevant nodes; the source alone counts as one.
+    net, cap = _chain(4), bn.MC_DRAW_CAP
+    assert cap == 10**9
+    monkeypatch.setattr(bn, "MC_DRAW_CAP", 30)
+    assert bn.percolation(net, [3], mode="mc", samples=10, seed=0).samples == 10
+    assert bn.percolation(net, [0], mode="mc", samples=30, seed=0).probability == 1.0
+    monkeypatch.setattr(np.random, "default_rng", None)  # a draw past this point fails
+    with pytest.raises(ExpansionCapError, match=r"needs 33 draws \(cap 30\)"):
+        bn.percolation(net, [3], mode="mc", samples=11, seed=0)
+    with pytest.raises(ExpansionCapError, match=r"needs 31 draws \(cap 30\)"):
+        bn.percolation(net, [0], mode="mc", samples=31, seed=0)
+    monkeypatch.setattr(bn, "MC_DRAW_CAP", cap)
+    with pytest.raises(ExpansionCapError, match=r"needs 3000000000000 draws \(cap 1000000000\)"):
+        bn.percolation(net, [3], mode="mc", samples=10**12, seed=0)
+
+
 def test_mc_accepts_one_sample():
     res = bn.percolation(_chain(2), [1], mode="mc", samples=1, seed=0)
     assert res.probability in (0.0, 1.0)

@@ -6,20 +6,26 @@ byte with ``tests/golden/<case>.out``; each ``MALFORMED`` entry writes its text
 to a file and must exit 1 with nothing on stdout.  Every entry of both also
 runs through the entry point, ``python -m doeblin.cli``, in a fresh
 interpreter, which must give the same exit code and stdout and no
-``Traceback`` on stderr.  A new CLI check is added as a ``CASES`` or
-``MALFORMED`` entry, not as a step of the CI workflow.  Exit codes: 0 on
-success, 1 on invalid input or an unknown command or flag, 2 on an infeasible
-request.  To record the golden files again after a deliberate output change,
-run ``PYTHONPATH=src python tests/test_cli.py``.
+``Traceback`` on stderr, and every ``CASES`` entry reruns in one child per
+forced OpenBLAS kernel, which must print the golden bytes.  A new CLI check
+is added as a ``CASES`` or ``MALFORMED`` entry, not as a step of the CI
+workflow.  Exit codes: 0 on success, 1 on invalid input or an unknown
+command or flag, 2 on an infeasible request.  To record the golden files
+again after a deliberate output change, run
+``PYTHONPATH=src python tests/test_cli.py``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +71,11 @@ CASES = {
     "bayesnet_source_target": (["bayesnet", _f("net.json"), "--target", "X"], 0),
     "bayesnet_two_targets": (["bayesnet", _f("net.json"), "--target", "A,B", "--bound", "sfpaths"], 0),
     "bayesnet_mc": (["bayesnet", _f("net.json"), "--target", "T", "--bound", "perc", "--mc", "200", "7"], 0),
+    # 10^12 trials over three relevant nodes: past MC_DRAW_CAP, refused before any draw.
+    "bayesnet_mc_past_cap": (
+        ["bayesnet", _f("net.json"), "--target", "T", "--bound", "perc", "--mc", "1000000000000", "7"],
+        0,
+    ),
     "bayesnet_past_cap": (["bayesnet", _f("chain25.json"), "--target", "N24", "--bound", "perc"], 0),
     "bayesnet_composite_past_cap": (["bayesnet", _f("chain25.json"), "--target", CHAIN25_ALL], 0),
     "bayesnet_perc_past_cap": (["bayesnet", _f("chain30.json"), "--target", "N29"], 0),
@@ -201,14 +212,19 @@ def _invoke(argv):
         return exc.code
 
 
+def _child_env(*paths, **extra):
+    """This process's environment with ``paths`` first on PYTHONPATH, and ``extra`` set."""
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join([*map(str, paths), *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
 def _run_cli(argv):
     """Run the CLI in a fresh interpreter, as ``python -m doeblin.cli``."""
-    env = dict(os.environ)
-    src = str(HERE.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     # Every run here takes well under a second; 20 s catches a hang.
     proc = subprocess.run(
-        [sys.executable, "-m", "doeblin.cli", *argv], capture_output=True, text=True, env=env, timeout=20
+        [sys.executable, "-m", "doeblin.cli", *argv],
+        capture_output=True, text=True, env=_child_env(HERE.parent / "src"), timeout=20,
     )
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc
@@ -234,11 +250,24 @@ def test_golden(name, capsys):
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
+@pytest.fixture(scope="session")
+def entry_point_runs(tmp_path_factory):
+    """Every ``CASES`` and ``MALFORMED`` entry through :func:`_run_cli`, at most one child per
+    CPU at a time: (dict name, entry name) -> the future of its run, which re-raises its failure.
+    Runs not started when the session ends, which no selected test needs, are cancelled."""
+    argvs = {("CASES", name): argv for name, (argv, _) in CASES.items()}
+    argvs.update({("MALFORMED", name): _malformed_argv(name, tmp_path_factory.mktemp(name)) for name in MALFORMED})
+    pool = ThreadPoolExecutor(max_workers=os.cpu_count())
+    try:
+        yield {key: pool.submit(_run_cli, argv) for key, argv in argvs.items()}
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_entry_point_matches_golden(name):
-    argv, code = CASES[name]
-    proc = _run_cli(argv)
-    assert proc.returncode == code
+def test_entry_point_matches_golden(name, entry_point_runs):
+    proc = entry_point_runs["CASES", name].result()
+    assert proc.returncode == CASES[name][1]
     assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
 
 
@@ -251,8 +280,8 @@ def test_malformed_input_exits_1(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_entry_point_malformed_exits_1(name, tmp_path):
-    proc = _run_cli(_malformed_argv(name, tmp_path))
+def test_entry_point_malformed_exits_1(name, entry_point_runs):
+    proc = entry_point_runs["MALFORMED", name].result()
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "invalid input:" in proc.stderr
@@ -625,18 +654,62 @@ def test_long_chain_path_bound_runs(tmp_path):
     assert paths == [[f"N{i}" for i in range(1500)]]
 
 
-def _record() -> None:
-    import contextlib
-    import io
+# -- the same bytes under every BLAS kernel ------------------------------------
 
-    GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, code) in sorted(CASES.items()):
+
+def _case_outputs() -> dict:
+    """Every ``CASES`` entry run in-process: name -> [exit code, stdout]."""
+    outs = {}
+    for name, (argv, _) in sorted(CASES.items()):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-            got = _invoke(argv)
-        if got != code:
-            raise SystemExit(f"{name}: exit {got}, expected {code}")
-        (GOLDEN / f"{name}.out").write_text(buf.getvalue())
+            outs[name] = [_invoke(argv), buf.getvalue()]
+    return outs
+
+
+def _forced_kernels() -> list:
+    """The OpenBLAS kernels to force, each in its own child: Prescott, which any x86-64 CPU
+    runs, and Haswell where the CPU has AVX2 and FMA.  Skips where no kernel can be forced."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip(f"OpenBLAS kernels are forced only on x86-64, not {platform.machine()}")
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        pytest.skip("numpy does not report how its BLAS was built")
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy's BLAS ({blas.get('name')}) is not a DYNAMIC_ARCH OpenBLAS; its kernel is fixed")
+    cpuinfo = Path("/proc/cpuinfo")
+    flags = re.search(r"^flags\s*:(.*)$", cpuinfo.read_text() if cpuinfo.exists() else "", re.MULTILINE)
+    return ["Prescott"] + (["Haswell"] if flags and {"avx2", "fma"} <= set(flags.group(1).split()) else [])
+
+
+def _kernel_outputs(kernel: str) -> dict:
+    """:func:`_case_outputs` in a fresh interpreter with OPENBLAS_CORETYPE set to ``kernel``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, test_cli; print(json.dumps(test_cli._case_outputs()))"],
+        capture_output=True, text=True, env=_child_env(HERE.parent / "src", HERE, OPENBLAS_CORETYPE=kernel),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_goldens_do_not_depend_on_the_blas_kernel():
+    kernels = _forced_kernels()
+    goldens = {name: [code, (GOLDEN / f"{name}.out").read_text()] for name, (_, code) in CASES.items()}
+    with ThreadPoolExecutor(max_workers=len(kernels)) as pool:
+        outputs = dict(zip(kernels, pool.map(_kernel_outputs, kernels)))
+    # kernel -> the cases whose exit code or stdout differ from the golden
+    differing = {kernel: sorted(n for n in CASES if outs[n] != goldens[n]) for kernel, outs in outputs.items()}
+    assert differing == dict.fromkeys(kernels, [])
+
+
+def _record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (code, out) in _case_outputs().items():
+        if code != CASES[name][1]:
+            raise SystemExit(f"{name}: exit {code}, expected {CASES[name][1]}")
+        (GOLDEN / f"{name}.out").write_text(out)
 
 
 if __name__ == "__main__":
