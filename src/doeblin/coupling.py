@@ -114,6 +114,10 @@ class Coupling:
     def _shared_rows(self) -> np.ndarray:  # (K,): each component's first glued row
         return self.index[np.arange(len(self.glued)), self.glued.argmax(axis=1)]
 
+    @cached_property
+    def _marginals(self) -> np.ndarray:  # (n, m): every coordinate marginal, from one gather
+        return (self.weights[:, None, None] * self.pool[self.index]).sum(axis=0)
+
     @property
     def components(self) -> list[dict]:
         """One record per component, as :meth:`to_dict` emits it; no two share a list."""
@@ -143,9 +147,8 @@ class Coupling:
         return coords
 
     def marginal(self, coord: int) -> np.ndarray:
-        """Coordinate marginal: the weighted sum of that coordinate's factors, in component order."""
-        (coord,) = self._coords([coord])
-        return (self.weights[:, None] * self.pool[self.index[:, coord]]).sum(axis=0)
+        """Coordinate marginal: that coordinate's factors, weighted and summed over the components."""
+        return self._marginals[self._coords([coord])[0]].copy()
 
     def expand(self) -> dict:
         """Materialize the sparse joint table (memoized), for export and tests.
@@ -548,11 +551,9 @@ def verify_coupling(coupling: Coupling, targets: Sequence) -> VerificationReport
     if n != coupling.arity or m != coupling.alphabet_size:
         raise AlphabetMismatchError("targets do not match the coupling's shape")
     intersections = coupling.intersection_masses()
-    # Every marginal from one gather, summed in component order as marginal() sums it.
-    marginals = (coupling.weights[:, None, None] * coupling.pool[coupling.index]).sum(axis=0)
     return VerificationReport(
         weight_residual=abs(coupling.weight_sum() - 1.0),
-        marginal_residuals=tuple(np.abs(marginals - mats).max(axis=1).tolist()),
+        marginal_residuals=tuple(np.abs(coupling._marginals - mats).max(axis=1).tolist()),
         diagonal_mass=intersections[tuple(range(n))],
         union_mass=coupling.union_mass(),
         intersection_masses=intersections,

@@ -251,15 +251,26 @@ def test_golden(name, capsys):
 
 
 @pytest.fixture(scope="session")
-def entry_point_runs(tmp_path_factory):
-    """Every ``CASES`` and ``MALFORMED`` entry through :func:`_run_cli`, at most one child per
-    CPU at a time: (dict name, entry name) -> the future of its run, which re-raises its failure.
-    Runs not started when the session ends, which no selected test needs, are cancelled."""
-    argvs = {("CASES", name): argv for name, (argv, _) in CASES.items()}
-    argvs.update({("MALFORMED", name): _malformed_argv(name, tmp_path_factory.mktemp(name)) for name in MALFORMED})
-    pool = ThreadPoolExecutor(max_workers=os.cpu_count())
+def entry_point_runs(request, tmp_path_factory):
+    """The run through :func:`_run_cli` of every collected entry-point test, at most one child per
+    CPU this process may use at a time: (dict name, entry name) -> the future of its run, which
+    re-raises its failure. Runs not started when the session ends are cancelled."""
+    tests = {"test_entry_point_matches_golden": "CASES", "test_entry_point_malformed_exits_1": "MALFORMED"}
+    keys = [
+        (tests[item.originalname], item.callspec.params["name"])
+        for item in request.session.items
+        if getattr(item, "originalname", None) in tests
+    ]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    pool = ThreadPoolExecutor(max_workers=cpus)
     try:
-        yield {key: pool.submit(_run_cli, argv) for key, argv in argvs.items()}
+        yield {
+            (kind, name): pool.submit(
+                _run_cli,
+                CASES[name][0] if kind == "CASES" else _malformed_argv(name, tmp_path_factory.mktemp(name)),
+            )
+            for kind, name in keys
+        }
     finally:
         pool.shutdown(cancel_futures=True)
 

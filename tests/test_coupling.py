@@ -725,16 +725,6 @@ class TestVerifyCoupling:
             assert mass == pytest.approx(mats[list(coords)].min(axis=0).sum(), abs=1e-12)
         assert rep.orthogonal_components == table_orthogonal(c.to_dict())
 
-    def test_residuals_read_every_marginal_as_marginal_does(self):
-        # One gather for all the marginals sums each in component order, as marginal(i) does.
-        rng = np.random.default_rng(59)
-        for n, m, _ in itertools.product(range(2, 9), range(2, 13), range(2)):
-            fam = feasible_minimal_instance(rng, n, m)
-            mats = db.Channel(fam).matrix  # the targets as verify_coupling reads them
-            for c in (db.maximal_coupling(fam), db.minimal_coupling_max(fam)):
-                residuals = tuple(float(np.abs(c.marginal(i) - mats[i]).max()) for i in range(len(mats)))
-                assert db.verify_coupling(c, fam).marginal_residuals == residuals
-
     def test_subset_table_past_cap_raises(self):
         # Twenty peaked rows build in milliseconds, but the table of all 2^20
         # coordinate subsets would hold 2^20 * K * 24 floats.
