@@ -104,7 +104,7 @@ class BayesNet:
                 table = Channel(node.cpt)
             except ValidationError as exc:
                 raise ValidationError(f"node {node.name}: {exc}") from exc
-            shape = (int(np.prod([self.nodes[p].alphabet for p in node.parents])), node.alphabet)
+            shape = (math.prod(self.nodes[p].alphabet for p in node.parents), node.alphabet)
             if table.matrix.shape != shape:
                 raise ValidationError(f"node {node.name}: cpt shape {table.matrix.shape} != {shape}")
             nodes[idx] = replace(node, cpt=table.matrix)
@@ -502,7 +502,7 @@ def samorodnitsky_bound(prior_channel, letter_sizes: Sequence[int], letter_taus:
         raise ValidationError(f"letter sizes must be positive integers, got {sizes}")
     sizes = tuple(int(s) for s in sizes)
     n = len(sizes)
-    if int(np.prod(sizes)) != ch.m:
+    if math.prod(sizes) != ch.m:
         raise ValidationError(f"output alphabet {ch.m} does not factorize into letters {sizes}")
     taus = _as_float_array(letter_taus, "letter coefficients")
     if taus.shape != (n,) or not ((0.0 <= taus) & (taus <= 1.0)).all():

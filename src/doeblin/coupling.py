@@ -19,10 +19,13 @@ Every coupling has one form (:class:`Coupling`): a weighted mixture of
 components, each gluing a block of coordinates on one shared factor and
 drawing every other coordinate from its own.  Each factor is one row of a
 pool, which an integer index names for every coordinate; the glued ones of a
-component all name its shared row.  Masses are read through the index in
-closed form, and orthogonality from supports packed in 64-bit words, block
-by block; the sparse joint table is expanded, under a cap, only for export
-and tests.  Zero-weight components, and the rows only they name, are dropped.
+component all name its shared row.  Every mass is one per-component body,
+sum_y s(y) prod_i f_i(y) in one summation order, read on the pool, on its miss
+rows ``1 - pool`` for the union, or pushed forward to a joint's X; the subset
+table sums each row in that order.  Orthogonality is read from supports packed
+in 64-bit words, block by block; the sparse joint table is expanded, under a
+cap, only for export and tests.  Zero-weight components, and the rows only
+they name, are dropped.
 """
 
 from __future__ import annotations
@@ -186,30 +189,28 @@ class Coupling:
         return self.intersection_mass(range(self.arity))
 
     def union_mass(self) -> float:
-        """Summed over symbols y, the probability that some coordinate hits y.
-        A component misses y with probability (1 - s(y)) prod_i (1 - f_i(y))."""
-        shared_miss = np.where(self.glued.any(axis=1)[:, None], 1.0 - self.pool[self._shared_rows], 1.0)
-        miss = shared_miss * np.where(self.glued[:, :, None], 1.0, (1.0 - self.pool)[self.index]).prod(axis=1)
-        return float((self.weights * (self.alphabet_size - miss.sum(axis=1))).sum())
+        """Summed over symbols y, the probability that some coordinate hits y: m less
+        each component's chance of missing y, the body on the miss rows ``1 - pool``."""
+        miss = self._component_masses(1.0 - self.pool, list(range(self.arity)))
+        return float((self.weights * (self.alphabet_size - miss)).sum())
 
     def intersection_mass(self, coords: Sequence[int]) -> float:
-        """Summed over y, the probability that all the given coordinates hit y:
-        per component sum_y s(y) prod_{free i in coords} f_i(y), with s = 1
-        when no glued coordinate is among them."""
-        return self._intersection_over(self.pool, self._coords(coords))
+        """Summed over y, the probability that all the given coordinates hit y."""
+        return float((self.weights * self._component_masses(self.pool, self._coords(coords))).sum())
 
-    def _intersection_over(self, pool: np.ndarray, coords: list[int]) -> float:
-        """:meth:`intersection_mass` with each factor read from the same row of
-        ``pool``, which may hold them pushed forward to another alphabet."""
+    def _component_masses(self, pool: np.ndarray, coords: list[int]) -> np.ndarray:
+        """(K,): per component sum_y s(y) prod_{free i in coords} f_i(y), s = 1 when no glued
+        coordinate is among them; each factor is its row of ``pool``, the coupling's or one mapped from it."""
         in_glue = self.glued[:, coords]
         prod = np.where(in_glue[:, :, None], 1.0, pool[self.index[:, coords]]).prod(axis=1)
         head = np.where(in_glue.any(axis=1)[:, None], pool[self._shared_rows], 1.0)
-        return float((self.weights * (head * prod).sum(axis=1)).sum())
+        return (head * prod).sum(axis=1)
 
     def intersection_masses(self) -> dict[tuple[int, ...], float]:
-        """:meth:`intersection_mass` of every subset of two or more coordinates, built one
-        coordinate at a time from one gather of the free factors; row ``mask`` holds the
-        subset of its bits.  Raises ExpansionCapError when 2^n * K * m > DEFAULT_EXPANSION_CAP."""
+        """:meth:`intersection_mass` of every subset of two or more coordinates, bit for bit: row
+        ``mask`` multiplies its bits' free factors one coordinate at a time from one gather, then the
+        shared one where it meets the glue, and sums in the body's order.  Raises ExpansionCapError
+        when 2^n * K * m > DEFAULT_EXPANSION_CAP."""
         shared, glued = self.pool[self._shared_rows], self.glued  # shared: unread without glue
         rows = 1 << self.arity
         if rows * shared.size > DEFAULT_EXPANSION_CAP:
@@ -220,9 +221,10 @@ class Coupling:
         for i in range(self.arity):
             np.multiply(prod[: 1 << i], free[:, i], out=prod[1 << i : 2 << i])
         hit = (np.arange(rows)[:, None] & (glued @ (1 << np.arange(self.arity)))) > 0  # subset meets the glue
-        sums = np.where(hit, np.einsum("km,skm->sk", shared, prod), prod.sum(axis=2))
+        flat = prod.reshape(rows, -1)  # one mask entry per cell keeps numpy's masked runs long
+        np.multiply(flat, shared.ravel(), out=flat, where=np.repeat(hit, self.alphabet_size, axis=1))
         keys, masks = _subsets(self.arity)
-        return dict(zip(keys, (sums * self.weights).sum(axis=1)[masks].tolist()))
+        return dict(zip(keys, (prod.sum(axis=2) * self.weights).sum(axis=1)[masks].tolist()))
 
     def orthogonal_components(self) -> bool:
         """Whether no two components share a tuple of positive mass.
@@ -446,7 +448,7 @@ class JointCoupling:
         factor over y."""
         c = self.coupling
         x_pool = c.pool.reshape(-1, self.x_size, self.y_size).sum(axis=-1)
-        return c._intersection_over(x_pool, list(range(c.arity)))
+        return float((c.weights * c._component_masses(x_pool, list(range(c.arity)))).sum())
 
     def to_dict(self, include_table: bool = True) -> dict:
         """The expanded table, or with ``include_table=False`` the mixture's
@@ -525,10 +527,6 @@ class VerificationReport:
     intersection_masses: dict  # subset (tuple of coords) -> mass
     orthogonal_components: bool
 
-    @property
-    def max_marginal_residual(self) -> float:
-        return max(self.marginal_residuals)
-
     def to_dict(self) -> dict:
         return {
             "weight_residual": self.weight_residual,
@@ -544,8 +542,9 @@ class VerificationReport:
 
 def verify_coupling(coupling: Coupling, targets: Sequence) -> VerificationReport:
     """Report marginal residuals, diagonal/union/intersection masses, and
-    component orthogonality, all read from the mixture without expansion.
-    Raises ExpansionCapError when 2^n * K * m > DEFAULT_EXPANSION_CAP (the subset table)."""
+    component orthogonality, all read from the mixture without expansion; each mass is
+    the per-component body's, bit for bit the matching method's.  Raises
+    ExpansionCapError when 2^n * K * m > DEFAULT_EXPANSION_CAP (the subset table)."""
     mats = _family(targets, _MARGINALS).matrix
     n, m = mats.shape
     if n != coupling.arity or m != coupling.alphabet_size:

@@ -25,9 +25,20 @@ class AlphabetMismatchError(ValidationError):
 
 
 class ExpansionCapError(ValidationError):
-    """A request would pass one of the fixed size caps (table cells, factor entries, the joint
-    coupling's factor pool, relevant nodes, Monte Carlo draws (``MC_DRAW_CAP``), paths, letter
-    subsets, LP variables, LP tableau cells or simplex pivots)."""
+    """A request would pass one of the fixed size caps, each checked on the counter it bounds:
+
+    * ``coupling.DEFAULT_EXPANSION_CAP``: the cells of an expanded coupling table (m**n), of
+      the subset-mass table (2**n * K * m) and of the joint coupling's free-factor pool;
+    * ``bayesnet.COMPOSITE_STATE_CAP``: the entries of the largest factor that variable
+      elimination creates;
+    * ``bayesnet.EXACT_PERCOLATION_NODE_CAP``: the relevant nodes of exact percolation;
+    * ``bayesnet.MC_DRAW_CAP``: Monte Carlo survival draws, trials times relevant nodes;
+    * ``bayesnet.PATH_CAP``: the shortcut-free source-to-target paths;
+    * ``bayesnet.LETTER_SUBSET_CAP``: the letter subsets of the memoryless-stage bound;
+    * ``lp.VARIABLE_CAP``: the variables of a coupling LP;
+    * ``lp.TABLEAU_CELL_CAP``: the cells of its simplex tableau;
+    * ``lp._MAX_ITER``: the simplex pivots.
+    """
 
 
 class NoConsensusError(InfeasibilityError):

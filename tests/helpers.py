@@ -322,30 +322,6 @@ class DenseCoupling:
         head = np.where(in_glue.any(axis=1)[:, None], self.shared, 1.0)
         return float((self.weights * (head * prod).sum(axis=1)).sum())
 
-    def intersection_masses(self) -> dict[tuple[int, ...], float]:
-        """:meth:`intersection_mass` of every subset of two or more coordinates,
-        built one coordinate at a time; row ``mask`` holds the subset of its bits."""
-        shared, factors, glued = self.shared, self.factors, self.glued
-        K, m = shared.shape
-        rows = 1 << self.arity
-        if rows * K * m > DEFAULT_EXPANSION_CAP:
-            raise ExpansionCapError(f"subset table needs {rows * K * m} entries (cap {DEFAULT_EXPANSION_CAP})")
-        prod = np.empty((rows, K, m))  # free factors' product over the subset
-        hit = np.zeros((rows, K), dtype=bool)  # subset meets the glued block
-        prod[0] = 1.0
-        for i in range(self.arity):
-            half = 1 << i
-            free_i = np.where(glued[:, i, None], 1.0, factors[:, i])
-            np.multiply(prod[:half], free_i, out=prod[half : 2 * half])
-            hit[half : 2 * half] = hit[:half] | glued[:, i]
-        sums = np.where(hit, np.einsum("km,skm->sk", shared, prod), prod.sum(axis=2))
-        masses = (sums * self.weights).sum(axis=1)
-        return {
-            coords: float(masses[sum(1 << i for i in coords)])
-            for size in range(2, self.arity + 1)
-            for coords in itertools.combinations(range(self.arity), size)
-        }
-
     def orthogonal_components(self) -> bool:
         """Whether no two components share a tuple of positive mass.
 

@@ -840,6 +840,8 @@ def test_samorodnitsky_caps_the_letter_subsets(monkeypatch):
         ([6.9], [0.5]),
         ([6.0], [0.5]),
         ([True, 6], [0.5, 0.5]),
+        # 9 * 6148914691236517206 is 2 * 2**64 + 6, which int64 arithmetic wraps to 6.
+        ([9, 6148914691236517206], [0.5, 0.5]),
         # Coefficients that are not numbers.
         ([6], ["x"]),
         ([6], [None]),

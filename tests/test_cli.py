@@ -7,7 +7,8 @@ to a file and must exit 1 with nothing on stdout.  Every entry of both also
 runs through the entry point, ``python -m doeblin.cli``, in a fresh
 interpreter, which must give the same exit code and stdout and no
 ``Traceback`` on stderr, and every ``CASES`` entry reruns in one child per
-forced OpenBLAS kernel, which must print the golden bytes.  A new CLI check
+forced OpenBLAS kernel, and in one with numpy's SIMD dispatch turned off,
+which must print the golden bytes.  A new CLI check
 is added as a ``CASES`` or ``MALFORMED`` entry, not as a step of the CI
 workflow.  Exit codes: 0 on success, 1 on invalid input or an unknown
 command or flag, 2 on an infeasible request.  To record the golden files
@@ -694,25 +695,46 @@ def _forced_kernels() -> list:
     return ["Prescott"] + (["Haswell"] if flags and {"avx2", "fma"} <= set(flags.group(1).split()) else [])
 
 
-def _kernel_outputs(kernel: str) -> dict:
-    """:func:`_case_outputs` in a fresh interpreter with OPENBLAS_CORETYPE set to ``kernel``."""
+def _simd_targets() -> list:
+    """numpy's runtime SIMD dispatch targets that this CPU enables, past the build's baseline."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+
+
+def _child_outputs(**env) -> list:
+    """[:func:`_simd_targets`, :func:`_case_outputs`] from a fresh interpreter with ``env`` set."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, test_cli; print(json.dumps(test_cli._case_outputs()))"],
-        capture_output=True, text=True, env=_child_env(HERE.parent / "src", HERE, OPENBLAS_CORETYPE=kernel),
-        timeout=120,
+        [sys.executable, "-c",
+         "import json, test_cli; print(json.dumps([test_cli._simd_targets(), test_cli._case_outputs()]))"],
+        capture_output=True, text=True, env=_child_env(HERE.parent / "src", HERE, **env), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
+def _differing(outputs: dict) -> list:
+    """The cases whose exit code or stdout differ from the golden."""
+    return sorted(n for n, (_, code) in CASES.items() if outputs[n] != [code, (GOLDEN / f"{n}.out").read_text()])
+
+
 def test_goldens_do_not_depend_on_the_blas_kernel():
     kernels = _forced_kernels()
-    goldens = {name: [code, (GOLDEN / f"{name}.out").read_text()] for name, (_, code) in CASES.items()}
     with ThreadPoolExecutor(max_workers=len(kernels)) as pool:
-        outputs = dict(zip(kernels, pool.map(_kernel_outputs, kernels)))
-    # kernel -> the cases whose exit code or stdout differ from the golden
-    differing = {kernel: sorted(n for n in CASES if outs[n] != goldens[n]) for kernel, outs in outputs.items()}
+        outputs = pool.map(lambda kernel: _child_outputs(OPENBLAS_CORETYPE=kernel)[1], kernels)
+        differing = {kernel: _differing(outs) for kernel, outs in zip(kernels, outputs)}
     assert differing == dict.fromkeys(kernels, [])
+
+
+def test_goldens_do_not_depend_on_numpy_simd_dispatch():
+    targets = _simd_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no SIMD target past its baseline on this CPU; none to turn off")
+    enabled, outputs = _child_outputs(NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    assert enabled == []  # the child ran on the baseline kernels alone
+    assert _differing(outputs) == []
 
 
 def _record() -> None:
